@@ -9,7 +9,6 @@ independence-number bound.
 
 from .families import (
     HammingSpec,
-    ImplicitHammingGraph,
     ShiftSpec,
     build_hamming_graph,
     build_shift_graph,
@@ -28,7 +27,6 @@ from .graph import (
     enumerate_mis,
     induced_subgraph,
     is_independent,
-    iter_maximum_independent_sets,
     load_graph,
     maximum_independent_set,
     random_graph,
@@ -42,7 +40,6 @@ from .hitting import (
     build_random_covering_code,
     covering_radius,
     find_far_point,
-    greedy_hitting_set,
     h_of_graph,
     min_hitting_set,
 )
@@ -61,7 +58,6 @@ __all__ = [
     "Graph",
     "HammingSpec",
     "HittingResult",
-    "ImplicitHammingGraph",
     "MisFamily",
     "ProcessParams",
     "ShiftSpec",
@@ -78,13 +74,11 @@ __all__ = [
     "covering_radius",
     "enumerate_mis",
     "find_far_point",
-    "greedy_hitting_set",
     "h_of_graph",
     "hamming_ball",
     "hamming_mis_family",
     "induced_subgraph",
     "is_independent",
-    "iter_maximum_independent_sets",
     "kernel_corona",
     "kernel_guarantee_check",
     "kleitman_alpha",

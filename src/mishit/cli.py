@@ -5,7 +5,8 @@ stochastic experiments, and emit human tables on stdout plus optional JSON /
 CSV artifacts.  Every stochastic command requires an explicit --seed and is
 bit-reproducible: identical configuration and seed give byte-identical
 artifacts for any --workers value.  The exit code is 0 only when every check
-the command ran came out clean; progress chatter goes to stderr.
+the command ran came out clean, and 2 with a one-line message when the input
+is invalid or unreadable; progress chatter goes to stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import families, hajnal, hitting, process
-from .graph import alpha, enumerate_mis, is_independent, load_graph, maximum_independent_set, save_graph
+from .graph import FamilyTooLargeError, alpha, enumerate_mis, is_independent, load_graph, save_graph
 
 
 def _write_family_json(path: str, family) -> None:
@@ -48,7 +49,8 @@ def _print_report(report: dict, checks: list[tuple[str, bool]]) -> None:
         print(f"[{'PASS' if ok else 'FAIL'}] {label}")
 
 
-_NON_CONFIG_KEYS = {"func", "json", "csv", "out", "trace_jsonl", "graph_out", "family_out"}  # artifact paths are not experiment config
+# artifact paths and the worker count do not change the result, so they stay out of config
+_NON_CONFIG_KEYS = {"func", "json", "csv", "out", "trace_jsonl", "graph_out", "family_out", "workers"}
 
 
 def _emit(args, report: dict, checks: list[tuple[str, bool]], csv_spec=None) -> int:
@@ -91,8 +93,8 @@ def cmd_shift(args) -> int:
             f"largest feasible: --k {SHIFT_EXACT_MAX_K}"
         )
     g, spec = families.build_shift_graph(args.k)
-    a = alpha(g)
     family = enumerate_mis(g, cap=args.cap)
+    a = family.alpha
     structural = families.shift_mis_family(spec)
     same_family = {s.bits for s in family.sets} == {s.bits for s in structural.sets}
     result = hitting.min_hitting_set(structural)
@@ -108,8 +110,8 @@ def cmd_shift(args) -> int:
         "h": result.size,
         "hitting_set": [spec.index_to_pair(v) for v in result.set],
         "cycle_certificate": [spec.index_to_pair(v) for v in cycle],
-        "sqrt_n_over_2": math.sqrt(n / 2),
-        "sqrt_n_over_2_alt_count": math.sqrt(n_alt / 2) if n_alt > 0 else 0.0,
+        "sqrt_n_over_2": math.sqrt(n) / 2,
+        "sqrt_n_over_2_alt_count": math.sqrt(n_alt) / 2,
     }
     checks = [
         ("alpha equals k^2", a == args.k**2),
@@ -117,7 +119,7 @@ def cmd_shift(args) -> int:
         ("enumerated family equals partition family", same_family),
         ("h equals k+1", result.size == args.k + 1),
         ("cycle certificate has size k+1 and hits every set", len(cycle) == args.k + 1 and cycle_hits),
-        ("h exceeds sqrt(n/2)", result.size > math.sqrt(n / 2)),
+        ("h exceeds sqrt(n)/2", 4 * result.size * result.size > n),
     ]
     if args.graph_out:
         save_graph(g, args.graph_out)
@@ -135,10 +137,7 @@ HAMMING_EXACT_MAX_M = 6
 
 
 def cmd_hamming(args) -> int:
-    try:
-        spec = families.HammingSpec(args.m, args.t, constrained=not args.force)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    spec = families.HammingSpec(args.m, args.t, constrained=not args.force)
     kle = families.kleitman_alpha(spec)
     report = {
         "m": args.m,
@@ -152,10 +151,9 @@ def cmd_hamming(args) -> int:
     checks: list[tuple[str, bool]] = []
     if args.m <= HAMMING_EXACT_MAX_M:
         g = families.build_hamming_graph(spec)
-        a = alpha(g)
-        report["alpha_exact"] = a
-        checks.append(("exact alpha equals the Kleitman sum", a == kle))
         family = enumerate_mis(g)
+        report["alpha_exact"] = family.alpha
+        checks.append(("exact alpha equals the Kleitman sum", family.alpha == kle))
         balls = families.hamming_mis_family(spec)
         balls_match = {s.bits for s in family.sets} == {s.bits for s in balls.sets}
         report["mis_count"] = len(family)
@@ -241,9 +239,7 @@ def cmd_alpha_prime(args) -> int:
     checks = [("alpha' at most alpha/n", float(estimate.mean) <= a / g.n + 1e-12)]
     epsilon = Fraction(a, g.n) - Fraction(1, 4)
     if 0 < epsilon < Fraction(1, 4):
-        bound_report = process.verify_alpha_prime_bound(
-            g, mode=args.mode, seed=args.seed, samples=args.samples, workers=args.workers
-        )
+        bound_report = process.verify_alpha_prime_bound(g.n, a, estimate)
         report["bound"] = bound_report.to_json_dict()
         report["bound_holds_at_this_n"] = bound_report.holds
     else:
@@ -257,10 +253,7 @@ def cmd_process(args) -> int:
     g = load_graph(args.graph)
     a = alpha(g)
     epsilon = Fraction(args.epsilon) if args.epsilon else Fraction(a, g.n) - Fraction(1, 4)
-    try:
-        params = process.ProcessParams.for_graph(g.n, epsilon, target_size=args.target_size)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    params = process.ProcessParams.for_graph(g.n, epsilon, target_size=args.target_size)
     print(f"running {args.traces} traces...", file=sys.stderr)
     traces = process.run_deletion_traces(g, params, args.traces, seed=args.seed, workers=args.workers)
     stats = process.success_statistics(traces, params)
@@ -309,15 +302,9 @@ def cmd_process(args) -> int:
 
 
 def cmd_covering_code(args) -> int:
-    try:
-        spec = families.HammingSpec(args.m, args.t, constrained=not args.force)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    spec = families.HammingSpec(args.m, args.t, constrained=not args.force)
     if args.method == "hadamard":
-        try:
-            code = hitting.build_hadamard_covering_code(spec)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
+        code = hitting.build_hadamard_covering_code(spec)
         verified = None
         trials_used = None
     else:
@@ -359,22 +346,20 @@ def cmd_covering_code(args) -> int:
 
 def cmd_hitting_set(args) -> int:
     g = load_graph(args.graph)
-    try:
-        result = hitting.h_of_graph(g, cap=args.cap)
-    except hitting.FamilyTooLargeError as exc:
-        raise SystemExit(str(exc))
     family = enumerate_mis(g, cap=args.cap)
+    if not family.complete:
+        raise FamilyTooLargeError(f"more than {args.cap} maximum independent sets; use a structural family")
+    result = hitting.min_hitting_set(family)
     hits_all = all(not s.isdisjoint(result.set) for s in family.sets)
-    witness = maximum_independent_set(g)
     report = {
         "n": g.n,
-        "alpha": len(witness),
+        "alpha": family.alpha,
         "mis_count": len(family),
         **result.to_json_dict(),
     }
     checks = [
         ("transversal meets every maximum independent set", hits_all),
-        ("witness independent set is valid", is_independent(g, witness)),
+        ("witness independent set is valid", is_independent(g, family.sets[0])),
     ]
     return _emit(args, report, checks)
 
@@ -467,7 +452,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, FamilyTooLargeError) as exc:
+        print(f"mishit: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 if __name__ == "__main__":

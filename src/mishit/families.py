@@ -13,8 +13,7 @@ Z_2^m over the words of weight >= m - 2t + 1; the independence number is the
 Kleitman value sum_{i<=m/2-t} C(m, i), attained exactly by the 2^m Hamming
 balls of radius m/2 - t.
 
-Explicit adjacency rows are materialised only up to 2^12 vertices; beyond
-that an implicit XOR-popcount view is provided.
+Explicit adjacency rows are materialised only up to 2^12 vertices.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -180,40 +179,8 @@ class HammingSpec:
         return self.m // 2 - self.t
 
 
-class ImplicitHammingGraph:
-    """On-demand adjacency view for word lengths beyond the explicit cap."""
-
-    def __init__(self, spec: HammingSpec):
-        self.spec = spec
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
-
-    def adjacent(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError("word out of range")
-        return u != v and (u ^ v).bit_count() > self.spec.distance_floor
-
-    def degree(self) -> int:
-        m = self.spec.m
-        return sum(math.comb(m, w) for w in range(self.spec.distance_floor + 1, m + 1))
-
-    def neighbors(self, u: int) -> Iterator[int]:
-        """All words adjacent to u, grouped by XOR weight; lazy."""
-        m = self.spec.m
-        for w in range(self.spec.distance_floor + 1, m + 1):
-            for positions in combinations(range(m), w):
-                d = 0
-                for p in positions:
-                    d |= 1 << p
-                yield u ^ d
-
-
-def build_hamming_graph(spec: HammingSpec, explicit: bool = True) -> Graph | ImplicitHammingGraph:
+def build_hamming_graph(spec: HammingSpec) -> Graph:
     """Cayley graph of Z_2^m: u ~ v iff popcount(u ^ v) >= m - 2t + 1."""
-    if not explicit:
-        return ImplicitHammingGraph(spec)
     if spec.m > EXPLICIT_MAX_M:
         raise ValueError(f"explicit adjacency needs m <= {EXPLICIT_MAX_M}, got m={spec.m}")
     n = spec.n
@@ -235,16 +202,10 @@ def kleitman_alpha(spec: HammingSpec) -> int:
     return sum(math.comb(spec.m, i) for i in range(spec.ball_radius + 1))
 
 
-def hamming_ball_size(m: int, radius: int) -> int:
-    return sum(math.comb(m, i) for i in range(radius + 1))
-
-
 def hamming_ball(spec: HammingSpec, center: int, radius: int) -> VertexSet:
     """All words at distance <= radius from ``center`` (explicit range only)."""
     if spec.m > EXPLICIT_MAX_M:
-        raise ValueError(
-            f"materialised balls need m <= {EXPLICIT_MAX_M}; use hamming_ball_predicate"
-        )
+        raise ValueError(f"materialised balls need m <= {EXPLICIT_MAX_M}")
     if not 0 <= radius <= spec.m:
         raise ValueError(f"radius {radius} out of range 0..{spec.m}")
     if not 0 <= center < spec.n:
@@ -253,17 +214,6 @@ def hamming_ball(spec: HammingSpec, center: int, radius: int) -> VertexSet:
     near = np.bitwise_count(words ^ np.uint32(center)) <= radius
     packed = np.packbits(near, bitorder="little").tobytes()
     return VertexSet(spec.n, int.from_bytes(packed, "little"))
-
-
-def hamming_ball_predicate(spec: HammingSpec, center: int, radius: int) -> Callable[[int], bool]:
-    """Membership test for the ball, usable at any m."""
-    if not 0 <= radius <= spec.m:
-        raise ValueError(f"radius {radius} out of range 0..{spec.m}")
-
-    def member(word: int) -> bool:
-        return (word ^ center).bit_count() <= radius
-
-    return member
 
 
 def hamming_mis_family(spec: HammingSpec) -> MisFamily:

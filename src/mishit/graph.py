@@ -358,13 +358,17 @@ def _solve_witness(g: Graph, within_bits: int) -> tuple[int, int]:
     return size, _map_back(mask, verts)
 
 
-def _iter_mis_masks(g: Graph, within_bits: int) -> Iterator[int]:
-    """Masks of all maximum independent sets of the restriction, each once."""
+def _solve_all(g: Graph, within_bits: int) -> tuple[int, Iterator[int]]:
+    """(alpha, masks of all maximum independent sets) of the restriction.
+
+    One relabel and one clique search fix alpha; the lazy iterator then
+    yields every maximum independent set once, in original labels.
+    """
     rows, verts = _relabel(g.complement_rows(), within_bits)
     full = (1 << len(verts)) - 1
     target, _ = _max_clique(rows, full)
-    for mask in _iter_max_cliques(rows, full, target):
-        yield _map_back(mask, verts)
+    masks = (_map_back(mask, verts) for mask in _iter_max_cliques(rows, full, target))
+    return target, masks
 
 
 def maximum_independent_set(g: Graph) -> VertexSet:
@@ -388,12 +392,6 @@ def alpha_induced(g: Graph, within: VertexSet | int) -> int:
     return size
 
 
-def iter_maximum_independent_sets(g: Graph) -> Iterator[VertexSet]:
-    """Stream all maximum independent sets in deterministic search order."""
-    for mask in _iter_mis_masks(g, (1 << g.n) - 1):
-        yield VertexSet(g.n, mask)
-
-
 def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> MisFamily:
     """All maximum independent sets of ``g``, up to ``cap`` of them.
 
@@ -403,10 +401,10 @@ def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> MisFamily:
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    a, _ = _solve_witness(g, (1 << g.n) - 1)
+    a, all_masks = _solve_all(g, (1 << g.n) - 1)
     masks = []
     complete = True
-    for mask in _iter_mis_masks(g, (1 << g.n) - 1):
+    for mask in all_masks:
         if len(masks) == cap:
             complete = False
             break

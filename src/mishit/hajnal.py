@@ -15,12 +15,11 @@ the exact solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
 
-from .graph import DEFAULT_MIS_CAP, Graph, VertexSet, _iter_mis_masks, random_graph
+from .graph import DEFAULT_MIS_CAP, Graph, VertexSet, _solve_all, random_graph
 from .parallel import parallel_map
 
 EXHAUSTIVE_MAX_N = 7
@@ -55,15 +54,14 @@ def kernel_corona(g: Graph, within: VertexSet | None = None, cap: int = DEFAULT_
     vertex labels, which is what the deletion process needs.
     """
     bits = (1 << g.n) - 1 if within is None else within.bits
+    alpha_val, masks = _solve_all(g, bits)
     kernel = bits
     corona = 0
-    alpha_val = 0
     complete = True
-    for count, mask in enumerate(_iter_mis_masks(g, bits)):
+    for count, mask in enumerate(masks):
         if count >= cap:
             complete = False
             break
-        alpha_val = mask.bit_count()
         kernel &= mask
         corona |= mask
     holds = kernel.bit_count() + corona.bit_count() >= 2 * alpha_val
@@ -74,14 +72,6 @@ def kernel_corona(g: Graph, within: VertexSet | None = None, cap: int = DEFAULT_
         holds=holds,
         complete=complete,
     )
-
-
-def guaranteed_kernel_fraction(alpha_frac: Fraction) -> Fraction:
-    """Kernel fraction 2*alpha - 1 guaranteed when alpha(G) = alpha_frac * n > n/2."""
-    alpha_frac = Fraction(alpha_frac)
-    if not Fraction(1, 2) < alpha_frac <= 1:
-        raise ValueError(f"no kernel guarantee for alpha fraction {alpha_frac}")
-    return 2 * alpha_frac - 1
 
 
 @dataclass(frozen=True)
@@ -108,17 +98,13 @@ def kernel_guarantee_check(g: Graph) -> KernelGuaranteeReport:
     if 2 * a <= g.n:
         raise ValueError(f"alpha={a} is not above n/2 for n={g.n}")
     required = 2 * a - g.n
-    kernel_bits = report.kernel.bits
-    singletons_ok = all(
-        mask & kernel_bits == kernel_bits for mask in _iter_mis_masks(g, (1 << g.n) - 1)
-    )
     return KernelGuaranteeReport(
         n=g.n,
         alpha=a,
         kernel=report.kernel,
         required=required,
         kernel_ok=len(report.kernel) >= required,
-        singletons_ok=singletons_ok,
+        singletons_ok=report.complete,  # the kernel lies in every set of a complete family
     )
 
 

@@ -52,14 +52,12 @@ class HittingResult:
     """A minimum transversal with its certificate.
 
     ``optimal`` means the branch-and-bound search exhausted all smaller
-    candidates for the *given* family; ``per_set_witness`` records, for each
-    family member in input order, one vertex of the transversal inside it.
+    candidates for the *given* family.
     """
 
     set: VertexSet
     size: int
     optimal: bool
-    per_set_witness: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -212,22 +210,7 @@ def min_hitting_set(family, universe: int | None = None) -> HittingResult:
     greedy = _greedy_mask(work, n)
     opt_size, _ = _branch_optimum(work, greedy)
     best = _lex_min_optimal(work, n, opt_size)
-    witnesses = []
-    for m in masks:
-        hit = m & best
-        witnesses.append((hit & -hit).bit_length() - 1)
-    return HittingResult(
-        set=VertexSet(n, best),
-        size=opt_size,
-        optimal=True,
-        per_set_witness=tuple(witnesses),
-    )
-
-
-def greedy_hitting_set(family) -> VertexSet:
-    """Deterministic greedy transversal: max coverage, ties by least index."""
-    masks, n = _family_masks(family)
-    return VertexSet(n, _greedy_mask(_dedupe(masks), n))
+    return HittingResult(set=VertexSet(n, best), size=opt_size, optimal=True)
 
 
 def h_of_graph(g: Graph, cap: int = DEFAULT_MIS_CAP) -> HittingResult:
@@ -326,22 +309,6 @@ def find_far_point(
         if all(2 * (w ^ c).bit_count() > floor2 for c in code.words):
             return w
     return None
-
-
-def hitting_set_to_code(spec: HammingSpec, s: VertexSet) -> CoveringCode:
-    """Reinterpret a vertex set of the Hamming graph as a code over Z_2^m."""
-    if s.n != spec.n:
-        raise ValueError(f"vertex set over {s.n} words against universe {spec.n}")
-    if len(s) == 0:
-        raise ValueError("empty vertex set")
-    return CoveringCode(m=spec.m, words=s.members(), target_radius=spec.ball_radius)
-
-
-def code_to_hitting_set(spec: HammingSpec, code: CoveringCode) -> VertexSet:
-    """Inverse of hitting_set_to_code; round-trips exactly."""
-    if code.m != spec.m:
-        raise ValueError(f"code length {code.m} against spec m={spec.m}")
-    return VertexSet.from_members(spec.n, code.words)
 
 
 def discrepancy_lower_bound(t: int) -> int:

@@ -46,10 +46,6 @@ class AlphaPrimeEstimate:
     stderr: float | None = None
     ci95: tuple[float, float] | None = None
 
-    @property
-    def mean_float(self) -> float:
-        return float(self.mean)
-
     def to_json_dict(self) -> dict:
         return {
             "mean": float(self.mean),
@@ -397,43 +393,34 @@ class BoundCheckReport:
         }
 
 
-def verify_alpha_prime_bound(
-    g: Graph,
-    mode: str = "exact",
-    seed=None,
-    samples: int = 20_000,
-    workers: int = 1,
-) -> BoundCheckReport:
-    """Compute eps from the graph and compare alpha' with 1/4 + eps - eps^2/3."""
-    if g.n < 1:
+def verify_alpha_prime_bound(n: int, alpha: int, estimate: AlphaPrimeEstimate) -> BoundCheckReport:
+    """Compare an alpha' estimate with 1/4 + eps - eps^2/3, eps = alpha/n - 1/4.
+
+    An exact estimate is compared as a rational; a Monte Carlo one by the
+    upper end of its 95% interval.
+    """
+    if n < 1:
         raise ValueError("empty graph")
-    a = alpha(g)
-    epsilon = Fraction(a, g.n) - Fraction(1, 4)
+    epsilon = Fraction(alpha, n) - Fraction(1, 4)
     if epsilon <= 0:
-        raise ValueError(f"alpha/n = {Fraction(a, g.n)} is not above 1/4")
+        raise ValueError(f"alpha/n = {Fraction(alpha, n)} is not above 1/4")
     if epsilon >= Fraction(1, 4):
         raise ValueError(f"epsilon = {epsilon} is not below 1/4")
     bound = alpha_prime_bound(epsilon)
-    if mode == "exact":
-        estimate = alpha_prime_exact(g)
+    if estimate.exact:
         holds = estimate.mean <= bound
-        statistical = False
-    elif mode == "mc":
-        if samples < 2:
-            raise ValueError("Monte Carlo verdict needs at least 2 samples")
-        estimate = alpha_prime_mc(g, samples, seed, workers=workers)
-        holds = estimate.ci95[1] <= float(bound)
-        statistical = True
+    elif estimate.ci95 is None:
+        raise ValueError("Monte Carlo verdict needs at least 2 samples")
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        holds = estimate.ci95[1] <= float(bound)
     return BoundCheckReport(
-        n=g.n,
-        alpha=a,
+        n=n,
+        alpha=alpha,
         epsilon=epsilon,
         bound=bound,
         estimate=estimate,
         holds=holds,
-        statistical=statistical,
+        statistical=not estimate.exact,
     )
 
 

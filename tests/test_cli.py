@@ -60,6 +60,12 @@ def test_shift_k3(capsys):
     assert "mis_count: 20" in printed and "h: 4" in printed
 
 
+def test_shift_k4_passes_every_check(capsys):
+    # n = 56 < 4 * 5^2, so h = 5 exceeds sqrt(n)/2
+    assert main(["shift", "--k", "4"]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+
+
 def test_shift_rejects_bad_k():
     with pytest.raises(SystemExit):
         main(["shift", "--k", "0"])
@@ -189,6 +195,32 @@ def test_stochastic_commands_reproduce_json_bytes(g2_file, tmp_path):
     # a different worker count must not change the artifact
     c = tmp_path / "c.json"
     assert main(args + ["--workers", "2", "--json", str(c)]) == 0
-    payload_a = json.loads(a.read_text())
-    payload_c = json.loads(c.read_text())
-    assert payload_a["report"] == payload_c["report"]
+    assert "workers" not in json.loads(a.read_text())["config"]
+    assert main(args + ["--workers", "1", "--json", str(b)]) == 0
+    assert b.read_bytes() == c.read_bytes()
+
+
+def _assert_one_line_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("mishit: error: ")
+    assert "Traceback" not in err
+
+
+def test_out_of_range_edge_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 3, "edges": [[0, 5]]}))
+    _assert_one_line_error(capsys, ["hitting-set", "--graph", str(path)])
+
+
+def test_missing_graph_file_is_a_one_line_error(tmp_path, capsys):
+    _assert_one_line_error(capsys, ["alpha-prime", "--graph", str(tmp_path / "absent.json")])
+
+
+def test_single_sample_verdict_is_a_one_line_error(g2_file, capsys):
+    _assert_one_line_error(
+        capsys, ["alpha-prime", "--graph", g2_file, "--mode", "mc", "--samples", "1", "--seed", "1"]
+    )

@@ -9,13 +9,10 @@ import pytest
 from conftest import oracle_mis_masks
 from mishit.families import (
     HammingSpec,
-    ImplicitHammingGraph,
     ShiftSpec,
     build_hamming_graph,
     build_shift_graph,
     hamming_ball,
-    hamming_ball_predicate,
-    hamming_ball_size,
     hamming_mis_family,
     kleitman_alpha,
     shift_avoiding_partition,
@@ -201,16 +198,19 @@ def test_explicit_rejects_large_m():
         build_hamming_graph(HammingSpec(14, 1))
 
 
+def _far(spec, u, v):
+    """The adjacency rule, applied inline: Hamming distance above m - 2t."""
+    return (u ^ v).bit_count() > spec.distance_floor
+
+
 @pytest.mark.parametrize("m,t", [(4, 1), (6, 1), (8, 1)])
 def test_implicit_matches_explicit(m, t):
     spec = HammingSpec(m, t)
     g = build_hamming_graph(spec)
-    ig = build_hamming_graph(spec, explicit=False)
-    assert isinstance(ig, ImplicitHammingGraph)
     for u in range(spec.n):
         row = 0
         for v in range(spec.n):
-            if u != v and ig.adjacent(u, v):
+            if _far(spec, u, v):
                 row |= 1 << v
         assert row == g.adj[u]
 
@@ -219,21 +219,24 @@ def test_implicit_matches_explicit(m, t):
 def test_implicit_matches_explicit_sampled(m):
     spec = HammingSpec(m, 1)
     g = build_hamming_graph(spec)
-    ig = build_hamming_graph(spec, explicit=False)
     rng = np.random.default_rng(m)
     for u, v in rng.integers(0, spec.n, size=(20_000, 2)):
         u, v = int(u), int(v)
-        expected = u != v and bool(g.adj[u] >> v & 1)
-        assert ig.adjacent(u, v) == expected
+        assert _far(spec, u, v) == bool(g.adj[u] >> v & 1)
 
 
 def test_implicit_neighbors_and_degree():
+    # the neighbours of u are u ^ d over the words d heavier than m - 2t
     spec = HammingSpec(6, 1)
-    ig = build_hamming_graph(spec, explicit=False)
-    nbrs = sorted(ig.neighbors(0b101010))
-    assert len(nbrs) == ig.degree() == 7  # C(6,5) + C(6,6)
+    u = 0b101010
+    nbrs = sorted(
+        u ^ sum(1 << p for p in positions)
+        for weight in range(spec.distance_floor + 1, spec.m + 1)
+        for positions in combinations(range(spec.m), weight)
+    )
     g = build_hamming_graph(spec)
-    assert nbrs == list(VertexSet(64, g.adj[0b101010]))
+    assert len(nbrs) == g.degree(u) == 7  # C(6,5) + C(6,6)
+    assert nbrs == list(VertexSet(64, g.adj[u]))
 
 
 def test_ball_extremes():
@@ -252,17 +255,16 @@ def test_ball_is_mis_sized_independent_set():
 
 
 def test_ball_size_formula():
-    assert hamming_ball_size(6, 2) == 22
     spec = HammingSpec(6, 1)
+    assert kleitman_alpha(spec) == 22  # C(6,0) + C(6,1) + C(6,2)
     ball = hamming_ball(spec, 17, 2)
     assert len(ball) == 22
 
 
 def test_ball_predicate_matches_materialised():
     spec = HammingSpec(6, 1)
-    member = hamming_ball_predicate(spec, 9, 2)
     ball = hamming_ball(spec, 9, 2)
-    assert all(member(w) == (w in ball) for w in range(64))
+    assert all(((w ^ 9).bit_count() <= 2) == (w in ball) for w in range(64))
 
 
 @pytest.mark.parametrize("m,t", [(4, 1), (6, 1)])

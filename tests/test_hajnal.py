@@ -1,7 +1,5 @@
 """Kernel/corona structure and the two verification corpora."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from mishit.hajnal import (
     all_graphs_kernel_stats,
     exhaustive_corpus_check,
     exhaustive_corpus_rows,
-    guaranteed_kernel_fraction,
     kernel_corona,
     kernel_guarantee_check,
     random_corpus_check,
@@ -67,15 +64,6 @@ def test_kernel_and_corona_bound_every_mis():
         for s in enumerate_mis(g).sets:
             assert r.kernel.issubset(s)
             assert s.issubset(r.corona)
-
-
-def test_guaranteed_kernel_fraction_values():
-    assert guaranteed_kernel_fraction(Fraction(3, 4)) == Fraction(1, 2)
-    assert guaranteed_kernel_fraction(1) == 1
-    assert guaranteed_kernel_fraction(Fraction(51, 100)) == Fraction(1, 50)
-    for bad in (Fraction(1, 2), Fraction(1, 4), 0):
-        with pytest.raises(ValueError):
-            guaranteed_kernel_fraction(bad)
 
 
 def test_kernel_guarantee_on_edgeless():

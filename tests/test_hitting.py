@@ -12,16 +12,14 @@ from mishit.hitting import (
     FamilyTooLargeError,
     InfeasibleFamilyError,
     RandomCodeOutcome,
+    _greedy_mask,
     build_hadamard_covering_code,
     build_random_covering_code,
-    code_to_hitting_set,
     covering_radius,
     discrepancy_lower_bound,
     find_far_point,
-    greedy_hitting_set,
     h_of_graph,
     hadamard_prefix_order,
-    hitting_set_to_code,
     kneser_lower_bound,
     min_covering_code_search,
     min_hitting_set,
@@ -59,9 +57,9 @@ def test_lexicographically_least_optimum():
 def test_per_set_witnesses():
     family = [vs(5, [0, 1]), vs(5, [1, 2]), vs(5, [3, 4])]
     r = min_hitting_set(family)
-    assert len(r.per_set_witness) == 3
-    for s, w in zip(family, r.per_set_witness):
-        assert w in s and w in r.set
+    assert r.set.members() == (1, 3)
+    for s in family:
+        assert not s.isdisjoint(r.set)
 
 
 def test_infeasible_on_empty_member():
@@ -99,18 +97,20 @@ def test_shift_k2_optimality_by_brute_force():
 
 
 def test_greedy_is_valid_and_not_smaller_than_optimal():
+    # the greedy transversal is the branch and bound's first incumbent
     _, spec = build_shift_graph(3)
     family = shift_mis_family(spec)
-    greedy = greedy_hitting_set(family)
+    masks = [s.bits for s in family.sets]
+    greedy = _greedy_mask(masks, spec.n)
     exact = min_hitting_set(family)
-    assert all(not s.isdisjoint(greedy) for s in family.sets)
-    assert len(greedy) >= exact.size
+    assert all(m & greedy for m in masks)
+    assert greedy.bit_count() >= exact.size
 
 
 def test_greedy_examples():
-    assert greedy_hitting_set([vs(4, [1, 2]), vs(4, [2, 3])]).members() == (2,)
-    family = [vs(9, [0, 1, 2]), vs(9, [3, 4]), vs(9, [5, 6, 7])]
-    assert len(greedy_hitting_set(family)) == 3  # disjoint members need one hit each
+    assert _greedy_mask([0b0110, 0b1100], 4) == 0b0100
+    masks = [0b111, 0b11000, 0b11100000]
+    assert _greedy_mask(masks, 9).bit_count() == 3  # disjoint members need one hit each
 
 
 def test_h_of_graph_basics():
@@ -164,9 +164,9 @@ def test_hitting_code_correspondence_4_1():
     g = build_hamming_graph(spec)
     family = hamming_mis_family(spec)
     h = h_of_graph(g)
-    code = hitting_set_to_code(spec, h.set)
+    code = CoveringCode(spec.m, h.set.members(), spec.ball_radius)
     assert covering_radius(code) <= spec.ball_radius
-    assert code_to_hitting_set(spec, code).bits == h.set.bits
+    assert VertexSet.from_members(spec.n, code.words).bits == h.set.bits
     # the two independent optimisation routes agree
     assert h.size == len(min_covering_code_search(4, 1))
     # any set hits all balls iff its code has radius <= 1 (random sample)
@@ -175,7 +175,7 @@ def test_hitting_code_correspondence_4_1():
         members = rng.choice(16, size=int(rng.integers(1, 9)), replace=False)
         s = VertexSet.from_members(16, (int(v) for v in members))
         hits_all = all(not b.isdisjoint(s) for b in family.sets)
-        radius_ok = covering_radius(hitting_set_to_code(spec, s)) <= 1
+        radius_ok = covering_radius(CoveringCode(spec.m, s.members(), spec.ball_radius)) <= 1
         assert hits_all == radius_ok
 
 

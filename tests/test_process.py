@@ -221,8 +221,12 @@ def test_bound_values():
             alpha_prime_bound(bad)
 
 
+def _verify(g, estimate):
+    return verify_alpha_prime_bound(g.n, alpha(g), estimate)
+
+
 def test_verify_bound_g2_exact():
-    report = verify_alpha_prime_bound(G2)
+    report = _verify(G2, alpha_prime_exact(G2))
     assert report.epsilon == Fraction(1, 12)
     assert report.bound == Fraction(143, 432)
     assert report.estimate.mean == G2_ALPHA_PRIME
@@ -230,23 +234,29 @@ def test_verify_bound_g2_exact():
 
 
 def test_verify_bound_g2_mc():
-    report = verify_alpha_prime_bound(G2, mode="mc", seed=12, samples=4_000)
+    report = _verify(G2, alpha_prime_mc(G2, 4_000, 12))
     assert report.statistical
     assert report.holds  # CI upper end is far below 143/432
 
 
 def test_verify_bound_rejects_out_of_range_alpha():
+    for g in (Graph.empty(6), Graph.complete(5)):  # alpha/n = 1 and 1/5
+        with pytest.raises(ValueError):
+            _verify(g, alpha_prime_exact(g))
+
+
+def test_verify_bound_rejects_mc_without_interval():
+    estimate = alpha_prime_mc(G2, 1, 1)
+    assert estimate.ci95 is None
     with pytest.raises(ValueError):
-        verify_alpha_prime_bound(Graph.empty(6))  # alpha/n = 1
-    with pytest.raises(ValueError):
-        verify_alpha_prime_bound(Graph.complete(5))  # alpha/n = 1/5
+        _verify(G2, estimate)
 
 
 def test_disjoint_double_copy_keeps_epsilon():
     double = Graph.from_edges(
         24, [(u, v) for u, v in G2.edges()] + [(u + 12, v + 12) for u, v in G2.edges()]
     )
-    report = verify_alpha_prime_bound(double, mode="mc", seed=3, samples=400)
+    report = _verify(double, alpha_prime_mc(double, 400, 3))
     assert report.alpha == 8
     assert report.epsilon == Fraction(1, 12)
     assert report.bound == Fraction(143, 432)

@@ -1,0 +1,70 @@
+"""Each question is solved once: call counts through the solver entry points."""
+
+import pytest
+
+import mishit.graph
+import mishit.process
+from mishit.cli import main
+from mishit.families import build_shift_graph
+from mishit.graph import Graph, enumerate_mis, save_graph
+from mishit.hajnal import kernel_guarantee_check
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Wrap module functions so each call is tallied under its name."""
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+        calls[name] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    return calls, count
+
+
+@pytest.fixture
+def g2_file(tmp_path):
+    path = tmp_path / "g2.json"
+    save_graph(build_shift_graph(2)[0], path)
+    return str(path)
+
+
+def test_enumerate_mis_runs_one_clique_search(counted):
+    calls, count = counted
+    count(mishit.graph, "_max_clique")
+    family = enumerate_mis(build_shift_graph(3)[0])
+    assert len(family) == 20
+    assert calls["_max_clique"] == 1
+
+
+def test_kernel_guarantee_check_runs_one_clique_search(counted):
+    calls, count = counted
+    count(mishit.graph, "_max_clique")
+    assert kernel_guarantee_check(Graph.from_edges(6, [(0, i) for i in range(1, 6)])).holds
+    assert calls["_max_clique"] == 1
+
+
+def test_hitting_set_command_enumerates_once(counted, g2_file):
+    calls, count = counted
+    count(mishit.graph, "_max_clique")
+    assert main(["hitting-set", "--graph", g2_file]) == 0
+    assert calls["_max_clique"] == 1  # so no second enumeration and no separate witness solve
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_alpha_prime_estimates_once(counted, g2_file, mode):
+    calls, count = counted
+    count(mishit.process, "alpha_prime_exact")
+    count(mishit.process, "alpha_prime_mc")
+    argv = ["alpha-prime", "--graph", g2_file, "--mode", mode]
+    if mode == "mc":
+        argv += ["--samples", "600", "--seed", "4"]
+    assert main(argv) == 0
+    assert calls[f"alpha_prime_{mode}"] == 1
+    assert sum(calls.values()) == 1

@@ -176,7 +176,7 @@ def cmd_hamming(args) -> int:
         had = hitting.build_hadamard_covering_code(spec)
         report["hadamard_code_size"] = len(had)
         if args.m <= hitting.SCAN_MAX_M:
-            rad = hitting.covering_radius(had)
+            rad, _ = hitting.covering_radius(had)
             report["hadamard_radius"] = rad
             checks.append(("Hadamard code covers at radius m/2 - t", rad <= spec.ball_radius))
     else:
@@ -328,10 +328,9 @@ def cmd_covering_code(args) -> int:
     }
     checks = []
     if args.m <= hitting.SCAN_MAX_M:
-        radius = hitting.covering_radius(code)
+        radius, far = hitting.covering_radius(code)
         report["covering_radius"] = radius
         checks.append(("covering radius within target", radius <= code.target_radius))
-        far = hitting.find_far_point(code, args.t)
         report["far_point"] = far
         checks.append(
             ("far point exists iff radius exceeds target", (far is None) == (radius <= spec.ball_radius))

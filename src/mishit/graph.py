@@ -142,6 +142,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+        if n > MAX_VERTICES:  # before allocating n rows for a count read from a file
+            raise ValueError(f"n={n} exceeds the {MAX_VERTICES}-vertex bitmask cap")
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -449,8 +451,23 @@ def graph_to_json_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
 
 
+def _json_int(value, what: str) -> int:
+    # bool is an int subclass, and int() would silently truncate a float
+    if type(value) is not int:
+        raise ValueError(f"graph JSON: {what} must be an integer, got {value!r}")
+    return value
+
+
 def graph_from_json_dict(obj: dict) -> Graph:
-    return Graph.from_edges(int(obj["n"]), [tuple(e) for e in obj["edges"]])
+    """Graph from {"n": int, "edges": [[u, v], ...]}; malformed input raises ValueError."""
+    missing = sorted({"n", "edges"} - obj.keys())
+    if missing:
+        raise ValueError(f"graph JSON lacks the field(s) {', '.join(missing)}")
+    edges = obj["edges"]
+    if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+        raise ValueError("graph JSON: edges must be a list of [u, v] pairs")
+    n = _json_int(obj["n"], "n")
+    return Graph.from_edges(n, [(_json_int(u, "a vertex"), _json_int(v, "a vertex")) for u, v in edges])
 
 
 def save_graph(g: Graph, path) -> None:
@@ -467,6 +484,8 @@ def parse_dimacs(text: str) -> Graph:
         parts = line.split()
         if not parts or parts[0] == "c":
             continue
+        if parts[0] in ("p", "e") and len(parts) < 3:
+            raise ValueError(f"DIMACS line {line.strip()!r} has fewer than three fields")
         if parts[0] == "p":
             n = int(parts[2])
         elif parts[0] == "e":

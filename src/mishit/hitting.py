@@ -1,11 +1,13 @@
 """Minimum hitting sets over MIS families, and the covering-code view.
 
 The exact solver treats hitting as set cover over the dual incidence
-structure: depth-first branch and bound that always branches on an unhit set
-with the fewest candidate hitters, with a greedy disjoint-set packing as the
-lower bound.  After the optimum size is certified, a lexicographic refinement
-pass rebuilds the least optimal set member by member, so results are
-reproducible across runs and platforms.
+structure, with one search routine: a depth-first decision search ("is there
+a transversal of size <= b?") that always branches on an unhit set with the
+fewest candidate hitters and prunes with a greedy disjoint-set packing as the
+lower bound.  The optimum size is the least budget, counted up from that
+packing bound, for which the search succeeds; a lexicographic refinement pass
+then rebuilds the least optimal set member by member with the same search, so
+results are reproducible across runs and platforms.
 
 For the Hamming family, hitting all radius-(m/2 - t) balls is the same as
 being a covering code of radius m/2 - t in Z_2^m.  The scan engine computes,
@@ -51,8 +53,8 @@ class InfeasibleFamilyError(ValueError):
 class HittingResult:
     """A minimum transversal with its certificate.
 
-    ``optimal`` means the branch-and-bound search exhausted all smaller
-    candidates for the *given* family.
+    ``optimal`` means the decision search refuted every smaller budget for
+    the *given* family.
     """
 
     set: VertexSet
@@ -83,27 +85,6 @@ def _family_masks(family) -> tuple[list[int], int]:
     return masks, n
 
 
-def _dedupe(masks: list[int]) -> list[int]:
-    seen = set()
-    out = []
-    for m in masks:
-        if m not in seen:
-            seen.add(m)
-            out.append(m)
-    return out
-
-
-def _drop_supersets(masks: list[int]) -> list[int]:
-    # hitting a subset hits every superset, so strict supersets are redundant;
-    # MIS families have equal-size members, where this pass is a no-op
-    if len({m.bit_count() for m in masks}) == 1:
-        return masks
-    return [
-        m for m in masks
-        if not any(other != m and other & m == other for other in masks)
-    ]
-
-
 def _pack_lower_bound(masks: list[int]) -> int:
     used = 0
     count = 0
@@ -112,43 +93,6 @@ def _pack_lower_bound(masks: list[int]) -> int:
             used |= m
             count += 1
     return count
-
-
-def _greedy_mask(masks: list[int], n: int) -> int:
-    """Greedy max-coverage transversal, ties broken by least vertex index."""
-    unhit = list(masks)
-    chosen = 0
-    while unhit:
-        counts = {}
-        for s in unhit:
-            for v in _iter_bits(s):
-                counts[v] = counts.get(v, 0) + 1
-        best_v = min(counts, key=lambda v: (-counts[v], v))
-        chosen |= 1 << best_v
-        unhit = [s for s in unhit if not s >> best_v & 1]
-    return chosen
-
-
-def _branch_optimum(masks: list[int], upper_mask: int) -> tuple[int, int]:
-    """Exact minimum transversal (size, mask) by depth-first branch and bound."""
-    best_size = upper_mask.bit_count()
-    best_mask = upper_mask
-
-    def dfs(unhit: list[int], size: int, chosen: int) -> None:
-        nonlocal best_size, best_mask
-        if not unhit:
-            if size < best_size:
-                best_size, best_mask = size, chosen
-            return
-        if size + _pack_lower_bound(unhit) >= best_size:
-            return
-        branch = min(unhit, key=lambda s: s.bit_count())
-        for v in _iter_bits(branch):
-            bit = 1 << v
-            dfs([s for s in unhit if not s & bit], size + 1, chosen | bit)
-
-    dfs(masks, 0, 0)
-    return best_size, best_mask
 
 
 def _feasible(unhit: list[int], allowed: int, budget: int) -> bool:
@@ -194,7 +138,7 @@ def _lex_min_optimal(masks: list[int], n: int, opt_size: int) -> int:
     return chosen
 
 
-def min_hitting_set(family, universe: int | None = None) -> HittingResult:
+def min_hitting_set(family) -> HittingResult:
     """Exact minimum-cardinality set meeting every family member.
 
     ``family`` is a MisFamily or a sequence of VertexSets over one universe.
@@ -204,12 +148,11 @@ def min_hitting_set(family, universe: int | None = None) -> HittingResult:
     certificate for the hitting number of the source graph.
     """
     masks, n = _family_masks(family)
-    if universe is not None and universe != n:
-        raise ValueError(f"universe {universe} does not match family universe {n}")
-    work = _drop_supersets(_dedupe(masks))
-    greedy = _greedy_mask(work, n)
-    opt_size, _ = _branch_optimum(work, greedy)
-    best = _lex_min_optimal(work, n, opt_size)
+    full = (1 << n) - 1
+    opt_size = _pack_lower_bound(masks)
+    while not _feasible(masks, full, opt_size):
+        opt_size += 1
+    best = _lex_min_optimal(masks, n, opt_size)
     return HittingResult(set=VertexSet(n, best), size=opt_size, optimal=True)
 
 
@@ -268,46 +211,47 @@ def _min_dist_chunks(code: CoveringCode, chunk_bits: int = 20) -> Iterator[tuple
         yield start, mind
 
 
-def covering_radius(code: CoveringCode) -> int:
-    """Exact covering radius: max over all 2^m words of the distance to the code."""
+def _check_scan_range(code: CoveringCode) -> None:
     if not code.words:
         raise ValueError("empty code has no covering radius")
     if code.m > SCAN_MAX_M:
         raise ValueError(f"exhaustive scan supports m <= {SCAN_MAX_M}, got m={code.m}")
-    return max(int(mind.max()) for _, mind in _min_dist_chunks(code))
 
 
-def find_far_point(
-    code: CoveringCode,
-    t: int,
-    seed=None,
-    samples: int = 100_000,
-) -> int | None:
+def covering_radius(code: CoveringCode) -> tuple[int, int | None]:
+    """Exact covering radius and the least far point, from one scan of all 2^m words.
+
+    The radius is the max over all words of the distance to the code; the far
+    point is the least word at distance > ``code.target_radius`` from every
+    codeword, or None.  The two are separate reductions of the same distances,
+    so "far point exists iff radius exceeds target" remains a real check.
+    """
+    _check_scan_range(code)
+    radius = 0
+    far_point = None
+    for start, mind in _min_dist_chunks(code):
+        radius = max(radius, int(mind.max()))
+        if far_point is None:
+            far = np.flatnonzero(mind > code.target_radius)
+            if far.size:
+                far_point = start + int(far[0])
+    return radius, far_point
+
+
+def find_far_point(code: CoveringCode, t: int) -> int | None:
     """A word at distance > m/2 - t from every codeword, or None.
 
-    Exhaustive (hence complete) for m <= 28; beyond that a seeded random
-    search that may miss sparse witnesses.  In the +/-1 encoding the far
-    condition reads inner product < 2t against every codeword, via
-    inner product = m - 2 * distance.
+    Exhaustive, hence complete, with an early exit at the first far word;
+    needs m <= 28.  In the +/-1 encoding the far condition reads inner
+    product < 2t against every codeword, via inner product = m - 2 * distance.
     """
-    if not code.words:
-        raise ValueError("empty code")
-    m = code.m
+    _check_scan_range(code)
     # distance d > m/2 - t  <=>  2d > m - 2t, exact in integers
-    floor2 = m - 2 * t
-    if m <= SCAN_MAX_M:
-        for start, mind in _min_dist_chunks(code):
-            far = np.nonzero(mind.astype(np.int32) * 2 > floor2)[0]
-            if far.size:
-                return start + int(far[0])
-        return None
-    rng = np.random.default_rng(seed)
-    nbytes = (m + 7) // 8
-    mask = (1 << m) - 1
-    for _ in range(samples):
-        w = int.from_bytes(rng.bytes(nbytes), "little") & mask
-        if all(2 * (w ^ c).bit_count() > floor2 for c in code.words):
-            return w
+    floor2 = code.m - 2 * t
+    for start, mind in _min_dist_chunks(code):
+        far = np.nonzero(mind.astype(np.int32) * 2 > floor2)[0]
+        if far.size:
+            return start + int(far[0])
     return None
 
 
@@ -417,7 +361,8 @@ def build_random_covering_code(
         code = CoveringCode(m=spec.m, words=tuple(words), target_radius=spec.ball_radius)
         if spec.m > SCAN_MAX_M:
             return RandomCodeOutcome(code=code, verified=False, trials_used=trial)
-        if covering_radius(code) <= spec.ball_radius:
+        radius, _ = covering_radius(code)
+        if radius <= spec.ball_radius:
             return RandomCodeOutcome(code=code, verified=True, trials_used=trial)
     return RandomCodeOutcome(code=None, verified=False, trials_used=trials)
 

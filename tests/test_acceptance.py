@@ -148,7 +148,7 @@ def test_criterion_5_hadamard_upper_bound():
     for m in (8, 10, 12):
         spec = HammingSpec(m, 1)
         code = build_hadamard_covering_code(spec)
-        radius = covering_radius(code)
+        radius, _ = covering_radius(code)
         ok &= len(code) == 16 and radius <= m // 2 - 1
         details.append(f"m={m}: size={len(code)} radius={radius}")
     report(5, ok, "; ".join(details))
@@ -165,7 +165,7 @@ def test_criterion_6_discrepancy_mechanism():
         size = int(rng.integers(1, 17))
         words = tuple(int(w) for w in rng.integers(0, 1 << m, size=size))
         code = CoveringCode(m, words, m // 2 - t)
-        radius = covering_radius(code)
+        radius, _ = covering_radius(code)
         far = find_far_point(code, t)
         if radius <= m // 2 - t:
             ok &= far is None

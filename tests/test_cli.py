@@ -216,6 +216,23 @@ def test_out_of_range_edge_is_a_one_line_error(tmp_path, capsys):
     _assert_one_line_error(capsys, ["hitting-set", "--graph", str(path)])
 
 
+@pytest.mark.parametrize("text", [
+    '{"edges": [[0, 1]]}',
+    '{"n": 3}',
+    '{"n": 3, "edges": 5}',
+    '{"n": 3, "edges": [[0, 1.5]]}',
+    '{"n": 3, "edges": [[0, 1, 2]]}',
+    '{"n": 2.5, "edges": []}',
+    '{"n": 1000000000, "edges": []}',
+    "p edge\ne 1 2\n",
+    "p edge 3 1\ne 1\n",
+])
+def test_malformed_graph_file_is_a_one_line_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.graph"
+    path.write_text(text)
+    _assert_one_line_error(capsys, ["hitting-set", "--graph", str(path)])
+
+
 def test_missing_graph_file_is_a_one_line_error(tmp_path, capsys):
     _assert_one_line_error(capsys, ["alpha-prime", "--graph", str(tmp_path / "absent.json")])
 

@@ -9,10 +9,8 @@ from mishit.families import HammingSpec
 from mishit.graph import Graph, MisFamily, VertexSet, enumerate_mis, save_graph
 from mishit.hajnal import kernel_corona
 from mishit.hitting import (
-    CoveringCode,
     InfeasibleFamilyError,
     build_random_covering_code,
-    find_far_point,
     h_of_graph,
     min_hitting_set,
 )
@@ -26,7 +24,7 @@ def test_h_of_zero_vertex_graph_is_infeasible():
 
 def test_min_hitting_set_accepts_mis_family():
     family = enumerate_mis(Graph.complete(4))
-    r = min_hitting_set(family, universe=4)
+    r = min_hitting_set(family)
     assert r.size == 4
 
 
@@ -58,14 +56,6 @@ def test_random_code_unverified_beyond_scan_range():
     assert not out.verified
     assert out.trials_used == 1
     assert all(0 <= w < (1 << 30) for w in out.code.words)
-
-
-def test_far_point_randomized_beyond_scan_range():
-    code = CoveringCode(30, (0,), 14)
-    w = find_far_point(code, 1, seed=5, samples=2000)
-    assert w is not None
-    assert 2 * w.bit_count() > 30 - 2
-    assert find_far_point(code, 1, seed=5, samples=2000) == w
 
 
 def test_cli_covering_code_unverified_flag(tmp_path):

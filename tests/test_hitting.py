@@ -12,7 +12,6 @@ from mishit.hitting import (
     FamilyTooLargeError,
     InfeasibleFamilyError,
     RandomCodeOutcome,
-    _greedy_mask,
     build_hadamard_covering_code,
     build_random_covering_code,
     covering_radius,
@@ -71,8 +70,6 @@ def test_infeasible_on_empty_member():
 
 def test_universe_mismatch_rejected():
     with pytest.raises(ValueError):
-        min_hitting_set([vs(4, [0])], universe=5)
-    with pytest.raises(ValueError):
         min_hitting_set([vs(4, [0]), vs(5, [1])])
 
 
@@ -94,23 +91,6 @@ def test_shift_k2_optimality_by_brute_force():
         for h in combinations(range(spec.n), size):
             hb = sum(1 << v for v in h)
             assert any(s.bits & hb == 0 for s in family.sets)
-
-
-def test_greedy_is_valid_and_not_smaller_than_optimal():
-    # the greedy transversal is the branch and bound's first incumbent
-    _, spec = build_shift_graph(3)
-    family = shift_mis_family(spec)
-    masks = [s.bits for s in family.sets]
-    greedy = _greedy_mask(masks, spec.n)
-    exact = min_hitting_set(family)
-    assert all(m & greedy for m in masks)
-    assert greedy.bit_count() >= exact.size
-
-
-def test_greedy_examples():
-    assert _greedy_mask([0b0110, 0b1100], 4) == 0b0100
-    masks = [0b111, 0b11000, 0b11100000]
-    assert _greedy_mask(masks, 9).bit_count() == 3  # disjoint members need one hit each
 
 
 def test_h_of_graph_basics():
@@ -143,18 +123,21 @@ def test_code_canonicalisation():
 
 
 def test_covering_radius_extremes():
-    assert covering_radius(CoveringCode(6, (0,), 3)) == 6
-    assert covering_radius(CoveringCode(6, (0, 63), 3)) == 3
-    assert covering_radius(CoveringCode(4, tuple(range(16)), 1)) == 0
+    assert covering_radius(CoveringCode(6, (0,), 3))[0] == 6
+    assert covering_radius(CoveringCode(6, (0, 63), 3))[0] == 3
+    assert covering_radius(CoveringCode(4, tuple(range(16)), 1))[0] == 0
     with pytest.raises(ValueError):
         covering_radius(CoveringCode(30, (0,), 2))
+    with pytest.raises(ValueError):
+        find_far_point(CoveringCode(30, (0,), 14), 1)
 
 
 def test_min_code_search():
     assert len(min_covering_code_search(3, 1)) == 2
     code = min_covering_code_search(4, 1)
     assert len(code) == 4
-    assert covering_radius(code) <= 1
+    radius, _ = covering_radius(code)
+    assert radius <= 1
     with pytest.raises(ValueError):
         min_covering_code_search(4, 1, max_size=3)
 
@@ -165,7 +148,8 @@ def test_hitting_code_correspondence_4_1():
     family = hamming_mis_family(spec)
     h = h_of_graph(g)
     code = CoveringCode(spec.m, h.set.members(), spec.ball_radius)
-    assert covering_radius(code) <= spec.ball_radius
+    radius, _ = covering_radius(code)
+    assert radius <= spec.ball_radius
     assert VertexSet.from_members(spec.n, code.words).bits == h.set.bits
     # the two independent optimisation routes agree
     assert h.size == len(min_covering_code_search(4, 1))
@@ -175,7 +159,8 @@ def test_hitting_code_correspondence_4_1():
         members = rng.choice(16, size=int(rng.integers(1, 9)), replace=False)
         s = VertexSet.from_members(16, (int(v) for v in members))
         hits_all = all(not b.isdisjoint(s) for b in family.sets)
-        radius_ok = covering_radius(CoveringCode(spec.m, s.members(), spec.ball_radius)) <= 1
+        radius, _ = covering_radius(CoveringCode(spec.m, s.members(), spec.ball_radius))
+        radius_ok = radius <= 1
         assert hits_all == radius_ok
 
 
@@ -212,7 +197,8 @@ def test_far_point_iff_radius_exceeds_target():
         words = tuple(int(w) for w in rng.integers(0, 1 << m, size=size))
         code = CoveringCode(m, words, max(m // 2 - t, 0))
         far = find_far_point(code, t)
-        radius = covering_radius(code)
+        radius, scan_far = covering_radius(code)
+        assert scan_far == far
         if radius <= m // 2 - t:
             assert far is None
         else:
@@ -242,7 +228,8 @@ def test_hadamard_code_t1(m):
     code = build_hadamard_covering_code(spec)
     assert len(code) == 16
     assert all(0 <= w < (1 << m) for w in code.words)
-    assert covering_radius(code) <= m // 2 - 1
+    radius, _ = covering_radius(code)
+    assert radius <= m // 2 - 1
 
 
 def test_hadamard_rejects_short_words():
@@ -255,7 +242,8 @@ def test_random_code_4_1():
     out = build_random_covering_code(spec, trials=100, rng_seed=7)
     assert isinstance(out, RandomCodeOutcome)
     assert out.verified and out.code is not None
-    assert covering_radius(out.code) <= 1
+    radius, _ = covering_radius(out.code)
+    assert radius <= 1
     again = build_random_covering_code(spec, trials=100, rng_seed=7)
     assert again.code.words == out.code.words
     assert again.trials_used == out.trials_used

@@ -1,13 +1,16 @@
 """alpha', the deletion process, and the averaged bound."""
 
+import functools
 import json
 from fractions import Fraction
 
 import pytest
 
+import mishit.process
 from conftest import oracle_is_independent, seeded_graphs
 from mishit.families import build_shift_graph
-from mishit.graph import Graph, alpha
+from mishit.graph import FamilyTooLargeError, Graph, alpha
+from mishit.hajnal import kernel_corona
 from mishit.process import (
     ProcessParams,
     alpha_prime_bound,
@@ -150,6 +153,15 @@ def trace_invariants(trace, params):
             vertices_before = params.n - step.i + 1
             assert step.kernel_size >= 2 * prev - vertices_before
         prev = step.alpha
+
+
+def test_truncated_kernel_is_not_recorded(monkeypatch):
+    # i0 = 0 and a low threshold record the kernel of all of G_2, which has 6 MIS
+    params = ProcessParams(epsilon=Fraction(1, 12), n=12, i0=0, target_size=6, threshold=Fraction(3))
+    assert run_deletion_process(G2, params, seed=1).steps[0].kernel_size == 0
+    monkeypatch.setattr(mishit.process, "kernel_corona", functools.partial(kernel_corona, cap=1))
+    with pytest.raises(FamilyTooLargeError):
+        run_deletion_process(G2, params, seed=1)
 
 
 def test_edgeless_process_every_step_successful():

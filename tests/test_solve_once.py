@@ -1,8 +1,11 @@
 """Each question is solved once: call counts through the solver entry points."""
 
+import json
+
 import pytest
 
 import mishit.graph
+import mishit.hitting
 import mishit.process
 from mishit.cli import main
 from mishit.families import build_shift_graph
@@ -68,3 +71,17 @@ def test_alpha_prime_estimates_once(counted, g2_file, mode):
     assert main(argv) == 0
     assert calls[f"alpha_prime_{mode}"] == 1
     assert sum(calls.values()) == 1
+
+
+@pytest.mark.parametrize("method_args", [
+    ["--m", "10", "--t", "1", "--method", "hadamard"],
+    ["--m", "4", "--t", "1", "--method", "random", "--trials", "100", "--seed", "5"],
+])
+def test_covering_code_scans_each_code_once(counted, tmp_path, method_args):
+    calls, count = counted
+    count(mishit.hitting, "_min_dist_chunks")
+    out = tmp_path / "r.json"
+    assert main(["covering-code", *method_args, "--json", str(out)]) == 0
+    trials_used = json.loads(out.read_text())["report"]["trials_used"] or 0
+    # one scan per random trial, then one scan for the radius and far point of the reported code
+    assert calls["_min_dist_chunks"] == trials_used + 1

@@ -197,7 +197,14 @@ def cmd_hamming(args) -> int:
 
 
 def cmd_hajnal_corpus(args) -> int:
-    rows = []
+    if not 0 <= args.max_n <= hajnal.EXHAUSTIVE_MAX_N:
+        raise ValueError(f"--max-n must be between 0 and {hajnal.EXHAUSTIVE_MAX_N}, got {args.max_n}")
+    if args.random < 0:
+        raise ValueError(f"--random must be at least 0, got {args.random}")
+    if args.n_max < 1:
+        raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
+    if args.random > 0:
+        _require_seed(args)
     exhaustive = hajnal.exhaustive_corpus_check(args.max_n)
     report = {
         "exhaustive_max_n": args.max_n,
@@ -205,11 +212,8 @@ def cmd_hajnal_corpus(args) -> int:
         "exhaustive_violations": exhaustive.violations,
     }
     checks = [("no violation among all graphs on <= max_n vertices", exhaustive.ok)]
-    if args.csv:
-        print("collecting exhaustive CSV rows...", file=sys.stderr)
-        rows.extend(hajnal.exhaustive_corpus_rows(args.max_n))
+    random_rows = []
     if args.random > 0:
-        _require_seed(args)
         print(f"checking {args.random} random graphs...", file=sys.stderr)
         random_check, random_rows = hajnal.random_corpus_check(
             args.random, seed=args.seed, n_max=args.n_max, workers=args.workers
@@ -217,9 +221,15 @@ def cmd_hajnal_corpus(args) -> int:
         report["random_checked"] = random_check.checked
         report["random_violations"] = random_check.violations
         checks.append(("no violation among seeded random graphs", random_check.ok))
-        rows.extend(random_rows)
-    csv_spec = (["graph_id", "n", "alpha", "kernel_size", "corona_size"], rows)
-    return _emit(args, report, checks, csv_spec)
+    code = _emit(args, report, checks)
+    if args.csv:
+        print("writing CSV rows...", file=sys.stderr)
+        with open(args.csv, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["graph_id", "n", "alpha", "kernel_size", "corona_size"])
+            fh.writelines(hajnal.exhaustive_corpus_rows(exhaustive))  # streamed, never held whole
+            writer.writerows(random_rows)
+    return code
 
 
 def cmd_alpha_prime(args) -> int:

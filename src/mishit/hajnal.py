@@ -6,15 +6,19 @@ alpha(G) > n/2 it follows that at least 2*alpha - n vertices lie in every
 maximum independent set, so those singletons meet every one of them.
 
 Both quantities are computed by streaming the MIS enumeration, never storing
-the family.  The theorem itself is checked empirically on two corpora: every
-graph on up to 7 vertices by direct edge-mask enumeration (vectorised over
-all 2^21 graphs at once), and seeded random graphs up to 14 vertices through
-the exact solver.
+the family.  The theorem itself is checked empirically on two corpora: seeded
+random graphs up to 14 vertices through the exact solver, and every graph on
+up to 7 vertices by direct edge-mask enumeration.  The latter is one sweep
+per n over the vertex subsets by descending size, vectorised over all
+2^C(n,2) graphs: a subset updates, in place, the graphs in which it is
+independent and whose alpha is unset or equal to its size.  The check keeps
+the per-n arrays, so the CSV export reuses that sweep and streams its lines
+to disk in blocks instead of building one row object per graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -117,34 +121,36 @@ def all_graphs_kernel_stats(n: int) -> dict[str, np.ndarray]:
     """alpha, kernel and corona sizes for every graph on n labelled vertices.
 
     Graph id g encodes edge e = (i, j) as bit e in the order of ascending
-    (i, j).  Vectorised over all 2^C(n,2) edge masks simultaneously;
-    independent of the branch-and-bound solver, so it doubles as an oracle.
+    (i, j).  One sweep over the vertex subsets by descending size k: the
+    graphs in which subset s is independent are those with a 0 at every edge
+    bit inside s, a strided view of the id-indexed arrays seen with one axis
+    per edge bit, and each of them whose alpha is unset or equal to k takes s
+    as a maximum independent set.  Independent of the branch-and-bound
+    solver, so it doubles as an oracle.
     """
     if not 1 <= n <= EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive enumeration supports 1 <= n <= {EXHAUSTIVE_MAX_N}")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    nsub = 1 << n
-    subsets = np.arange(nsub, dtype=np.uint32)
-    edge_in_subset = np.zeros(nsub, dtype=np.uint32)
-    for e, (i, j) in enumerate(pairs):
-        both = (1 << i) | (1 << j)
-        edge_in_subset[(subsets & both) == both] |= np.uint32(1 << e)
-    graphs = np.arange(1 << len(pairs), dtype=np.uint32)
-    sub_pop = np.bitwise_count(subsets).astype(np.uint8)
-    alpha = np.zeros(graphs.shape, dtype=np.uint8)
-    for s in range(nsub):
-        indep = (graphs & edge_in_subset[s]) == 0
-        np.maximum(alpha, np.where(indep, sub_pop[s], 0), out=alpha)
-    kernel = np.full(graphs.shape, nsub - 1, dtype=np.uint8)
-    corona = np.zeros(graphs.shape, dtype=np.uint8)
-    for s in range(nsub):
-        is_mis = ((graphs & edge_in_subset[s]) == 0) & (sub_pop[s] == alpha)
-        kernel[is_mis] &= np.uint8(s)
-        corona[is_mis] |= np.uint8(s)
+    edges = [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
+    full = (1 << n) - 1
+    alpha = np.zeros(1 << len(edges), dtype=np.uint8)  # 0 while unset
+    kernel = np.full(alpha.shape, full, dtype=np.uint8)
+    corona = np.zeros(alpha.shape, dtype=np.uint8)
+    # ids are row-major over the axes, so the last axis holds edge bit 0
+    shape = (2,) * len(edges)
+    views = alpha.reshape(shape), kernel.reshape(shape), corona.reshape(shape)
+    for s in sorted(range(1, full + 1), key=lambda s: -s.bit_count()):
+        k = s.bit_count()
+        # the Ellipsis keeps a 0-d view when s spans every edge
+        index = tuple(0 if s & both == both else slice(None) for both in reversed(edges)) + (Ellipsis,)
+        a, ker, cor = (v[index] for v in views)
+        is_mis = a <= k  # every alpha already set is at least k
+        np.copyto(a, k, where=is_mis)
+        np.bitwise_and(ker, s, out=ker, where=is_mis)
+        np.bitwise_or(cor, s, out=cor, where=is_mis)
     return {
         "alpha": alpha,
-        "kernel_size": np.bitwise_count(kernel).astype(np.uint8),
-        "corona_size": np.bitwise_count(corona).astype(np.uint8),
+        "kernel_size": np.bitwise_count(kernel),
+        "corona_size": np.bitwise_count(corona),
     }
 
 
@@ -153,6 +159,8 @@ class CorpusCheck:
     checked: int
     violations: int
     violating_ids: tuple[str, ...]
+    # all_graphs_kernel_stats(n) for n = 1, 2, ...; empty for the random corpus
+    stats: tuple[dict[str, np.ndarray], ...] = field(default=(), compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -164,29 +172,37 @@ def exhaustive_corpus_check(max_n: int = EXHAUSTIVE_MAX_N) -> CorpusCheck:
     checked = 0
     violations = 0
     bad: list[str] = []
+    all_stats = []
     for n in range(1, max_n + 1):
         stats = all_graphs_kernel_stats(n)
+        all_stats.append(stats)
         total = stats["kernel_size"].astype(np.int32) + stats["corona_size"].astype(np.int32)
         mask = total < 2 * stats["alpha"].astype(np.int32)
         checked += stats["alpha"].shape[0]
         violations += int(mask.sum())
         for gid in np.nonzero(mask)[0][:16]:
             bad.append(f"n{n}:mask{int(gid)}")
-    return CorpusCheck(checked=checked, violations=violations, violating_ids=tuple(bad))
+    return CorpusCheck(checked=checked, violations=violations, violating_ids=tuple(bad), stats=tuple(all_stats))
 
 
-def exhaustive_corpus_rows(max_n: int = EXHAUSTIVE_MAX_N) -> Iterator[tuple[str, int, int, int, int]]:
-    """(graph_id, n, alpha, kernel_size, corona_size) rows for CSV export."""
-    for n in range(1, max_n + 1):
-        stats = all_graphs_kernel_stats(n)
-        for gid in range(stats["alpha"].shape[0]):
-            yield (
-                f"n{n}:mask{gid}",
-                n,
-                int(stats["alpha"][gid]),
-                int(stats["kernel_size"][gid]),
-                int(stats["corona_size"][gid]),
-            )
+CSV_BLOCK_ROWS = 1 << 16
+
+
+def exhaustive_corpus_rows(check: CorpusCheck) -> Iterator[str]:
+    """The exhaustive corpus of ``check`` as CSV text, in blocks of at most
+    ``CSV_BLOCK_ROWS`` ``graph_id,n,alpha,kernel_size,corona_size`` lines.
+
+    Lines end in ``\\r\\n`` and are unquoted, as ``csv.writer`` writes them.
+    Every field after the id is one digit (n <= 7), so a line is its id
+    followed by one of 512 suffixes indexed by (alpha, kernel, corona) size.
+    """
+    for n, stats in enumerate(check.stats, start=1):
+        suffixes = [f",{n},{a},{k},{c}\r\n" for a in range(8) for k in range(8) for c in range(8)]
+        codes = stats["alpha"].astype(np.uint16) << 6 | stats["kernel_size"] << 3 | stats["corona_size"]
+        line = f"n{n}:mask{{}}{{}}".format
+        for lo in range(0, codes.shape[0], CSV_BLOCK_ROWS):
+            block = codes[lo:lo + CSV_BLOCK_ROWS].tolist()
+            yield "".join(map(line, range(lo, lo + len(block)), map(suffixes.__getitem__, block)))
 
 
 def _random_corpus_unit(args: tuple[int, int, int]) -> tuple[str, int, int, int, int, bool]:

@@ -1,5 +1,6 @@
 """Command-line behaviour: reports, artifacts, exit codes, reproducibility."""
 
+import hashlib
 import json
 
 import pytest
@@ -114,6 +115,18 @@ def test_hajnal_corpus(tmp_path):
     assert len(lines) == 1 + (1 + 2 + 8 + 64 + 1024) + 40
 
 
+def test_hajnal_corpus_csv_bytes(tmp_path):
+    base = ["hajnal-corpus", "--max-n", "5", "--random", "40", "--seed", "2"]
+    one, two = tmp_path / "w1.csv", tmp_path / "w2.csv"
+    assert main(base + ["--workers", "1", "--csv", str(one)]) == 0
+    assert main(base + ["--workers", "2", "--csv", str(two)]) == 0
+    assert one.read_bytes() == two.read_bytes()
+    # sha256 of this file as the earlier csv.writer-only export wrote it
+    assert hashlib.sha256(one.read_bytes()).hexdigest() == (
+        "c9fe83c6e8041df88d09e465f2fbf10c169af207d8d271c5ed5212c2251147fe"
+    )
+
+
 def test_hajnal_corpus_random_requires_seed():
     with pytest.raises(SystemExit):
         main(["hajnal-corpus", "--max-n", "3", "--random", "5"])
@@ -208,6 +221,7 @@ def _assert_one_line_error(capsys, argv):
     assert len(err.splitlines()) == 1
     assert err.startswith("mishit: error: ")
     assert "Traceback" not in err
+    return err
 
 
 def test_out_of_range_edge_is_a_one_line_error(tmp_path, capsys):
@@ -241,3 +255,14 @@ def test_single_sample_verdict_is_a_one_line_error(g2_file, capsys):
     _assert_one_line_error(
         capsys, ["alpha-prime", "--graph", g2_file, "--mode", "mc", "--samples", "1", "--seed", "1"]
     )
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--max-n", ["--max-n", "-1"]),
+    ("--max-n", ["--max-n", "8"]),
+    ("--random", ["--random", "-5", "--seed", "1"]),
+    ("--n-max", ["--random", "2", "--n-max", "0", "--seed", "1"]),
+    ("--n-max", ["--random", "2", "--n-max", "-3", "--seed", "1"]),
+], ids=["max-n-negative", "max-n-above-7", "random-negative", "n-max-zero", "n-max-negative"])
+def test_hajnal_corpus_bad_flag_is_a_one_line_error(capsys, flag, argv):
+    assert flag in _assert_one_line_error(capsys, ["hajnal-corpus", *argv])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mishit.hajnal
 from conftest import oracle_mis_masks, seeded_graphs
 from mishit.families import build_shift_graph, shift_mis_family
 from mishit.graph import Graph, VertexSet, enumerate_mis
@@ -89,32 +90,48 @@ def test_kernel_guarantee_rejects_small_alpha():
 # --- corpora ----------------------------------------------------------------
 
 
-def test_vectorised_stats_match_solver_on_samples():
-    n = 5
-    stats = all_graphs_kernel_stats(n)
-    rng = np.random.default_rng(8)
+def _graph_of_id(n, gid):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for gid in rng.integers(0, 1 << len(pairs), size=40):
-        gid = int(gid)
-        edges = [pairs[e] for e in range(len(pairs)) if gid >> e & 1]
-        g = Graph.from_edges(n, edges)
+    return Graph.from_edges(n, [pairs[e] for e in range(len(pairs)) if gid >> e & 1])
+
+
+def test_vectorised_stats_match_solver_on_samples():
+    # every graph on n <= 5 vertices (1099 graphs), then a seeded sample at n = 7
+    cases = [(n, gid) for n in range(1, 6) for gid in range(1 << n * (n - 1) // 2)]
+    cases += [(7, int(gid)) for gid in np.random.default_rng(8).integers(0, 1 << 21, size=200)]
+    stats = {n: all_graphs_kernel_stats(n) for n in (1, 2, 3, 4, 5, 7)}
+    for n, gid in cases:
+        g = _graph_of_id(n, gid)
         r = kernel_corona(g)
-        assert int(stats["alpha"][gid]) == r.alpha == max(m.bit_count() for m in oracle_mis_masks(g))
-        assert int(stats["kernel_size"][gid]) == len(r.kernel)
-        assert int(stats["corona_size"][gid]) == len(r.corona)
+        masks = oracle_mis_masks(g)
+        kernel = corona = masks[0]
+        for m in masks:
+            kernel &= m
+            corona |= m
+        got = tuple(int(stats[n][key][gid]) for key in ("alpha", "kernel_size", "corona_size"))
+        assert got == (r.alpha, len(r.kernel), len(r.corona)), (n, gid)
+        assert got == (masks[0].bit_count(), kernel.bit_count(), corona.bit_count()), (n, gid)
 
 
 def test_exhaustive_corpus_small():
     check = exhaustive_corpus_check(5)
     assert check.checked == 1 + 2 + 8 + 64 + 1024
     assert check.ok
+    assert [s["alpha"].shape[0] for s in check.stats] == [1, 2, 8, 64, 1024]
 
 
-def test_exhaustive_rows_shape():
-    rows = list(exhaustive_corpus_rows(3))
-    assert len(rows) == 1 + 2 + 8
-    gid, n, a, ker, cor = rows[-1]
-    assert n == 3 and ker + cor >= 2 * a
+def test_exhaustive_rows_shape(monkeypatch):
+    check = exhaustive_corpus_check(3)
+    text = "".join(exhaustive_corpus_rows(check))
+    monkeypatch.setattr(mishit.hajnal, "CSV_BLOCK_ROWS", 3)
+    assert "".join(exhaustive_corpus_rows(check)) == text  # block edges split no line
+    lines = text.split("\r\n")
+    assert lines.pop() == ""
+    assert len(lines) == 1 + 2 + 8
+    assert lines[0] == "n1:mask0,1,1,1,1"
+    gid, n, a, ker, cor = lines[-1].split(",")
+    assert gid == "n3:mask7" and (n, a, ker, cor) == ("3", "1", "0", "3")
+    assert all(int(line.split(",")[1]) == 3 for line in lines[3:])
 
 
 def test_random_corpus_clean_and_deterministic():

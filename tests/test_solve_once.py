@@ -5,6 +5,7 @@ import json
 import pytest
 
 import mishit.graph
+import mishit.hajnal
 import mishit.hitting
 import mishit.process
 from mishit.cli import main
@@ -85,3 +86,13 @@ def test_covering_code_scans_each_code_once(counted, tmp_path, method_args):
     trials_used = json.loads(out.read_text())["report"]["trials_used"] or 0
     # one scan per random trial, then one scan for the radius and far point of the reported code
     assert calls["_min_dist_chunks"] == trials_used + 1
+
+
+def test_hajnal_corpus_sweeps_each_n_once(counted, tmp_path):
+    calls, count = counted
+    count(mishit.hajnal, "all_graphs_kernel_stats")
+    argv = ["hajnal-corpus", "--max-n", "5", "--random", "10", "--seed", "1", "--csv", str(tmp_path / "r.csv")]
+    assert main(argv) == 0
+    assert calls["all_graphs_kernel_stats"] == 5  # the check and the CSV share one sweep per n
+    assert main(argv) == 0
+    assert calls["all_graphs_kernel_stats"] == 10  # and nothing is cached across commands

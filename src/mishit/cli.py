@@ -74,7 +74,7 @@ def _emit(args, report: dict, checks: list[tuple[str, bool]], csv_spec=None) -> 
 
 def _require_seed(args) -> None:
     if args.seed is None:
-        raise SystemExit("this command is stochastic: an explicit --seed is required")
+        raise ValueError("this command is stochastic: an explicit --seed is required")
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +86,9 @@ SHIFT_EXACT_MAX_K = 4
 
 def cmd_shift(args) -> int:
     if args.k < 1:
-        raise SystemExit("--k must be a positive integer")
+        raise ValueError("--k must be a positive integer")
     if args.k > SHIFT_EXACT_MAX_K:
-        raise SystemExit(
+        raise ValueError(
             f"exact hitting numbers are gated at k <= {SHIFT_EXACT_MAX_K}; "
             f"largest feasible: --k {SHIFT_EXACT_MAX_K}"
         )
@@ -137,6 +137,8 @@ HAMMING_EXACT_MAX_M = 6
 
 
 def cmd_hamming(args) -> int:
+    if (args.graph_out or args.family_out) and args.m > families.EXPLICIT_MAX_M:
+        raise ValueError(f"--graph-out and --family-out need m <= {families.EXPLICIT_MAX_M}, got {args.m}")
     spec = families.HammingSpec(args.m, args.t, constrained=not args.force)
     kle = families.kleitman_alpha(spec)
     report = {
@@ -182,12 +184,8 @@ def cmd_hamming(args) -> int:
     else:
         report["hadamard_code_size"] = None
     if args.graph_out:
-        if args.m > families.EXPLICIT_MAX_M:
-            raise SystemExit(f"graph export needs m <= {families.EXPLICIT_MAX_M}")
         save_graph(families.build_hamming_graph(spec), args.graph_out)
     if args.family_out:
-        if args.m > families.EXPLICIT_MAX_M:
-            raise SystemExit(f"family export needs m <= {families.EXPLICIT_MAX_M}")
         _write_family_json(args.family_out, families.hamming_mis_family(spec))
     csv_spec = (
         list(report.keys()),
@@ -260,8 +258,10 @@ def cmd_alpha_prime(args) -> int:
 
 def cmd_process(args) -> int:
     _require_seed(args)
+    if args.traces < 1:
+        raise ValueError(f"--traces must be at least 1, got {args.traces}")
     g = load_graph(args.graph)
-    a = alpha(g)
+    a = alpha(g)  # for eps; run_deletion_traces solves alpha(g) once more, for all its traces
     epsilon = Fraction(args.epsilon) if args.epsilon else Fraction(a, g.n) - Fraction(1, 4)
     params = process.ProcessParams.for_graph(g.n, epsilon, target_size=args.target_size)
     print(f"running {args.traces} traces...", file=sys.stderr)

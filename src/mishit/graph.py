@@ -75,25 +75,9 @@ class VertexSet:
         if self.n != other.n:
             raise ValueError(f"mismatched universes ({self.n} vs {other.n})")
 
-    def __and__(self, other: VertexSet) -> VertexSet:
-        self._check_universe(other)
-        return VertexSet(self.n, self.bits & other.bits)
-
-    def __or__(self, other: VertexSet) -> VertexSet:
-        self._check_universe(other)
-        return VertexSet(self.n, self.bits | other.bits)
-
-    def __sub__(self, other: VertexSet) -> VertexSet:
-        self._check_universe(other)
-        return VertexSet(self.n, self.bits & ~other.bits)
-
     def isdisjoint(self, other: VertexSet) -> bool:
         self._check_universe(other)
         return not self.bits & other.bits
-
-    def issubset(self, other: VertexSet) -> bool:
-        self._check_universe(other)
-        return self.bits & ~other.bits == 0
 
 
 @dataclass(frozen=True)
@@ -214,13 +198,6 @@ def _validate_rows(n: int, rows: tuple[int, ...]) -> None:
             raise ValueError(f"row {v} has bits outside 0..{n - 1}")
         if row >> v & 1:
             raise ValueError(f"self-loop at vertex {v}")
-    if n <= 128:
-        for v in range(n):
-            for u in _iter_bits(rows[v]):
-                if not rows[u] >> v & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        return
-    # matrix check: cheaper than per-bit loops for thousands of vertices
     nbytes = (n + 7) // 8
     buf = b"".join(row.to_bytes(nbytes, "little") for row in rows)
     mat = np.unpackbits(

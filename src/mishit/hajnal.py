@@ -41,15 +41,6 @@ class KernelReport:
     holds: bool
     complete: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "kernel": list(self.kernel.members()),
-            "corona": list(self.corona.members()),
-            "holds": self.holds,
-            "complete": self.complete,
-        }
-
 
 def kernel_corona(g: Graph, within: VertexSet | None = None, cap: int = DEFAULT_MIS_CAP) -> KernelReport:
     """Streamed intersection/union over all maximum independent sets.

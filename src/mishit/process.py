@@ -193,9 +193,10 @@ class ProcessTrace:
         return sum(1 for s in self.steps if lo < s.i <= hi and s.successful)
 
 
-def run_deletion_process(g: Graph, params: ProcessParams, seed) -> ProcessTrace:
+def run_deletion_process(g: Graph, params: ProcessParams, seed, initial_alpha: int) -> ProcessTrace:
     """Remove uniform random vertices down to the target size, tracking alpha.
 
+    ``initial_alpha`` is alpha(g), solved once by the caller for all traces.
     For every monitored step whose predecessor graph still has alpha >=
     threshold, the kernel size of that predecessor is recorded so the
     Hajnal-based fraction argument can be checked on the trace; a kernel
@@ -205,8 +206,7 @@ def run_deletion_process(g: Graph, params: ProcessParams, seed) -> ProcessTrace:
         raise ValueError(f"params built for n={params.n}, graph has n={g.n}")
     rng = np.random.default_rng(seed)
     current = (1 << g.n) - 1
-    cur_alpha = alpha(g)
-    initial_alpha = cur_alpha
+    cur_alpha = initial_alpha
     steps = []
     for i in range(1, g.n - params.target_size + 1):
         vertices = VertexSet(g.n, current).members()
@@ -235,15 +235,20 @@ def run_deletion_process(g: Graph, params: ProcessParams, seed) -> ProcessTrace:
 
 
 def _trace_unit(args) -> ProcessTrace:
-    g, params, seed, index = args
-    return run_deletion_process(g, params, [seed, index])
+    g, params, seed, index, initial_alpha = args
+    return run_deletion_process(g, params, [seed, index], initial_alpha)
 
 
 def run_deletion_traces(
     g: Graph, params: ProcessParams, count: int, seed: int, workers: int = 1
 ) -> list[ProcessTrace]:
-    """``count`` independent traces; trace j is seeded (seed, j)."""
-    units = [(g, params, seed, j) for j in range(count)]
+    """``count`` independent traces; trace j is seeded (seed, j).
+
+    Every trace starts from the same graph, so alpha(g) is solved once here
+    and travels with each work unit.
+    """
+    initial_alpha = alpha(g)
+    units = [(g, params, seed, j, initial_alpha) for j in range(count)]
     return parallel_map(_trace_unit, units, workers)
 
 

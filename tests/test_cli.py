@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import mishit.cli
 from mishit.cli import main
 from mishit.families import build_shift_graph
 from mishit.graph import save_graph
@@ -67,12 +68,9 @@ def test_shift_k4_passes_every_check(capsys):
     assert "[FAIL]" not in capsys.readouterr().out
 
 
-def test_shift_rejects_bad_k():
-    with pytest.raises(SystemExit):
-        main(["shift", "--k", "0"])
-    with pytest.raises(SystemExit) as exc:
-        main(["shift", "--k", "7"])
-    assert "k 4" in str(exc.value)
+def test_shift_rejects_bad_k(capsys):
+    assert "--k" in _assert_one_line_error(capsys, ["shift", "--k", "0"])
+    assert "k 4" in _assert_one_line_error(capsys, ["shift", "--k", "7"])
 
 
 def test_hamming_4_1(tmp_path):
@@ -91,6 +89,13 @@ def test_hamming_8_1(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["report"]["hadamard_code_size"] == 16
     assert payload["report"]["hadamard_radius"] <= 3
+
+
+@pytest.mark.parametrize("flag", ["--graph-out", "--family-out"])
+def test_hamming_export_above_m12_is_a_one_line_error(tmp_path, capsys, flag):
+    argv = ["hamming", "--m", "14", "--t", "1", flag, str(tmp_path / "out.json")]
+    assert "m <= 12" in _assert_one_line_error(capsys, argv)
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_hamming_constraint_gate():
@@ -127,9 +132,8 @@ def test_hajnal_corpus_csv_bytes(tmp_path):
     )
 
 
-def test_hajnal_corpus_random_requires_seed():
-    with pytest.raises(SystemExit):
-        main(["hajnal-corpus", "--max-n", "3", "--random", "5"])
+def test_hajnal_corpus_random_requires_seed(capsys):
+    assert "--seed" in _assert_one_line_error(capsys, ["hajnal-corpus", "--max-n", "3", "--random", "5"])
 
 
 def test_alpha_prime_exact(g2_file, capsys):
@@ -139,9 +143,8 @@ def test_alpha_prime_exact(g2_file, capsys):
     assert "bound_holds_at_this_n: True" in printed
 
 
-def test_alpha_prime_mc_requires_seed(g2_file):
-    with pytest.raises(SystemExit):
-        main(["alpha-prime", "--graph", g2_file, "--mode", "mc"])
+def test_alpha_prime_mc_requires_seed(g2_file, capsys):
+    assert "--seed" in _assert_one_line_error(capsys, ["alpha-prime", "--graph", g2_file, "--mode", "mc"])
 
 
 def test_process_report_and_artifacts(g2_file, tmp_path):
@@ -158,6 +161,38 @@ def test_process_report_and_artifacts(g2_file, tmp_path):
     assert payload["report"]["stats"]["implication_violations"] == 0
     assert len(csv_out.read_text().splitlines()) == 26
     assert all(json.loads(line)["i"] >= 1 for line in jsonl.read_text().splitlines())
+
+
+def test_process_requires_seed(g2_file, capsys):
+    assert "--seed" in _assert_one_line_error(capsys, ["process", "--graph", g2_file, "--traces", "2"])
+
+
+def test_process_rejects_zero_traces(g2_file, capsys, monkeypatch):
+    # refused before the graph is loaded or solved
+    monkeypatch.setattr(mishit.cli, "load_graph", None)
+    argv = ["process", "--graph", g2_file, "--traces", "0", "--seed", "1"]
+    assert "--traces" in _assert_one_line_error(capsys, argv)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_process_artifact_bytes(g2_file, tmp_path, workers):
+    csv_out, jsonl, out = tmp_path / "t.csv", tmp_path / "t.jsonl", tmp_path / "r.json"
+    assert main([
+        "process", "--graph", g2_file, "--traces", "25", "--seed", "5", "--workers", workers,
+        "--csv", str(csv_out), "--trace-jsonl", str(jsonl), "--json", str(out),
+    ]) == 0
+    # sha256 digests as the per-trace-solve implementation wrote them; the JSON file's
+    # config holds the tmp path, so only its report is pinned
+    report = json.dumps(json.loads(out.read_text())["report"], sort_keys=True).encode()
+    assert hashlib.sha256(csv_out.read_bytes()).hexdigest() == (
+        "f7abccee4d9593701f07239d944d9ac5b90989bf5035f585831d620e5aa2a21b"
+    )
+    assert hashlib.sha256(jsonl.read_bytes()).hexdigest() == (
+        "ec6cfcb523d6e76b0700785cd213a4cdecf7e7e4f6d87e3d44609ac827177371"
+    )
+    assert hashlib.sha256(report).hexdigest() == (
+        "dbaed7b0563c1ae2ff233bd34a403f58edf781c9c36bb9b66fc92dfb825da75b"
+    )
 
 
 def test_process_epsilon_override(g2_file, tmp_path):
@@ -185,9 +220,9 @@ def test_covering_code_random_seeded(tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
-def test_covering_code_random_requires_seed():
-    with pytest.raises(SystemExit):
-        main(["covering-code", "--m", "4", "--t", "1", "--method", "random"])
+def test_covering_code_random_requires_seed(capsys):
+    argv = ["covering-code", "--m", "4", "--t", "1", "--method", "random"]
+    assert "--seed" in _assert_one_line_error(capsys, argv)
 
 
 def test_hitting_set_command(g2_file, tmp_path):

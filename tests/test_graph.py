@@ -43,14 +43,10 @@ def test_vertexset_rejects_out_of_range():
 
 def test_vertexset_algebra():
     a = VertexSet.from_members(6, [0, 1, 2])
-    b = VertexSet.from_members(6, [2, 3])
-    assert (a & b).members() == (2,)
-    assert (a | b).members() == (0, 1, 2, 3)
-    assert (a - b).members() == (0, 1)
-    assert not a.isdisjoint(b)
-    assert (a & b).issubset(a)
+    assert not a.isdisjoint(VertexSet.from_members(6, [2, 3]))
+    assert a.isdisjoint(VertexSet.from_members(6, [3, 5]))
     with pytest.raises(ValueError):
-        a & VertexSet.full(5)
+        a.isdisjoint(VertexSet.full(5))
 
 
 def test_graph_validation():

@@ -63,8 +63,8 @@ def test_kernel_and_corona_bound_every_mis():
     for g in seeded_graphs(25, seed=55, n_hi=11):
         r = kernel_corona(g)
         for s in enumerate_mis(g).sets:
-            assert r.kernel.issubset(s)
-            assert s.issubset(r.corona)
+            assert r.kernel.bits & ~s.bits == 0
+            assert s.bits & ~r.corona.bits == 0
 
 
 def test_kernel_guarantee_on_edgeless():

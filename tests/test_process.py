@@ -158,17 +158,17 @@ def trace_invariants(trace, params):
 def test_truncated_kernel_is_not_recorded(monkeypatch):
     # i0 = 0 and a low threshold record the kernel of all of G_2, which has 6 MIS
     params = ProcessParams(epsilon=Fraction(1, 12), n=12, i0=0, target_size=6, threshold=Fraction(3))
-    assert run_deletion_process(G2, params, seed=1).steps[0].kernel_size == 0
+    assert run_deletion_process(G2, params, seed=1, initial_alpha=4).steps[0].kernel_size == 0
     monkeypatch.setattr(mishit.process, "kernel_corona", functools.partial(kernel_corona, cap=1))
     with pytest.raises(FamilyTooLargeError):
-        run_deletion_process(G2, params, seed=1)
+        run_deletion_process(G2, params, seed=1, initial_alpha=4)
 
 
 def test_edgeless_process_every_step_successful():
     n = 10
     g = Graph.empty(n)
     params = ProcessParams.for_graph(n, Fraction(1, 8))
-    trace = run_deletion_process(g, params, seed=3)
+    trace = run_deletion_process(g, params, seed=3, initial_alpha=n)
     assert len(trace.steps) == n - params.target_size
     assert all(s.successful for s in trace.steps)  # alpha drops every removal
     assert trace.final_alpha == params.target_size
@@ -182,6 +182,27 @@ def test_g2_trace_invariants_and_determinism():
         trace_invariants(trace, params)
     again = run_deletion_traces(G2, params, 40, seed=5, workers=2)
     assert traces == again
+
+
+def test_step_alphas_match_brute_force_on_two_copies():
+    # vertex 12c + v of 2 x G_2 is vertex v of copy c
+    double = Graph.from_edges(24, [(u + 12 * c, v + 12 * c) for c in (0, 1) for u, v in G2.edges()])
+    independent = [m for m in range(1 << 12) if oracle_is_independent(G2, m)]
+
+    def oracle(remaining):
+        parts = (remaining & 0xFFF, remaining >> 12)
+        return sum(max(m.bit_count() for m in independent if m & ~part == 0) for part in parts)
+
+    params = ProcessParams.for_graph(24, Fraction(1, 12))
+    traces = run_deletion_traces(double, params, 10, seed=6)
+    assert len(traces) == 10
+    for trace in traces:
+        assert trace.initial_alpha == 8 == oracle((1 << 24) - 1)
+        remaining = (1 << 24) - 1
+        for step in trace.steps:
+            remaining &= ~(1 << step.removed)
+            assert step.alpha == oracle(remaining)
+        trace_invariants(trace, params)
 
 
 def test_success_statistics_g2():
@@ -206,7 +227,7 @@ def test_success_statistics_edgeless_window_always_full():
 
 def test_trace_jsonl_schema(tmp_path):
     params = ProcessParams.for_graph(12, Fraction(1, 12))
-    trace = run_deletion_process(G2, params, seed=8)
+    trace = run_deletion_process(G2, params, seed=8, initial_alpha=4)
     path = tmp_path / "trace.jsonl"
     export_trace_jsonl(trace, path)
     lines = path.read_text().splitlines()

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import mishit.cli
 import mishit.graph
 import mishit.hajnal
 import mishit.hitting
@@ -96,3 +97,24 @@ def test_hajnal_corpus_sweeps_each_n_once(counted, tmp_path):
     assert calls["all_graphs_kernel_stats"] == 5  # the check and the CSV share one sweep per n
     assert main(argv) == 0
     assert calls["all_graphs_kernel_stats"] == 10  # and nothing is cached across commands
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_process_solves_the_full_graph_once_for_all_traces(monkeypatch, g2_file, workers):
+    calls = {"mishit.process": 0, "mishit.cli": 0}
+
+    def counting(module):
+        original = module.alpha
+
+        def wrapper(g):
+            calls[module.__name__] += 1
+            return original(g)
+
+        return wrapper
+
+    for module in (mishit.process, mishit.cli):
+        monkeypatch.setattr(module, "alpha", counting(module))
+    argv = ["process", "--graph", g2_file, "--traces", "7", "--seed", "3", "--workers", workers]
+    assert main(argv) == 0
+    # one solve shared by every trace and one for eps in the CLI; worker processes solve none
+    assert calls == {"mishit.process": 1, "mishit.cli": 1}

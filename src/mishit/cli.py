@@ -297,7 +297,7 @@ def cmd_process(args) -> int:
         ("success flags match their definition", flag_ok),
         ("recorded kernels meet the 2*alpha - |V| floor", kernel_ok),
         ("enough successes always forced alpha below threshold", stats.implication_violations == 0),
-        ("conditional success frequency at least eps - 3*stderr", stats.frequency_ok),
+        ("conditional successes within the binomial 3-sigma tail at rate eps", stats.frequency_ok),
     ]
     if args.trace_jsonl:
         process.export_trace_jsonl(traces[0], args.trace_jsonl)

@@ -14,6 +14,11 @@ per n over the vertex subsets by descending size, vectorised over all
 independent and whose alpha is unset or equal to its size.  The check keeps
 the per-n arrays, so the CSV export reuses that sweep and streams its lines
 to disk in blocks instead of building one row object per graph.
+
+The enumeration runs one connected component at a time: the maximum
+independent sets of a disjoint union are the unions of one per component,
+so its kernel is the union of the component kernels and its corona the
+union of the component coronas.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graph import DEFAULT_MIS_CAP, Graph, VertexSet, _solve_all, random_graph
+from .graph import DEFAULT_MIS_CAP, Graph, VertexSet, _components, _solve_all, random_graph
 from .parallel import parallel_map
 
 EXHAUSTIVE_MAX_N = 7
@@ -32,8 +37,8 @@ EXHAUSTIVE_MAX_N = 7
 @dataclass(frozen=True)
 class KernelReport:
     """Kernel/corona of one graph.  ``complete``=False marks a capped
-    enumeration, where the kernel is an over- and the corona an
-    under-approximation."""
+    enumeration of some component, where the kernel is an over- and the
+    corona an under-approximation."""
 
     alpha: int
     kernel: VertexSet
@@ -46,19 +51,24 @@ def kernel_corona(g: Graph, within: VertexSet | None = None, cap: int = DEFAULT_
     """Streamed intersection/union over all maximum independent sets.
 
     ``within`` restricts to an induced subgraph while keeping the original
-    vertex labels, which is what the deletion process needs.
+    vertex labels, which is what the deletion process needs.  Each connected
+    component is enumerated on its own, and ``cap`` bounds the maximum
+    independent sets enumerated per component.  ``complete`` means every
+    component was enumerated in full, so the kernel and corona are exact.
     """
-    bits = (1 << g.n) - 1 if within is None else within.bits
-    alpha_val, masks = _solve_all(g, bits)
-    kernel = bits
-    corona = 0
+    alpha_val = kernel = corona = 0
     complete = True
-    for count, mask in enumerate(masks):
-        if count >= cap:
-            complete = False
-            break
-        kernel &= mask
-        corona |= mask
+    for comp in _components(g, (1 << g.n) - 1 if within is None else within.bits):
+        comp_alpha, masks = _solve_all(g, comp)
+        comp_kernel = comp
+        for count, mask in enumerate(masks):
+            if count >= cap:
+                complete = False
+                break
+            comp_kernel &= mask
+            corona |= mask
+        alpha_val += comp_alpha
+        kernel |= comp_kernel
     holds = kernel.bit_count() + corona.bit_count() >= 2 * alpha_val
     return KernelReport(
         alpha=alpha_val,

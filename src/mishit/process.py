@@ -5,8 +5,10 @@ alpha'(G) is the expectation of alpha(G[W]) over a uniform random subset W
 (all 2^n subsets equally likely, i.e. an independent fair coin per vertex),
 divided by n.  Exact values come from a dynamic program over subsets,
 alpha(W) = max(alpha(W - v), 1 + alpha(W - N[v])) for the lowest vertex v of
-W; beyond 20 vertices a seeded Monte Carlo estimator reports a normal 95%
-confidence interval.
+W, run once per connected component: alpha is additive over a disjoint
+union, so each component's subset sum enters 2^(n - n_c) times.  Components
+beyond 20 vertices are left to a seeded Monte Carlo estimator that reports a
+normal 95% confidence interval.
 
 The deletion process removes uniform random vertices one at a time from V
 down to a target size.  With alpha(G) = (1/4 + eps)n, a step is successful
@@ -16,7 +18,9 @@ alpha stays at or above theta, the kernel of the current graph occupies at
 least an eps fraction of its vertices, so each step succeeds with
 probability at least eps; enough successes force the final alpha below
 theta.  That mechanism yields the bound alpha'(G) <= 1/4 + eps - eps^2/3,
-whose finite-n surrogate this module evaluates and reports.
+whose finite-n surrogate this module evaluates and reports.  The observed
+successes on those steps are tested against that rate by the exact lower
+binomial tail.
 """
 
 from __future__ import annotations
@@ -28,12 +32,21 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import FamilyTooLargeError, Graph, VertexSet, alpha, alpha_induced
+from .graph import (
+    FamilyTooLargeError,
+    Graph,
+    VertexSet,
+    _components,
+    alpha,
+    alpha_induced,
+    induced_subgraph,
+)
 from .hajnal import kernel_corona
 from .parallel import parallel_map
 
 EXACT_MAX_N = 20
 MC_BLOCK = 512
+FREQUENCY_TAIL_LEVEL = Fraction(135, 100_000)  # one-sided normal tail at 3 sigma
 
 
 @dataclass(frozen=True)
@@ -58,10 +71,29 @@ class AlphaPrimeEstimate:
 
 
 def alpha_prime_exact(g: Graph) -> AlphaPrimeEstimate:
-    """Exact alpha'(G) by the subset dynamic program; needs n <= 20."""
+    """Exact alpha'(G) by the subset dynamic program, run per connected
+    component; needs n >= 1 and every component of at most 20 vertices."""
     n = g.n
-    if not 1 <= n <= EXACT_MAX_N:
-        raise ValueError(f"exact subset DP supports 1 <= n <= {EXACT_MAX_N}, got n={n}")
+    if n < 1:
+        raise ValueError("alpha' is undefined on the empty graph")
+    comps = _components(g, (1 << n) - 1)
+    largest = max(comp.bit_count() for comp in comps)
+    if largest > EXACT_MAX_N:
+        raise ValueError(
+            f"exact subset DP supports components of at most {EXACT_MAX_N} vertices, "
+            f"largest has {largest}"
+        )
+    total = 0
+    for comp in comps:
+        sub, _ = induced_subgraph(g, VertexSet(n, comp))
+        # each of the 2^(n - n_c) choices outside the component repeats its subset sum
+        total += _subset_alpha_sum(sub) << (n - sub.n)
+    return AlphaPrimeEstimate(mean=Fraction(total, (1 << n) * n), exact=True)
+
+
+def _subset_alpha_sum(g: Graph) -> int:
+    """Sum of alpha(G[W]) over all 2^n subsets W, by the subset DP."""
+    n = g.n
     closed = [g.adj[v] | (1 << v) for v in range(n)]
     table = np.zeros(1 << n, dtype=np.uint8)
     for w in range(1, 1 << n):
@@ -69,8 +101,7 @@ def alpha_prime_exact(g: Graph) -> AlphaPrimeEstimate:
         skip = table[w & (w - 1)]
         take = 1 + table[w & ~closed[v]]
         table[w] = take if take > skip else skip
-    total = int(table.sum(dtype=np.int64))
-    return AlphaPrimeEstimate(mean=Fraction(total, (1 << n) * n), exact=True)
+    return int(table.sum(dtype=np.int64))
 
 
 def _mc_block(args) -> list[int]:
@@ -275,6 +306,11 @@ class ProcessStats:
     threshold (must be zero).  The implication is only guaranteed when the
     trace starts with alpha <= (1/4 + eps) n, so traces run under an eps
     override inconsistent with the graph are excluded from that count.
+
+    ``frequency_ok`` holds when q such steps with s successes are no rarer
+    than that rate allows: P[Bin(q, eps) <= s] >= 0.00135, the one-sided
+    3-sigma level, in exact arithmetic.  ``frequency_stderr`` is the Wald
+    standard error, reported only.
     """
 
     traces: int
@@ -336,7 +372,9 @@ def success_statistics(traces, params: ProcessParams) -> ProcessStats:
     if qual_steps:
         freq = qual_succ / qual_steps
         stderr = math.sqrt(freq * (1 - freq) / qual_steps)
-        freq_ok = freq >= float(params.epsilon) - 3 * stderr
+        # P[Bin(q, eps) <= s] is the chance of at least q - s failures at rate 1 - eps
+        lower_tail = _binomial_tail_at_least(qual_steps, 1 - params.epsilon, qual_steps - qual_succ)
+        freq_ok = lower_tail >= FREQUENCY_TAIL_LEVEL
     else:
         freq = None
         stderr = None

@@ -50,3 +50,13 @@ def seeded_graphs(count: int, seed: int, n_lo: int = 1, n_hi: int = 12):
 
 def cycle_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def disjoint_union(*graphs: Graph) -> Graph:
+    """Copies side by side: vertex v of the i-th graph gets index v plus the sizes before it."""
+    edges = []
+    offset = 0
+    for g in graphs:
+        edges.extend((u + offset, v + offset) for u, v in g.edges())
+        offset += g.n
+    return Graph.from_edges(offset, edges)

@@ -214,7 +214,7 @@ def test_criterion_8_deletion_process_mechanism():
         ok,
         f"alpha'(G_2)={est.mean} vs 143/432 (bound holds at n=12: {holds_here}); "
         f"kernel floor ok={kernel_ok}; success freq {stats.success_frequency:.3f} "
-        f">= eps-3se over {stats.qualifying_steps} steps",
+        f"within the binomial 3-sigma tail at eps over {stats.qualifying_steps} steps",
     )
     assert ok
 

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import mishit.cli
+from conftest import cycle_graph, disjoint_union
 from mishit.cli import main
 from mishit.families import build_shift_graph
 from mishit.graph import save_graph
@@ -193,6 +194,46 @@ def test_process_artifact_bytes(g2_file, tmp_path, workers):
     assert hashlib.sha256(report).hexdigest() == (
         "dbaed7b0563c1ae2ff233bd34a403f58edf781c9c36bb9b66fc92dfb825da75b"
     )
+
+
+def test_process_artifact_bytes_on_four_copies(tmp_path):
+    g2 = build_shift_graph(2)[0]
+    graph = tmp_path / "g2x4.json"
+    save_graph(disjoint_union(g2, g2, g2, g2), graph)
+    csv_out, jsonl, out = tmp_path / "t.csv", tmp_path / "t.jsonl", tmp_path / "r.json"
+    assert main([
+        "process", "--graph", str(graph), "--traces", "5", "--seed", "3",
+        "--csv", str(csv_out), "--trace-jsonl", str(jsonl), "--json", str(out),
+    ]) == 0
+    # sha256 digests as the whole-graph solver wrote them, before solves split by component
+    report = json.dumps(json.loads(out.read_text())["report"], sort_keys=True).encode()
+    assert hashlib.sha256(csv_out.read_bytes()).hexdigest() == (
+        "8a5475ddb5e7df5f18c4d797dc492d22ba5db73e91cdd9ea404cb00ecff00cba"
+    )
+    assert hashlib.sha256(jsonl.read_bytes()).hexdigest() == (
+        "4490afd5865d8324b1a0b604b09aa30dad73bdcdfa3f36ea44b8d616b7c4f048"
+    )
+    assert hashlib.sha256(report).hexdigest() == (
+        "446d3780d636e7301f8c065ccf99a43a2b189457e624b37eedfdf3334aba4e16"
+    )
+
+
+def test_process_zero_successes_on_few_steps_passes(tmp_path, capsys):
+    # seed 22 gives 4 qualifying steps and no success, an outcome of probability (11/12)^4 = 0.71
+    g2 = build_shift_graph(2)[0]
+    graph, out = tmp_path / "g2x4.json", tmp_path / "r.json"
+    save_graph(disjoint_union(g2, g2, g2, g2), graph)
+    assert main(["process", "--graph", str(graph), "--traces", "5", "--seed", "22", "--json", str(out)]) == 0
+    stats = json.loads(out.read_text())["report"]["stats"]
+    assert (stats["qualifying_steps"], stats["qualifying_successes"]) == (4, 0)
+    assert "[FAIL]" not in capsys.readouterr().out
+
+
+def test_alpha_prime_exact_on_two_components(tmp_path):
+    graph, out = tmp_path / "g2c8.json", tmp_path / "r.json"
+    save_graph(disjoint_union(build_shift_graph(2)[0], cycle_graph(8)), graph)
+    assert main(["alpha-prime", "--graph", str(graph), "--mode", "exact", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["report"]["estimate"]["mean_fraction"] == "11831/40960"
 
 
 def test_process_epsilon_override(g2_file, tmp_path):

@@ -59,6 +59,15 @@ def test_kernel_capped_is_flagged():
     assert not r.complete
 
 
+def test_kernel_cap_applies_per_component():
+    # 2 x K_3 has 9 maximum independent sets, but each triangle has only 3
+    two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    r = kernel_corona(two_triangles, cap=5)
+    assert r.complete
+    assert r.alpha == 2 and len(r.kernel) == 0 and len(r.corona) == 6
+    assert not kernel_corona(two_triangles, cap=2).complete
+
+
 def test_kernel_and_corona_bound_every_mis():
     for g in seeded_graphs(25, seed=55, n_hi=11):
         r = kernel_corona(g)

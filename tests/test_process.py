@@ -7,12 +7,14 @@ from fractions import Fraction
 import pytest
 
 import mishit.process
-from conftest import oracle_is_independent, seeded_graphs
+from conftest import disjoint_union, oracle_is_independent, seeded_graphs
 from mishit.families import build_shift_graph
 from mishit.graph import FamilyTooLargeError, Graph, alpha
 from mishit.hajnal import kernel_corona
 from mishit.process import (
     ProcessParams,
+    ProcessStep,
+    ProcessTrace,
     alpha_prime_bound,
     alpha_prime_exact,
     alpha_prime_mc,
@@ -72,8 +74,18 @@ def test_g2_frozen_value():
 def test_exact_rejects_out_of_range():
     with pytest.raises(ValueError):
         alpha_prime_exact(Graph.empty(0))
-    with pytest.raises(ValueError):
-        alpha_prime_exact(Graph.empty(21))
+    with pytest.raises(ValueError):  # one connected component of 21 vertices
+        alpha_prime_exact(Graph.from_edges(21, [(i, i + 1) for i in range(20)]))
+
+
+@pytest.mark.parametrize("copies", [1, 2, 16, 32])
+def test_exact_on_disjoint_copies(copies):
+    # the DP limit bounds the largest component, so 32 copies (n = 384) are in range
+    assert alpha_prime_exact(disjoint_union(*[G2] * copies)).mean == G2_ALPHA_PRIME
+
+
+def test_exact_edgeless_beyond_component_limit():
+    assert alpha_prime_exact(Graph.empty(21)).mean == Fraction(1, 2)
 
 
 def test_linearity_under_disjoint_union():
@@ -214,6 +226,25 @@ def test_success_statistics_g2():
     assert stats.frequency_ok
     assert stats.binomial_tail == pytest.approx(1 / 12)
     assert 0.0 <= stats.fraction_final_below <= 1.0
+
+
+def _stalled_trace(steps: int) -> tuple[ProcessTrace, ProcessParams]:
+    """One trace whose ``steps`` monitored steps all qualify and none succeeds."""
+    params = ProcessParams(
+        epsilon=Fraction(1, 12), n=steps + 1, i0=0, target_size=1, threshold=Fraction(1)
+    )
+    flat = tuple(ProcessStep(i=i, removed=i - 1, alpha=2, successful=False, kernel_size=None)
+                 for i in range(1, steps + 1))
+    return ProcessTrace(params=params, seed=0, initial_alpha=2, steps=flat), params
+
+
+@pytest.mark.parametrize("steps, ok", [(4, True), (75, True), (76, False), (200, False)])
+def test_frequency_check_is_the_exact_binomial_tail(steps, ok):
+    # P[Bin(q, 1/12) = 0] = (11/12)^q: 0.71 at q=4, 0.00147 at q=75, 0.00134 at q=76, 3e-8 at q=200
+    trace, params = _stalled_trace(steps)
+    stats = success_statistics([trace], params)
+    assert (stats.qualifying_steps, stats.qualifying_successes) == (steps, 0)
+    assert stats.frequency_ok is ok
 
 
 def test_success_statistics_edgeless_window_always_full():

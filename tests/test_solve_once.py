@@ -11,8 +11,9 @@ import mishit.hitting
 import mishit.process
 from mishit.cli import main
 from mishit.families import build_shift_graph
-from mishit.graph import Graph, enumerate_mis, save_graph
-from mishit.hajnal import kernel_guarantee_check
+from conftest import disjoint_union
+from mishit.graph import Graph, alpha, enumerate_mis, save_graph
+from mishit.hajnal import kernel_corona, kernel_guarantee_check
 
 
 @pytest.fixture
@@ -53,6 +54,15 @@ def test_kernel_guarantee_check_runs_one_clique_search(counted):
     count(mishit.graph, "_max_clique")
     assert kernel_guarantee_check(Graph.from_edges(6, [(0, i) for i in range(1, 6)])).holds
     assert calls["_max_clique"] == 1
+
+
+@pytest.mark.parametrize("solve", [alpha, kernel_corona], ids=["alpha", "kernel_corona"])
+def test_disjoint_copies_run_one_clique_search_each(counted, solve):
+    calls, count = counted
+    count(mishit.graph, "_max_clique")
+    g2 = build_shift_graph(2)[0]
+    solve(disjoint_union(g2, g2, g2, g2))
+    assert calls["_max_clique"] == 4
 
 
 def test_hitting_set_command_enumerates_once(counted, g2_file):

@@ -317,6 +317,7 @@ def cmd_covering_code(args) -> int:
         code = hitting.build_hadamard_covering_code(spec)
         verified = None
         trials_used = None
+        scan = None
     else:
         _require_seed(args)
         outcome = hitting.build_random_covering_code(
@@ -328,6 +329,7 @@ def cmd_covering_code(args) -> int:
         code = outcome.code
         verified = outcome.verified
         trials_used = outcome.trials_used
+        scan = (outcome.radius, outcome.far_point)  # the accepted trial's scan
     report = {
         "m": args.m,
         "t": args.t,
@@ -338,7 +340,7 @@ def cmd_covering_code(args) -> int:
     }
     checks = []
     if args.m <= hitting.SCAN_MAX_M:
-        radius, far = hitting.covering_radius(code)
+        radius, far = scan or hitting.covering_radius(code)
         report["covering_radius"] = radius
         checks.append(("covering radius within target", radius <= code.target_radius))
         report["far_point"] = far

@@ -56,6 +56,8 @@ def kernel_corona(g: Graph, within: VertexSet | None = None, cap: int = DEFAULT_
     independent sets enumerated per component.  ``complete`` means every
     component was enumerated in full, so the kernel and corona are exact.
     """
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
     alpha_val = kernel = corona = 0
     complete = True
     for comp in _components(g, (1 << g.n) - 1 if within is None else within.bits):

@@ -10,12 +10,17 @@ then rebuilds the least optimal set member by member with the same search, so
 results are reproducible across runs and platforms.
 
 For the Hamming family, hitting all radius-(m/2 - t) balls is the same as
-being a covering code of radius m/2 - t in Z_2^m.  The scan engine computes,
-for every word of the space, its distance to the nearest codeword; covering
-radius and far-point witnesses are two views of that scan.  A word w is far
-from the whole code (distance > m/2 - t everywhere) exactly when, in the
-+/-1 encoding, its inner product with every codeword is below 2t, which is
-how the discrepancy bound forces code sizes of at least ceil(t^2/36).
+being a covering code of radius m/2 - t in Z_2^m.  The covering radius comes
+from a min-plus distance transform over the hypercube (Felzenszwalb &
+Huttenlocher, "Distance transforms of sampled functions", 2012), run on
+chunks of 2^20 words that share their high bits: m * 2^m byte relaxations
+plus |C| * 2^(m-20) seeds, in ~1.5 MiB for any m <= 28.  It gives every
+word's distance to the nearest codeword, so the radius and the least far
+point are two views of one pass.  ``find_far_point`` is the independent
+witness: a word-by-codeword scan with an early exit.  A word w is far from
+the whole code (distance > m/2 - t everywhere) exactly when, in the +/-1
+encoding, its inner product with every codeword is below 2t, which is how
+the discrepancy bound forces code sizes of at least ceil(t^2/36).
 
 Upper-bound constructions: rows of a Sylvester Hadamard matrix of order h0
 (the least power of two >= 4t^2) together with their complements, each
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,6 +48,7 @@ from .graph import (
 )
 
 SCAN_MAX_M = 28
+CHUNK_BITS = 20  # low bits per chunk of the word space: 1 MiB of uint8 distances
 
 
 class InfeasibleFamilyError(ValueError):
@@ -198,19 +204,6 @@ class CoveringCode:
         return len(self.words)
 
 
-def _min_dist_chunks(code: CoveringCode, chunk_bits: int = 20) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, min-distance-to-code array) over chunks of the word space."""
-    m = code.m
-    arr = np.array(code.words, dtype=np.uint32)
-    step = 1 << min(chunk_bits, m)
-    for start in range(0, 1 << m, step):
-        space = np.arange(start, min(start + step, 1 << m), dtype=np.uint32)
-        mind = np.full(space.shape, m + 1, dtype=np.uint8)
-        for c in arr:
-            np.minimum(mind, np.bitwise_count(space ^ c).astype(np.uint8), out=mind)
-        yield start, mind
-
-
 def _check_scan_range(code: CoveringCode) -> None:
     if not code.words:
         raise ValueError("empty code has no covering radius")
@@ -218,23 +211,57 @@ def _check_scan_range(code: CoveringCode) -> None:
         raise ValueError(f"exhaustive scan supports m <= {SCAN_MAX_M}, got m={code.m}")
 
 
-def covering_radius(code: CoveringCode) -> tuple[int, int | None]:
-    """Exact covering radius and the least far point, from one scan of all 2^m words.
+def _relax(lo: np.ndarray, hi: np.ndarray, buf: np.ndarray) -> None:
+    """One hypercube edge class: lo = min(lo, hi + 1), then hi = min(hi, lo + 1)."""
+    np.add(hi, 1, out=buf)
+    np.minimum(lo, buf, out=lo)
+    np.add(lo, 1, out=buf)
+    np.minimum(hi, buf, out=hi)
 
-    The radius is the max over all words of the distance to the code; the far
+
+def covering_radius(code: CoveringCode) -> tuple[int, int | None]:
+    """Exact covering radius and the least far point, from one distance transform.
+
+    The word space is cut into chunks of 2^L words (L = min(m, CHUNK_BITS))
+    that share their high m - L bits p.  A chunk starts at m + 1, takes each
+    codeword's high-bit distance popcount(c_high ^ p) at its low bits, and is
+    relaxed along each low bit in turn, after which it holds every word's
+    distance to the code.  The radius is the max over all chunks; the far
     point is the least word at distance > ``code.target_radius`` from every
-    codeword, or None.  The two are separate reductions of the same distances,
-    so "far point exists iff radius exceeds target" remains a real check.
+    codeword, or None.  The two are separate reductions of the same
+    distances, so "far point exists iff radius exceeds target" remains a
+    real check.
     """
     _check_scan_range(code)
+    m = code.m
+    low_bits = min(m, CHUNK_BITS)
+    words = np.array(code.words, dtype=np.uint32)
+    c_low = (words & np.uint32((1 << low_bits) - 1)).astype(np.intp)
+    c_high = words >> np.uint32(low_bits)
+    d = np.empty(1 << low_bits, dtype=np.uint8)
+    buf = np.empty(d.size // 2, dtype=np.uint8)
+    edges = []  # (lo, hi, scratch) views of the chunk, grouped by low bit
+    for j in range(low_bits):
+        if j < 4 <= low_bits:
+            # strided columns for the four lowest bits: inner rows of 1-8 bytes are slow
+            cols = d.reshape(-1, 16)
+            edges += [
+                (cols[:, c], cols[:, c | 1 << j], buf[: len(cols)]) for c in range(16) if not c >> j & 1
+            ]
+        else:
+            halves = d.reshape(-1, 2, 1 << j)
+            edges.append((halves[:, 0], halves[:, 1], buf.reshape(-1, 1 << j)))
     radius = 0
     far_point = None
-    for start, mind in _min_dist_chunks(code):
-        radius = max(radius, int(mind.max()))
-        if far_point is None:
-            far = np.flatnonzero(mind > code.target_radius)
-            if far.size:
-                far_point = start + int(far[0])
+    for p in range(1 << (m - low_bits)):
+        d.fill(m + 1)
+        np.minimum.at(d, c_low, np.bitwise_count(c_high ^ np.uint32(p)))
+        for lo, hi, scratch in edges:
+            _relax(lo, hi, scratch)
+        top = int(d.max())
+        radius = max(radius, top)
+        if far_point is None and top > code.target_radius:
+            far_point = p << low_bits | int(np.argmax(d > code.target_radius))
     return radius, far_point
 
 
@@ -242,13 +269,22 @@ def find_far_point(code: CoveringCode, t: int) -> int | None:
     """A word at distance > m/2 - t from every codeword, or None.
 
     Exhaustive, hence complete, with an early exit at the first far word;
-    needs m <= 28.  In the +/-1 encoding the far condition reads inner
-    product < 2t against every codeword, via inner product = m - 2 * distance.
+    needs m <= 28.  It scans each chunk of words against every codeword in
+    turn, independently of the distance transform in ``covering_radius``.
+    In the +/-1 encoding the far condition reads inner product < 2t against
+    every codeword, via inner product = m - 2 * distance.
     """
     _check_scan_range(code)
+    m = code.m
+    arr = np.array(code.words, dtype=np.uint32)
     # distance d > m/2 - t  <=>  2d > m - 2t, exact in integers
-    floor2 = code.m - 2 * t
-    for start, mind in _min_dist_chunks(code):
+    floor2 = m - 2 * t
+    step = 1 << min(CHUNK_BITS, m)
+    for start in range(0, 1 << m, step):
+        space = np.arange(start, start + step, dtype=np.uint32)
+        mind = np.full(space.shape, m + 1, dtype=np.uint8)
+        for c in arr:
+            np.minimum(mind, np.bitwise_count(space ^ c), out=mind)
         far = np.nonzero(mind.astype(np.int32) * 2 > floor2)[0]
         if far.size:
             return start + int(far[0])
@@ -322,11 +358,17 @@ def build_hadamard_covering_code(spec: HammingSpec) -> CoveringCode:
 
 @dataclass(frozen=True)
 class RandomCodeOutcome:
-    """Result of the randomized construction: ``code`` is None after failure."""
+    """Result of the randomized construction: ``code`` is None after failure.
+
+    ``radius`` and ``far_point`` are the accepted code's ``covering_radius``
+    result, or None when nothing was scanned.
+    """
 
     code: CoveringCode | None
     verified: bool
     trials_used: int
+    radius: int | None = None
+    far_point: int | None = None
 
 
 def build_random_covering_code(
@@ -361,9 +403,11 @@ def build_random_covering_code(
         code = CoveringCode(m=spec.m, words=tuple(words), target_radius=spec.ball_radius)
         if spec.m > SCAN_MAX_M:
             return RandomCodeOutcome(code=code, verified=False, trials_used=trial)
-        radius, _ = covering_radius(code)
+        radius, far_point = covering_radius(code)
         if radius <= spec.ball_radius:
-            return RandomCodeOutcome(code=code, verified=True, trials_used=trial)
+            return RandomCodeOutcome(
+                code=code, verified=True, trials_used=trial, radius=radius, far_point=far_point
+            )
     return RandomCodeOutcome(code=None, verified=False, trials_used=trials)
 
 

@@ -1,11 +1,14 @@
 """Randomised cross-checks of the solvers against direct subset scans."""
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 
+import mishit.hitting
+from mishit.families import HammingSpec
 from mishit.graph import VertexSet, alpha
-from mishit.hitting import CoveringCode, covering_radius, min_hitting_set
+from mishit.hitting import CoveringCode, build_hadamard_covering_code, covering_radius, min_hitting_set
 from conftest import cycle_graph
 
 
@@ -39,8 +42,10 @@ def test_hitting_solver_against_subset_scan():
         assert result.set.members() == min(all_optima)  # lexicographically least
 
 
-def brute_covering_radius(words, m):
-    return max(min((w ^ c).bit_count() for c in words) for w in range(1 << m))
+def brute_scan(words, m, target):
+    """(covering radius, least word farther than ``target`` from every codeword), word by word."""
+    dist = [min((w ^ c).bit_count() for c in words) for w in range(1 << m)]
+    return max(dist), next((w for w, x in enumerate(dist) if x > target), None)
 
 
 def test_covering_radius_against_pure_python():
@@ -51,7 +56,52 @@ def test_covering_radius_against_pure_python():
         words = tuple(int(w) for w in rng.integers(0, 1 << m, size=size))
         code = CoveringCode(m, words, m // 2)
         radius, _ = covering_radius(code)
-        assert radius == brute_covering_radius(code.words, m)
+        assert radius == brute_scan(code.words, m, m)[0]
+
+
+def assert_scan_matches_brute_force(monkeypatch, code, radius=None):
+    """Compare one chunk per 2^20 words, and chunks of 8 words, with the word-by-word scan."""
+    expected = brute_scan(code.words, code.m, code.target_radius)
+    if radius is not None:
+        assert expected[0] == radius
+    for chunk_bits in (mishit.hitting.CHUNK_BITS, 3):
+        monkeypatch.setattr(mishit.hitting, "CHUNK_BITS", chunk_bits)
+        assert covering_radius(code) == expected, (code, chunk_bits)
+
+
+def test_covering_radius_and_far_point_on_seeded_codes(monkeypatch):
+    rng = np.random.default_rng(7170)
+    for m in range(1, 15):
+        for _ in range(4):
+            size = int(rng.integers(1, 10))
+            words = tuple(int(w) for w in rng.integers(0, 1 << m, size=size))
+            code = CoveringCode(m, words, int(rng.integers(0, m + 1)))
+            assert_scan_matches_brute_force(monkeypatch, code)
+
+
+def test_covering_radius_and_far_point_on_structured_codes(monkeypatch):
+    rng = np.random.default_rng(606)
+    for m in range(1, 13):
+        full = (1 << m) - 1
+        for target in {0, m // 2, m - 1}:
+            w = int(rng.integers(0, 1 << m))
+            cases = [((w,), m), ((w, w ^ full), m // 2)]  # (code words, covering radius)
+            if m <= 8:  # the brute force is quadratic in the space here
+                cases.append((tuple(range(1 << m)), 0))
+            for words, radius in cases:
+                assert_scan_matches_brute_force(monkeypatch, CoveringCode(m, words, target), radius)
+
+
+def test_covering_radius_works_in_one_chunk_of_memory():
+    code = build_hadamard_covering_code(HammingSpec(22, 2))
+    tracemalloc.start()
+    try:
+        radius, far = covering_radius(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (radius, far) == (9, None)
+    assert peak < 4 << 20  # a 2^20-byte chunk and a half-chunk buffer, not arrays over all 2^22 words
 
 
 def test_cycle_alpha_known_values():

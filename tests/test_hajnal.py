@@ -59,6 +59,12 @@ def test_kernel_capped_is_flagged():
     assert not r.complete
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_kernel_rejects_cap_below_one(cap):
+    with pytest.raises(ValueError, match="cap must be at least 1"):
+        kernel_corona(Graph.complete(3), cap=cap)
+
+
 def test_kernel_cap_applies_per_component():
     # 2 x K_3 has 9 maximum independent sets, but each triangle has only 3
     two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])

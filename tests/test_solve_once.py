@@ -91,12 +91,12 @@ def test_alpha_prime_estimates_once(counted, g2_file, mode):
 ])
 def test_covering_code_scans_each_code_once(counted, tmp_path, method_args):
     calls, count = counted
-    count(mishit.hitting, "_min_dist_chunks")
+    count(mishit.hitting, "covering_radius")
     out = tmp_path / "r.json"
     assert main(["covering-code", *method_args, "--json", str(out)]) == 0
-    trials_used = json.loads(out.read_text())["report"]["trials_used"] or 0
-    # one scan per random trial, then one scan for the radius and far point of the reported code
-    assert calls["_min_dist_chunks"] == trials_used + 1
+    trials_used = json.loads(out.read_text())["report"]["trials_used"]
+    # one scan per random trial, the accepted one reused for the report; one scan of the Hadamard code
+    assert calls["covering_radius"] == (trials_used or 1)
 
 
 def test_hajnal_corpus_sweeps_each_n_once(counted, tmp_path):

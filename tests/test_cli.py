@@ -6,6 +6,7 @@ import json
 import pytest
 
 import mishit.cli
+import mishit.hitting
 from conftest import cycle_graph, disjoint_union
 from mishit.cli import main
 from mishit.families import build_shift_graph
@@ -175,6 +176,14 @@ def test_process_rejects_zero_traces(g2_file, capsys, monkeypatch):
     assert "--traces" in _assert_one_line_error(capsys, argv)
 
 
+@pytest.mark.parametrize("epsilon", ["1/0", "one"])
+def test_process_rejects_unparsable_epsilon(g2_file, capsys, monkeypatch, epsilon):
+    # refused before the graph is loaded or solved
+    monkeypatch.setattr(mishit.cli, "load_graph", None)
+    argv = ["process", "--graph", g2_file, "--epsilon", epsilon, "--traces", "2", "--seed", "1"]
+    assert "--epsilon" in _assert_one_line_error(capsys, argv)
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_process_artifact_bytes(g2_file, tmp_path, workers):
     csv_out, jsonl, out = tmp_path / "t.csv", tmp_path / "t.jsonl", tmp_path / "r.json"
@@ -264,6 +273,15 @@ def test_covering_code_random_seeded(tmp_path):
 def test_covering_code_random_requires_seed(capsys):
     argv = ["covering-code", "--m", "4", "--t", "1", "--method", "random"]
     assert "--seed" in _assert_one_line_error(capsys, argv)
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--count"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_covering_code_rejects_counts_below_one(capsys, monkeypatch, flag, value):
+    # refused before any code is built
+    monkeypatch.setattr(mishit.hitting, "build_random_covering_code", None)
+    argv = ["covering-code", "--m", "4", "--t", "1", "--method", "random", "--seed", "1", flag, value]
+    assert flag in _assert_one_line_error(capsys, argv)
 
 
 def test_hitting_set_command(g2_file, tmp_path):

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 import mishit.hajnal
-from conftest import oracle_mis_masks, seeded_graphs
+from conftest import hub_graph, oracle_mis_masks, seeded_graphs
 from mishit.families import build_shift_graph, shift_mis_family
-from mishit.graph import Graph, VertexSet, enumerate_mis
+from mishit.graph import DEFAULT_MIS_CAP, Graph, VertexSet, enumerate_mis
 from mishit.hajnal import (
     all_graphs_kernel_stats,
     exhaustive_corpus_check,
     exhaustive_corpus_rows,
     kernel_corona,
-    kernel_guarantee_check,
     random_corpus_check,
 )
 
@@ -21,7 +20,11 @@ def test_edgeless_kernel_is_everything():
     r = kernel_corona(Graph.empty(4))
     assert r.alpha == 4
     assert r.kernel.members() == r.corona.members() == (0, 1, 2, 3)
-    assert r.holds and r.complete
+    assert r.holds
+    # a star's unique maximum independent set, its leaves, is kernel and corona alike
+    r = kernel_corona(Graph.from_edges(6, [(0, i) for i in range(1, 6)]))
+    assert r.alpha == 5
+    assert r.kernel.members() == r.corona.members() == (1, 2, 3, 4, 5)
 
 
 def test_complete_graph_kernel_empty():
@@ -29,6 +32,9 @@ def test_complete_graph_kernel_empty():
     assert r.alpha == 1
     assert len(r.kernel) == 0 and len(r.corona) == 5
     assert r.holds  # 0 + 5 >= 2
+    # 2 x K_3: nine maximum independent sets, one vertex from each triangle
+    r = kernel_corona(Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
+    assert r.alpha == 2 and len(r.kernel) == 0 and len(r.corona) == 6
 
 
 def test_shift_k2_kernel_and_corona():
@@ -54,24 +60,14 @@ def test_kernel_within_restriction():
     assert r.corona.members() == (0, 1)
 
 
-def test_kernel_capped_is_flagged():
-    r = kernel_corona(Graph.complete(6), cap=2)
-    assert not r.complete
-
-
-@pytest.mark.parametrize("cap", [0, -1])
-def test_kernel_rejects_cap_below_one(cap):
-    with pytest.raises(ValueError, match="cap must be at least 1"):
-        kernel_corona(Graph.complete(3), cap=cap)
-
-
-def test_kernel_cap_applies_per_component():
-    # 2 x K_3 has 9 maximum independent sets, but each triangle has only 3
-    two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    r = kernel_corona(two_triangles, cap=5)
-    assert r.complete
-    assert r.alpha == 2 and len(r.kernel) == 0 and len(r.corona) == 6
-    assert not kernel_corona(two_triangles, cap=2).complete
+def test_hub_graph_kernel_and_corona_beyond_the_enumeration_cap():
+    k = 20
+    assert 2**k > DEFAULT_MIS_CAP
+    r = kernel_corona(hub_graph(k))
+    assert r.alpha == k + 1
+    assert r.kernel.members() == (3 * k,)
+    assert r.corona.members() == tuple(v for v in range(3 * k + 1) if v % 3 or v == 3 * k)
+    assert len(r.corona) == 2 * k + 1
 
 
 def test_kernel_and_corona_bound_every_mis():
@@ -80,26 +76,6 @@ def test_kernel_and_corona_bound_every_mis():
         for s in enumerate_mis(g).sets:
             assert r.kernel.bits & ~s.bits == 0
             assert s.bits & ~r.corona.bits == 0
-
-
-def test_kernel_guarantee_on_edgeless():
-    r = kernel_guarantee_check(Graph.empty(6))
-    assert r.alpha == 6 and r.required == 6
-    assert r.kernel_ok and r.singletons_ok and r.holds
-
-
-def test_kernel_guarantee_on_star():
-    star = Graph.from_edges(6, [(0, i) for i in range(1, 6)])
-    r = kernel_guarantee_check(star)
-    assert r.alpha == 5
-    assert r.required == 2 * 5 - 6
-    assert len(r.kernel) == 5  # the unique MIS is the leaf set
-    assert r.holds
-
-
-def test_kernel_guarantee_rejects_small_alpha():
-    with pytest.raises(ValueError):
-        kernel_guarantee_check(Graph.complete(4))
 
 
 # --- corpora ----------------------------------------------------------------

@@ -1,16 +1,14 @@
 """alpha', the deletion process, and the averaged bound."""
 
-import functools
 import json
 from fractions import Fraction
 
 import pytest
 
 import mishit.process
-from conftest import disjoint_union, oracle_is_independent, seeded_graphs
+from conftest import disjoint_union, hub_graph, oracle_is_independent, seeded_graphs
 from mishit.families import build_shift_graph
-from mishit.graph import FamilyTooLargeError, Graph, alpha
-from mishit.hajnal import kernel_corona
+from mishit.graph import Graph, alpha
 from mishit.process import (
     ProcessParams,
     ProcessStep,
@@ -167,13 +165,14 @@ def trace_invariants(trace, params):
         prev = step.alpha
 
 
-def test_truncated_kernel_is_not_recorded(monkeypatch):
-    # i0 = 0 and a low threshold record the kernel of all of G_2, which has 6 MIS
-    params = ProcessParams(epsilon=Fraction(1, 12), n=12, i0=0, target_size=6, threshold=Fraction(3))
-    assert run_deletion_process(G2, params, seed=1, initial_alpha=4).steps[0].kernel_size == 0
-    monkeypatch.setattr(mishit.process, "kernel_corona", functools.partial(kernel_corona, cap=1))
-    with pytest.raises(FamilyTooLargeError):
-        run_deletion_process(G2, params, seed=1, initial_alpha=4)
+def test_kernel_recorded_beyond_the_enumeration_cap():
+    # the hub graph at k = 20 has 2^20 maximum independent sets and the hub as its kernel;
+    # i0 = 0 and a low threshold record the kernel of the whole graph at step 1
+    g = hub_graph(20)
+    params = ProcessParams(epsilon=Fraction(1, 12), n=61, i0=0, target_size=58, threshold=Fraction(3))
+    trace = run_deletion_process(g, params, seed=1, initial_alpha=21)
+    assert trace.steps[0].kernel_size == 1
+    trace_invariants(trace, params)
 
 
 def test_edgeless_process_every_step_successful():

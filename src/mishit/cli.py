@@ -93,7 +93,7 @@ def cmd_shift(args) -> int:
             f"largest feasible: --k {SHIFT_EXACT_MAX_K}"
         )
     g, spec = families.build_shift_graph(args.k)
-    family = enumerate_mis(g, cap=args.cap)
+    family = enumerate_mis(g)
     a = family.alpha
     structural = families.shift_mis_family(spec)
     same_family = {s.bits for s in family.sets} == {s.bits for s in structural.sets}
@@ -115,7 +115,7 @@ def cmd_shift(args) -> int:
     }
     checks = [
         ("alpha equals k^2", a == args.k**2),
-        ("family complete with C(2k,k) members", family.complete and len(family) == math.comb(2 * args.k, args.k)),
+        ("family complete with C(2k,k) members", len(family) == math.comb(2 * args.k, args.k)),
         ("enumerated family equals partition family", same_family),
         ("h equals k+1", result.size == args.k + 1),
         ("cycle certificate has size k+1 and hits every set", len(cycle) == args.k + 1 and cycle_hits),
@@ -231,6 +231,8 @@ def cmd_hajnal_corpus(args) -> int:
 
 
 def cmd_alpha_prime(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     g = load_graph(args.graph)
     if args.mode == "mc":
         _require_seed(args)
@@ -370,9 +372,7 @@ def cmd_covering_code(args) -> int:
 
 def cmd_hitting_set(args) -> int:
     g = load_graph(args.graph)
-    family = enumerate_mis(g, cap=args.cap)
-    if not family.complete:
-        raise FamilyTooLargeError(f"more than {args.cap} maximum independent sets; use a structural family")
+    family = enumerate_mis(g)
     result = hitting.min_hitting_set(family)
     hits_all = all(not s.isdisjoint(result.set) for s in family.sets)
     report = {
@@ -417,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shift", help="shift-graph family: alpha, MIS family, exact h")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--cap", type=int, default=10**6)
     add_exports(p)
     add_common(p, csv_opt=True)
     p.set_defaults(func=cmd_shift)
@@ -467,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hitting-set", help="exact hitting number of a graph file")
     p.add_argument("--graph", required=True, metavar="FILE")
-    p.add_argument("--cap", type=int, default=10**6)
     add_common(p)
     p.set_defaults(func=cmd_hitting_set)
 

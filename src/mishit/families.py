@@ -112,7 +112,7 @@ def shift_mis_family(spec: ShiftSpec) -> MisFamily:
         shift_mis_from_partition(spec, s)
         for s in combinations(range(1, spec.ground_size + 1), spec.k)
     ]
-    return MisFamily(alpha=spec.k * spec.k, sets=tuple(sets), complete=True)
+    return MisFamily(alpha=spec.k * spec.k, sets=tuple(sets))
 
 
 def shift_cycle_hitting_set(spec: ShiftSpec) -> VertexSet:
@@ -224,4 +224,4 @@ def hamming_mis_family(spec: HammingSpec) -> MisFamily:
     if radius < 0:
         raise ValueError(f"m/2 - t = {radius} is negative")
     sets = tuple(hamming_ball(spec, c, radius) for c in range(spec.n))
-    return MisFamily(alpha=kleitman_alpha(spec), sets=sets, complete=True)
+    return MisFamily(alpha=kleitman_alpha(spec), sets=sets)

@@ -18,8 +18,9 @@ a graph cost the copy count times one copy rather than a product.  The
 kernel (intersection of all maximum independent sets) and corona (their
 union) are unions of the component kernels and coronas, each found by at
 most one further clique search per vertex, never by enumeration.  The MIS
-enumeration still searches the whole graph, since its callers need the full
-family in one order.
+family of a union is the product of the component families, so enumeration
+lists each component's sets once and ORs one from each; a family of more
+than ``DEFAULT_MIS_CAP`` sets is refused before the product is built.
 """
 
 from __future__ import annotations
@@ -27,16 +28,17 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
 
 MAX_VERTICES = 4096
-DEFAULT_MIS_CAP = 10**6
+DEFAULT_MIS_CAP = 10**6  # most sets enumerate_mis will list; guards memory against input graphs
 
 
 class FamilyTooLargeError(RuntimeError):
-    """The maximum-independent-set family exceeded its enumeration cap."""
+    """The maximum-independent-set family has more than ``DEFAULT_MIS_CAP`` members."""
 
 
 @dataclass(frozen=True)
@@ -94,14 +96,12 @@ class VertexSet:
 class MisFamily:
     """A family of maximum independent sets, all of size ``alpha``.
 
-    ``complete`` asserts the family contains *every* maximum independent set
-    of the source graph; enumeration sets it False when a cap truncated the
-    search.
+    Enumeration and the structural builders return every maximum independent
+    set of the source graph, never a part of them.
     """
 
     alpha: int
     sets: tuple[VertexSet, ...]
-    complete: bool
 
     def __post_init__(self):
         seen = set()
@@ -434,27 +434,29 @@ def alpha_induced(g: Graph, within: VertexSet | int) -> int:
     return size
 
 
-def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> MisFamily:
-    """All maximum independent sets of ``g``, up to ``cap`` of them.
+def enumerate_mis(g: Graph) -> MisFamily:
+    """Every maximum independent set of ``g``, sorted by member tuple so equal
+    families compare equal.
 
-    If more than ``cap`` exist, the first ``cap`` in search order are kept and
-    the family is marked incomplete.  The returned sets are sorted by member
-    tuple so equal families compare equal.
+    Each connected component's sets are listed once and the family is their
+    product: one set from each component, ORed, since the parts are disjoint.
+    Raises FamilyTooLargeError once the product of the component counts
+    exceeds ``DEFAULT_MIS_CAP``, before the product is built.
     """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    full = (1 << g.n) - 1
-    rows, verts = _relabel(g.complement_rows(), full)
-    a, _ = _max_clique(rows, full)
-    masks = []
-    complete = True
-    for mask in _iter_max_cliques(rows, full, a):
-        if len(masks) == cap:
-            complete = False
-            break
-        masks.append(_map_back(mask, verts))
+    size = 0
+    masks = [0]
+    for rows, verts, comp_size, _ in _component_solves(g, (1 << g.n) - 1):
+        # one set past the remaining headroom is enough to tell the cap is passed
+        cliques = _iter_max_cliques(rows, (1 << len(verts)) - 1, comp_size)
+        found = [_map_back(mask, verts) for mask in islice(cliques, DEFAULT_MIS_CAP // len(masks) + 1)]
+        if len(masks) * len(found) > DEFAULT_MIS_CAP:
+            raise FamilyTooLargeError(
+                f"more than {DEFAULT_MIS_CAP} maximum independent sets; use a structural family"
+            )
+        masks = [m | c for m in masks for c in found]
+        size += comp_size
     sets = sorted((VertexSet(g.n, m) for m in masks), key=VertexSet.members)
-    return MisFamily(alpha=a, sets=tuple(sets), complete=complete)
+    return MisFamily(alpha=size, sets=tuple(sets))
 
 
 def induced_subgraph(g: Graph, w: VertexSet) -> tuple[Graph, tuple[int, ...]]:

@@ -38,8 +38,6 @@ import numpy as np
 
 from .families import HammingSpec
 from .graph import (
-    DEFAULT_MIS_CAP,
-    FamilyTooLargeError,
     Graph,
     MisFamily,
     VertexSet,
@@ -149,9 +147,7 @@ def min_hitting_set(family) -> HittingResult:
 
     ``family`` is a MisFamily or a sequence of VertexSets over one universe.
     Ties among optima are broken toward the lexicographically least vertex
-    tuple.  If the family is an incomplete enumeration, the result is still a
-    minimum transversal of the given members, hence only a lower-bound
-    certificate for the hitting number of the source graph.
+    tuple.
     """
     masks, n = _family_masks(family)
     full = (1 << n) - 1
@@ -162,14 +158,10 @@ def min_hitting_set(family) -> HittingResult:
     return HittingResult(set=VertexSet(n, best), size=opt_size, optimal=True)
 
 
-def h_of_graph(g: Graph, cap: int = DEFAULT_MIS_CAP) -> HittingResult:
-    """Hitting number of ``g``: minimum transversal of all maximum independent sets."""
-    family = enumerate_mis(g, cap=cap)
-    if not family.complete:
-        raise FamilyTooLargeError(
-            f"more than {cap} maximum independent sets; use a structural family"
-        )
-    return min_hitting_set(family)
+def h_of_graph(g: Graph) -> HittingResult:
+    """Hitting number of ``g``: minimum transversal of all maximum independent
+    sets.  Raises FamilyTooLargeError where ``enumerate_mis`` refuses."""
+    return min_hitting_set(enumerate_mis(g))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ import pytest
 
 import mishit.cli
 import mishit.hitting
+import mishit.process
 from conftest import cycle_graph, disjoint_union
 from mishit.cli import main
 from mishit.families import build_shift_graph
-from mishit.graph import save_graph
+from mishit.graph import Graph, save_graph
 from mishit.hitting import read_code
 
 
@@ -147,6 +148,15 @@ def test_alpha_prime_exact(g2_file, capsys):
 
 def test_alpha_prime_mc_requires_seed(g2_file, capsys):
     assert "--seed" in _assert_one_line_error(capsys, ["alpha-prime", "--graph", g2_file, "--mode", "mc"])
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_alpha_prime_rejects_samples_below_one(g2_file, capsys, monkeypatch, value):
+    # refused before the graph is loaded or any sample drawn
+    monkeypatch.setattr(mishit.cli, "load_graph", None)
+    monkeypatch.setattr(mishit.process, "alpha_prime_mc", None)
+    argv = ["alpha-prime", "--graph", g2_file, "--mode", "mc", "--samples", value, "--seed", "1"]
+    assert "--samples" in _assert_one_line_error(capsys, argv)
 
 
 def test_process_report_and_artifacts(g2_file, tmp_path):
@@ -316,6 +326,14 @@ def _assert_one_line_error(capsys, argv):
     assert err.startswith("mishit: error: ")
     assert "Traceback" not in err
     return err
+
+
+def test_hitting_set_above_the_cap_is_a_one_line_error(tmp_path, capsys):
+    # 13 disjoint triangles have 3^13 > 10^6 maximum independent sets
+    path = tmp_path / "triangles.json"
+    save_graph(disjoint_union(*[Graph.complete(3)] * 13), path)
+    err = _assert_one_line_error(capsys, ["hitting-set", "--graph", str(path)])
+    assert err == "mishit: error: more than 1000000 maximum independent sets; use a structural family\n"
 
 
 def test_out_of_range_edge_is_a_one_line_error(tmp_path, capsys):

@@ -3,20 +3,24 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from conftest import disjoint_union, oracle_alpha, oracle_mis_masks
 from mishit.graph import (
+    FamilyTooLargeError,
     Graph,
     VertexSet,
     _components,
     alpha,
     alpha_induced,
+    enumerate_mis,
     induced_subgraph,
     is_independent,
     maximum_independent_set,
     random_graph,
 )
 from mishit.hajnal import kernel_corona
+from mishit.hitting import h_of_graph
 
 
 def scrambled_unions(count: int, seed: int):
@@ -93,6 +97,50 @@ def test_alpha_and_witness_on_unions():
         assert is_independent(g, witness) and len(witness) == a
         if g.n <= 14:
             assert a == oracle_alpha(g)
+
+
+def test_enumeration_on_unions():
+    for g, labelled in scrambled_unions(30, seed=96):
+        family = enumerate_mis(g)
+        by_members = sorted(oracle_union_family(labelled), key=lambda m: VertexSet(g.n, m).members())
+        assert [s.bits for s in family.sets] == by_members
+        assert family.alpha == sum(oracle_alpha(part) for part, _ in labelled)
+
+
+def test_union_above_the_cap_is_refused():
+    # 3^13 = 1,594,323 maximum independent sets, refused before any product is built
+    triangles = disjoint_union(*[Graph.complete(3)] * 13)
+    with pytest.raises(FamilyTooLargeError, match="more than 1000000 maximum independent sets"):
+        enumerate_mis(triangles)
+    with pytest.raises(FamilyTooLargeError):
+        h_of_graph(triangles)
+
+
+def _oracle_h(g: Graph) -> int:
+    """Size of a smallest vertex set meeting every maximum independent set, by brute force."""
+    masks = oracle_mis_masks(g)
+    for size in range(1, g.n + 1):
+        for chosen in itertools.combinations(range(g.n), size):
+            bits = sum(1 << v for v in chosen)
+            if all(m & bits for m in masks):
+                return size
+
+
+def test_h_of_union_is_the_least_h_of_its_parts():
+    # a set misses some product set iff it misses one set in every part, so h(G + H) = min(h(G), h(H))
+    rng = np.random.default_rng(97)
+    checked = 0
+    while checked < 20:
+        parts = [
+            random_graph(int(rng.integers(2, 6)), float(rng.uniform(0.3, 0.9)), rng)
+            for _ in range(int(rng.integers(2, 4)))
+        ]
+        if any(part.degree(v) == 0 for part in parts for v in range(part.n)):
+            continue
+        union = disjoint_union(*parts)
+        assert union.n <= 14
+        assert h_of_graph(union).size == min(_oracle_h(part) for part in parts)
+        checked += 1
 
 
 def test_kernel_and_corona_on_unions():

@@ -1,9 +1,10 @@
-"""Edge paths: degenerate graphs, beyond-scan-range codes, incomplete families."""
+"""Edge paths: degenerate graphs, beyond-scan-range codes, families above the cap."""
 
 import json
 
 import pytest
 
+import mishit.graph
 from mishit.cli import main
 from mishit.families import HammingSpec
 from mishit.graph import Graph, MisFamily, VertexSet, enumerate_mis, save_graph
@@ -28,19 +29,23 @@ def test_min_hitting_set_accepts_mis_family():
     assert r.size == 4
 
 
-def test_incomplete_family_still_solved():
-    # truncated family: the result is a minimum transversal of what is given
-    family = enumerate_mis(Graph.complete(5), cap=3)
-    assert not family.complete
-    r = min_hitting_set(family)
-    assert r.size == 3
-    assert r.optimal  # optimal for the given members
+def test_family_above_the_cap_is_refused(tmp_path, capsys, monkeypatch):
+    # K_5 has five maximum independent sets; above a cap of 3 the command refuses, never truncates
+    monkeypatch.setattr(mishit.graph, "DEFAULT_MIS_CAP", 3)
+    path = tmp_path / "k5.json"
+    save_graph(Graph.complete(5), path)
+    with pytest.raises(SystemExit) as exc:
+        main(["hitting-set", "--graph", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "mishit: error: more than 3 maximum independent sets; use a structural family\n"
 
 
 def test_duplicate_members_rejected_by_family_type():
     s = VertexSet.from_members(3, [0])
     with pytest.raises(ValueError):
-        MisFamily(alpha=1, sets=(s, s), complete=True)
+        MisFamily(alpha=1, sets=(s, s))
 
 
 def test_kernel_corona_of_empty_restriction():

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+import mishit.graph
 from conftest import cycle_graph, oracle_alpha, oracle_mis_masks, seeded_graphs
 from mishit.graph import (
+    FamilyTooLargeError,
     Graph,
     VertexSet,
     alpha,
@@ -113,7 +115,6 @@ def test_alpha_matches_brute_force_n14():
 def test_enumeration_matches_brute_force():
     for g in seeded_graphs(25, seed=13, n_hi=10):
         family = enumerate_mis(g)
-        assert family.complete
         assert sorted(s.bits for s in family.sets) == oracle_mis_masks(g)
         assert list(family.sets) == sorted(family.sets, key=VertexSet.members)
 
@@ -121,7 +122,6 @@ def test_enumeration_matches_brute_force():
 def test_enumerate_triangle():
     family = enumerate_mis(Graph.complete(3))
     assert family.alpha == 1
-    assert family.complete
     assert [s.members() for s in family.sets] == [(0,), (1,), (2,)]
 
 
@@ -131,14 +131,13 @@ def test_enumerate_edgeless_single_set():
     assert family.sets[0].members() == tuple(range(6))
 
 
-def test_enumerate_cap():
-    family = enumerate_mis(Graph.complete(5), cap=2)
-    assert not family.complete
-    assert len(family) == 2
-    again = enumerate_mis(Graph.complete(5), cap=2)
-    assert [s.bits for s in family.sets] == [s.bits for s in again.sets]
-    with pytest.raises(ValueError):
-        enumerate_mis(Graph.empty(1), cap=0)
+def test_enumerate_cap(monkeypatch):
+    # K_5 has five maximum independent sets: listed at a cap of 5, refused (not truncated) at 3
+    monkeypatch.setattr(mishit.graph, "DEFAULT_MIS_CAP", 5)
+    assert len(enumerate_mis(Graph.complete(5))) == 5
+    monkeypatch.setattr(mishit.graph, "DEFAULT_MIS_CAP", 3)
+    with pytest.raises(FamilyTooLargeError, match="more than 3 maximum independent sets"):
+        enumerate_mis(Graph.complete(5))
 
 
 def test_removing_vertex_changes_alpha_by_at_most_one():

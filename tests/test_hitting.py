@@ -5,11 +5,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import mishit.graph
 from mishit.families import HammingSpec, build_hamming_graph, build_shift_graph, hamming_mis_family, shift_mis_family
-from mishit.graph import Graph, VertexSet
+from mishit.graph import FamilyTooLargeError, Graph, VertexSet
 from mishit.hitting import (
     CoveringCode,
-    FamilyTooLargeError,
     InfeasibleFamilyError,
     RandomCodeOutcome,
     build_hadamard_covering_code,
@@ -100,9 +100,10 @@ def test_h_of_graph_basics():
     assert h_of_graph(g2).size == 3
 
 
-def test_h_of_graph_cap_overflow():
+def test_h_of_graph_cap_overflow(monkeypatch):
+    monkeypatch.setattr(mishit.graph, "DEFAULT_MIS_CAP", 3)
     with pytest.raises(FamilyTooLargeError):
-        h_of_graph(Graph.complete(6), cap=3)
+        h_of_graph(Graph.complete(5))
 
 
 def test_hitting_result_json_schema():

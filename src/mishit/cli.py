@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import families, hajnal, hitting, process
-from .graph import FamilyTooLargeError, alpha, enumerate_mis, is_independent, load_graph, save_graph
+from .graph import MAX_VERTICES, FamilyTooLargeError, alpha, enumerate_mis, is_independent, load_graph, save_graph
 
 
 def _write_family_json(path: str, family) -> None:
@@ -199,8 +199,8 @@ def cmd_hajnal_corpus(args) -> int:
         raise ValueError(f"--max-n must be between 0 and {hajnal.EXHAUSTIVE_MAX_N}, got {args.max_n}")
     if args.random < 0:
         raise ValueError(f"--random must be at least 0, got {args.random}")
-    if args.n_max < 1:
-        raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
+    if not 1 <= args.n_max <= MAX_VERTICES:  # a larger n would cost O(n^2) edge draws before Graph refuses it
+        raise ValueError(f"--n-max must be between 1 and {MAX_VERTICES}, got {args.n_max}")
     if args.random > 0:
         _require_seed(args)
     exhaustive = hajnal.exhaustive_corpus_check(args.max_n)
@@ -271,6 +271,8 @@ def cmd_process(args) -> int:
         raise ValueError(f"--traces must be at least 1, got {args.traces}")
     epsilon = _parse_epsilon(args.epsilon) if args.epsilon else None
     g = load_graph(args.graph)
+    if g.n < 1:
+        raise ValueError("the deletion process is undefined on the empty graph")
     a = alpha(g)  # for eps; run_deletion_traces solves alpha(g) once more, for all its traces
     if epsilon is None:
         epsilon = Fraction(a, g.n) - Fraction(1, 4)

@@ -3,10 +3,12 @@ enumeration.
 
 A graph is stored as one Python-int adjacency row per vertex, so neighbourhood
 algebra (independence tests, candidate pruning, kernel intersections) is plain
-integer bit twiddling.  alpha(G) is computed as a maximum clique of the
-complement by branch and bound with greedy-colouring upper bounds; the same
-search, with the bound relaxed from "can beat the incumbent" to "can still
-reach alpha", visits every maximum independent set exactly once.
+integer bit twiddling.  One clique search on the complement answers every
+question: a branch and bound with greedy-colouring upper bounds that yields
+each leaf clique reaching a floor the caller may raise.  alpha(G) raises the
+floor past each clique found; enumeration holds it at alpha and so visits
+every maximum independent set exactly once; a yes/no question takes the
+first clique at its floor, if any.
 
 Vertex order inside the solver is descending complement-degree with ties by
 index, which makes both the witness and the enumeration order reproducible.
@@ -17,7 +19,7 @@ the witness the union of the component witnesses, so many disjoint copies of
 a graph cost the copy count times one copy rather than a product.  The
 kernel (intersection of all maximum independent sets) and corona (their
 union) are unions of the component kernels and coronas, each found by at
-most one further clique search per vertex, never by enumeration.  The MIS
+most one further decision search per vertex, never by enumeration.  The MIS
 family of a union is the product of the component families, so enumeration
 lists each component's sets once and ORs one from each; a family of more
 than ``DEFAULT_MIS_CAP`` sets is refused before the product is built.
@@ -275,53 +277,41 @@ def _color_order(P: int, rows: tuple[int, ...]) -> list[tuple[int, int]]:
     return order
 
 
-def _max_clique(rows: tuple[int, ...], start: int) -> tuple[int, int]:
-    """Largest clique (size, mask) of the graph ``rows`` restricted to ``start``."""
-    best_size = 0
-    best_mask = 0
-    _ensure_recursion(start.bit_count())
+def _cliques(rows: tuple[int, ...], start: int, floor: list[int]) -> Iterator[int]:
+    """Yield each leaf clique mask within ``start`` of at least ``floor[0]`` vertices.
 
-    def expand(rsize: int, rmask: int, P: int) -> None:
-        nonlocal best_size, best_mask
-        if not P:
-            if rsize > best_size:
-                best_size, best_mask = rsize, rmask
-            return
-        order = _color_order(P, rows)
-        for v, colour in reversed(order):
-            if rsize + colour <= best_size:
-                return
-            bit = 1 << v
-            expand(rsize + 1, rmask | bit, P & rows[v])
-            P &= ~bit
-
-    expand(0, 0, start)
-    return best_size, best_mask
-
-
-def _iter_max_cliques(rows: tuple[int, ...], start: int, target: int) -> Iterator[int]:
-    """Yield every clique mask of size ``target`` within ``start``, each once.
-
-    ``target`` must be the clique number of the restriction, so the pruning
-    rule "cannot reach target" never discards a maximum clique.
+    The colouring-bounded branch and bound of Tomita & Seki (MCQ, 2003): a
+    branch is cut once its colour bound falls below the floor, so no branch
+    holding a clique of the floor's size is cut.  ``floor`` is a one-element
+    list read at every cut, so the caller may raise it between yields.  Held
+    at the clique number of the restriction, it makes the search yield every
+    maximum clique exactly once; ``next`` at any floor asks whether a clique
+    of that size exists.
     """
     _ensure_recursion(start.bit_count())
 
     def rec(rsize: int, rmask: int, P: int) -> Iterator[int]:
-        if rsize == target:
-            yield rmask
-            return
         if not P:
+            if rsize >= floor[0]:
+                yield rmask
             return
-        order = _color_order(P, rows)
-        for v, colour in reversed(order):
-            if rsize + colour < target:
+        for v, colour in reversed(_color_order(P, rows)):
+            if rsize + colour < floor[0]:
                 return
             bit = 1 << v
             yield from rec(rsize + 1, rmask | bit, P & rows[v])
             P &= ~bit
 
     return rec(0, 0, start)
+
+
+def _max_clique(rows: tuple[int, ...], start: int) -> tuple[int, int]:
+    """Largest clique (size, mask) of the graph ``rows`` restricted to ``start``."""
+    floor = [1]
+    best = 0
+    for best in _cliques(rows, start, floor):
+        floor[0] = best.bit_count() + 1  # only a larger clique is worth finding
+    return floor[0] - 1, best
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +376,11 @@ def _solve_kernel_corona(g: Graph, within_bits: int) -> tuple[int, int, int]:
     Per component, the witness W starts both the kernel candidates K and the
     found corona R, and every maximum independent set met on the way is
     intersected into K and united into R.  Each vertex v is then settled by
-    at most one search: while v is in K, a clique of size alpha avoiding v is
-    such a set, and its absence puts v in the kernel; while v is outside R, a
-    clique of size alpha - 1 among the complement neighbours of v plus v is
-    such a set, and its absence puts v outside the corona.
+    at most one decision search, which stops at its first hit: while v is in
+    K, a clique of size alpha avoiding v is such a set, and its absence puts
+    v in the kernel; while v is outside R, a clique of size alpha - 1 among
+    the complement neighbours of v plus v is such a set, and its absence puts
+    v outside the corona.
     """
     size = kernel = corona = 0
     for rows, verts, comp_size, witness in _component_solves(g, within_bits):
@@ -398,15 +389,14 @@ def _solve_kernel_corona(g: Graph, within_bits: int) -> tuple[int, int, int]:
         for v in range(len(verts)):
             bit = 1 << v
             if ker & bit:
-                found, mask = _max_clique(rows, full & ~bit)
+                found = next(_cliques(rows, full & ~bit, [comp_size]), None)
             elif not cor & bit:
-                found, mask = _max_clique(rows, rows[v])
-                found, mask = found + 1, mask | bit
+                found = next((mask | bit for mask in _cliques(rows, rows[v], [comp_size - 1])), None)
             else:
                 continue
-            if found == comp_size:
-                ker &= mask
-                cor |= mask
+            if found is not None:
+                ker &= found
+                cor |= found
         size += comp_size
         kernel |= _map_back(ker, verts)
         corona |= _map_back(cor, verts)
@@ -447,7 +437,7 @@ def enumerate_mis(g: Graph) -> MisFamily:
     masks = [0]
     for rows, verts, comp_size, _ in _component_solves(g, (1 << g.n) - 1):
         # one set past the remaining headroom is enough to tell the cap is passed
-        cliques = _iter_max_cliques(rows, (1 << len(verts)) - 1, comp_size)
+        cliques = _cliques(rows, (1 << len(verts)) - 1, [comp_size])
         found = [_map_back(mask, verts) for mask in islice(cliques, DEFAULT_MIS_CAP // len(masks) + 1)]
         if len(masks) * len(found) > DEFAULT_MIS_CAP:
             raise FamilyTooLargeError(

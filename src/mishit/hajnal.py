@@ -7,9 +7,10 @@ independent set.
 
 Both are settled per connected component by clique searches, never by
 enumerating the family: v is in the kernel iff alpha(G - v) < alpha(G), and
-in the corona iff 1 + alpha(G - N[v]) = alpha(G).  Every maximum independent
-set a search turns up narrows the kernel and widens the corona, so each
-vertex costs at most one search (``graph._solve_kernel_corona``).  The
+in the corona iff 1 + alpha(G - N[v]) = alpha(G).  Each of these is a
+decision search that stops at the first maximum independent set it meets,
+and every such set narrows the kernel and widens the corona, so each vertex
+costs at most one search (``graph._solve_kernel_corona``).  The
 theorem itself is checked empirically on two corpora: seeded random graphs
 up to 14 vertices through the exact solver, and every graph on up to 7
 vertices by direct edge-mask enumeration.  The latter is one sweep per n

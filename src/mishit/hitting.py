@@ -41,6 +41,7 @@ from .graph import (
     Graph,
     MisFamily,
     VertexSet,
+    _ensure_recursion,
     _iter_bits,
     enumerate_mis,
 )
@@ -150,6 +151,7 @@ def min_hitting_set(family) -> HittingResult:
     tuple.
     """
     masks, n = _family_masks(family)
+    _ensure_recursion(n)  # _feasible recurses once per budget unit, and no budget exceeds n
     full = (1 << n) - 1
     opt_size = _pack_lower_bound(masks)
     while not _feasible(masks, full, opt_size):

@@ -6,12 +6,13 @@ import json
 import pytest
 
 import mishit.cli
+import mishit.hajnal
 import mishit.hitting
 import mishit.process
 from conftest import cycle_graph, disjoint_union
 from mishit.cli import main
 from mishit.families import build_shift_graph
-from mishit.graph import Graph, save_graph
+from mishit.graph import MAX_VERTICES, Graph, save_graph
 from mishit.hitting import read_code
 
 
@@ -363,6 +364,13 @@ def test_missing_graph_file_is_a_one_line_error(tmp_path, capsys):
     _assert_one_line_error(capsys, ["alpha-prime", "--graph", str(tmp_path / "absent.json")])
 
 
+@pytest.mark.parametrize("argv", [["process", "--seed", "1"], ["alpha-prime"]], ids=["process", "alpha-prime"])
+def test_empty_graph_is_a_one_line_error(tmp_path, capsys, argv):
+    path = tmp_path / "empty.json"
+    path.write_text('{"n": 0, "edges": []}')
+    _assert_one_line_error(capsys, [*argv, "--graph", str(path)])
+
+
 def test_single_sample_verdict_is_a_one_line_error(g2_file, capsys):
     _assert_one_line_error(
         capsys, ["alpha-prime", "--graph", g2_file, "--mode", "mc", "--samples", "1", "--seed", "1"]
@@ -375,6 +383,9 @@ def test_single_sample_verdict_is_a_one_line_error(g2_file, capsys):
     ("--random", ["--random", "-5", "--seed", "1"]),
     ("--n-max", ["--random", "2", "--n-max", "0", "--seed", "1"]),
     ("--n-max", ["--random", "2", "--n-max", "-3", "--seed", "1"]),
-], ids=["max-n-negative", "max-n-above-7", "random-negative", "n-max-zero", "n-max-negative"])
-def test_hajnal_corpus_bad_flag_is_a_one_line_error(capsys, flag, argv):
+    ("--n-max", ["--random", "3", "--n-max", str(MAX_VERTICES + 1), "--seed", "1"]),
+], ids=["max-n-negative", "max-n-above-7", "random-negative", "n-max-zero", "n-max-negative",
+        "n-max-above-vertex-cap"])
+def test_hajnal_corpus_bad_flag_is_a_one_line_error(capsys, monkeypatch, flag, argv):
+    monkeypatch.setattr(mishit.hajnal, "random_corpus_check", None)  # refused before any graph is drawn
     assert flag in _assert_one_line_error(capsys, ["hajnal-corpus", *argv])

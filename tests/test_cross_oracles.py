@@ -4,10 +4,12 @@ import tracemalloc
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 import mishit.hitting
 from mishit.families import HammingSpec
-from mishit.graph import VertexSet, alpha
+from mishit.graph import VertexSet, alpha, enumerate_mis, maximum_independent_set, random_graph
+from mishit.hajnal import kernel_corona
 from mishit.hitting import CoveringCode, build_hadamard_covering_code, covering_radius, min_hitting_set
 from conftest import cycle_graph
 
@@ -117,3 +119,32 @@ def test_petersen_alpha():
     from mishit.graph import Graph
 
     assert alpha(Graph.from_edges(10, edges)) == 4
+
+
+def test_clique_search_against_networkx_on_graphs_beyond_brute_force():
+    # the maximum independent sets of G are the largest maximal cliques of its
+    # complement, which networkx lists by Bron-Kerbosch, a different search
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(6174)
+    checked = 0
+    while checked < 12:
+        n = int(rng.integers(25, 46))
+        g = random_graph(n, float(rng.uniform(0.12, 0.4)), rng)
+        ng = nx.Graph(g.edges())
+        ng.add_nodes_from(range(n))
+        if not nx.is_connected(ng):
+            continue
+        cliques = [sum(1 << v for v in c) for c in nx.find_cliques(nx.complement(ng))]
+        a = max(c.bit_count() for c in cliques)
+        maximum = sorted(c for c in cliques if c.bit_count() == a)
+        assert alpha(g) == a
+        assert maximum_independent_set(g).bits in maximum
+        family = enumerate_mis(g)
+        assert sorted(s.bits for s in family.sets) == maximum
+        kernel, corona = (1 << n) - 1, 0
+        for c in maximum:
+            kernel &= c
+            corona |= c
+        report = kernel_corona(g)
+        assert (report.alpha, report.kernel.bits, report.corona.bits) == (a, kernel, corona)
+        checked += 1

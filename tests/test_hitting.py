@@ -1,5 +1,8 @@
 """Hitting-set solver, covering-code scan, and the bound constructions."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -66,6 +69,25 @@ def test_infeasible_on_empty_member():
         min_hitting_set([vs(3, [0]), vs(3, [])])
     with pytest.raises(ValueError):
         min_hitting_set([])
+
+
+def test_transversal_deeper_than_the_starting_recursion_limit():
+    # min_hitting_set must raise the limit for its own depth, whatever solve ran
+    # before it.  The limit is process-wide, so a fresh interpreter starts low;
+    # 100 stands in for the default 1000, which only a family of about a
+    # thousand sets would pass, and those take minutes to refine.
+    script = (
+        "import sys\n"
+        "from mishit.graph import VertexSet\n"
+        "from mishit.hitting import min_hitting_set\n"
+        "sys.setrecursionlimit(100)\n"
+        "r = min_hitting_set([VertexSet(200, 1 << i) for i in range(200)])\n"
+        "print(r.size, r.set.bits == (1 << 200) - 1)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "200 True\n"
 
 
 def test_universe_mismatch_rejected():

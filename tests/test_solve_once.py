@@ -49,22 +49,24 @@ def test_enumerate_mis_runs_one_clique_search(counted):
     assert calls["_max_clique"] == 1
 
 
-# alpha and the MIS enumeration take one search per copy.  The kernel and
-# corona add at most one per vertex, and the sets those searches find settle
-# most vertices of a copy of G_2 unsearched: three more per copy, where a
-# kernel search and a corona search for every vertex would make
-# 4 + 4 * 2 * 12 = 100.
+# alpha solves each copy by one max-clique search, and every other question
+# starts from that solve.  The MIS enumeration adds one search per copy.  The
+# kernel and corona add at most one decision search per vertex, and the sets
+# those searches find settle most vertices of a copy of G_2 unsearched: three
+# more per copy, where a kernel search and a corona search for every vertex
+# would make 4 + 4 * 2 * 12 = 100.
 @pytest.mark.parametrize(
     "solve, searches",
-    [(alpha, 4), (kernel_corona, 16), (enumerate_mis, 4)],
+    [(alpha, 4), (kernel_corona, 16), (enumerate_mis, 8)],
     ids=["alpha", "kernel_corona", "enumerate_mis"],
 )
 def test_disjoint_copies_run_one_clique_search_each(counted, solve, searches):
     calls, count = counted
     count(mishit.graph, "_max_clique")
+    count(mishit.graph, "_cliques")
     g2 = build_shift_graph(2)[0]
     solve(disjoint_union(g2, g2, g2, g2))
-    assert calls["_max_clique"] == searches
+    assert calls == {"_max_clique": 4, "_cliques": searches}
 
 
 def test_hitting_set_command_enumerates_once(counted, g2_file):

@@ -225,12 +225,6 @@ def _validate_rows(n: int, rows: tuple[int, ...]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _ensure_recursion(n: int) -> None:
-    need = 4 * n + 200
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
-
-
 def _relabel(rows: tuple[int, ...], start: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Restrict ``rows`` to ``start`` and relabel by descending degree, ties by index.
 
@@ -288,7 +282,11 @@ def _cliques(rows: tuple[int, ...], start: int, floor: list[int]) -> Iterator[in
     maximum clique exactly once; ``next`` at any floor asks whether a clique
     of that size exists.
     """
-    _ensure_recursion(start.bit_count())
+    # rec nests one level per clique member plus the leaf, so the depth is at
+    # most the clique number plus one; the limit is process-wide
+    need = 4 * start.bit_count() + 200
+    if sys.getrecursionlimit() < need:
+        sys.setrecursionlimit(need)
 
     def rec(rsize: int, rmask: int, P: int) -> Iterator[int]:
         if not P:

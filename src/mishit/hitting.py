@@ -1,12 +1,10 @@
 """Minimum hitting sets over MIS families, and the covering-code view.
 
-The exact solver treats hitting as set cover over the dual incidence
-structure, with one search routine: a depth-first decision search ("is there
-a transversal of size <= b?") that always branches on an unhit set with the
-fewest candidate hitters and prunes with a greedy disjoint-set packing as the
-lower bound.  The optimum size is the least budget, counted up from that
-packing bound, for which the search succeeds; a lexicographic refinement pass
-then rebuilds the least optimal set member by member with the same search, so
+The exact solver is one depth-first search over vertex tuples in increasing
+order: ``_least_transversal`` returns the lexicographically least transversal
+within a budget, pruning with a greedy disjoint packing of the unhit sets as
+the lower bound.  The optimum is the least budget, counted up from 1, at
+which it finds one, and the set it finds is then the least optimal one, so
 results are reproducible across runs and platforms.
 
 For the Hamming family, hitting all radius-(m/2 - t) balls is the same as
@@ -37,14 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .families import HammingSpec
-from .graph import (
-    Graph,
-    MisFamily,
-    VertexSet,
-    _ensure_recursion,
-    _iter_bits,
-    enumerate_mis,
-)
+from .graph import Graph, MisFamily, VertexSet, enumerate_mis
 
 SCAN_MAX_M = 28
 CHUNK_BITS = 20  # low bits per chunk of the word space: 1 MiB of uint8 distances
@@ -58,8 +49,8 @@ class InfeasibleFamilyError(ValueError):
 class HittingResult:
     """A minimum transversal with its certificate.
 
-    ``optimal`` means the decision search refuted every smaller budget for
-    the *given* family.
+    ``optimal`` means the search found no transversal within any smaller
+    budget for the *given* family.
     """
 
     set: VertexSet
@@ -90,57 +81,42 @@ def _family_masks(family) -> tuple[list[int], int]:
     return masks, n
 
 
-def _pack_lower_bound(masks: list[int]) -> int:
-    used = 0
-    count = 0
-    for m in masks:
-        if not m & used:
-            used |= m
-            count += 1
-    return count
+def _least_transversal(masks: list[int], budget: int) -> int | None:
+    """The lexicographically least transversal of at most ``budget`` vertices,
+    or None.
 
-
-def _feasible(unhit: list[int], allowed: int, budget: int) -> bool:
-    """Is there a transversal of the unhit sets within ``allowed`` of size <= budget?"""
-    if not unhit:
-        return True
-    if budget <= 0 or _pack_lower_bound(unhit) > budget:
-        return False
-    branch = min(unhit, key=lambda s: (s & allowed).bit_count())
-    candidates = branch & allowed
-    if not candidates:
-        return False
-    for v in _iter_bits(candidates):
-        bit = 1 << v
-        if _feasible([s for s in unhit if not s & bit], allowed, budget - 1):
-            return True
-    return False
-
-
-def _lex_min_optimal(masks: list[int], n: int, opt_size: int) -> int:
-    """The lexicographically least transversal of the certified optimum size."""
-    full = (1 << n) - 1
-    chosen = 0
-    unhit = masks
-    lo = 0
-    for slot in range(opt_size):
-        rest_budget = opt_size - slot - 1
-        for v in range(lo, n):
-            bit = 1 << v
-            remaining = [s for s in unhit if not s & bit]
-            if len(remaining) == len(unhit):
-                continue  # hits nothing new: cannot belong to a minimum set
-            allowed = full & ~((bit << 1) - 1)  # strictly above v
-            if _feasible(remaining, allowed, rest_budget):
-                chosen |= bit
-                unhit = remaining
-                lo = v + 1
-                break
-        else:
-            raise AssertionError("lexicographic refinement could not extend an optimal prefix")
-    if unhit:
-        raise AssertionError("refined set is not a transversal")
-    return chosen
+    Only transversals in which each vertex hits a set the earlier ones missed
+    are searched; every minimum transversal is one, since each member has a
+    set it alone hits.  A stack entry is a chosen prefix, the vertex just
+    added, the sets unhit before it and the budget left.  Children are
+    pushed in reverse, so the first transversal popped is the least.
+    """
+    stack = [(0, 0, masks, 0, budget)]
+    while stack:
+        chosen, bit, parent, lo, left = stack.pop()
+        # members below lo can no longer be chosen
+        unhit = sorted((s >> lo << lo for s in parent if not s & bit), key=int.bit_count)
+        if not unhit:
+            return chosen
+        if not unhit[0]:  # a set with no member left sorts first
+            continue
+        used = count = 0
+        for s in unhit:  # a greedy disjoint packing needs one vertex per set
+            if not s & used:
+                used |= s
+                count += 1
+        if count > left:
+            continue
+        # the next vertex hits some unhit set and is at most every set's largest member
+        cand = 0
+        for s in unhit:
+            cand |= s
+        cand &= (1 << min(s.bit_length() for s in unhit)) - 1
+        while cand:
+            v = cand.bit_length() - 1
+            cand ^= 1 << v
+            stack.append((chosen | 1 << v, 1 << v, unhit, v + 1, left - 1))
+    return None
 
 
 def min_hitting_set(family) -> HittingResult:
@@ -151,13 +127,10 @@ def min_hitting_set(family) -> HittingResult:
     tuple.
     """
     masks, n = _family_masks(family)
-    _ensure_recursion(n)  # _feasible recurses once per budget unit, and no budget exceeds n
-    full = (1 << n) - 1
-    opt_size = _pack_lower_bound(masks)
-    while not _feasible(masks, full, opt_size):
-        opt_size += 1
-    best = _lex_min_optimal(masks, n, opt_size)
-    return HittingResult(set=VertexSet(n, best), size=opt_size, optimal=True)
+    size = 1
+    while (best := _least_transversal(masks, size)) is None:
+        size += 1
+    return HittingResult(set=VertexSet(n, best), size=size, optimal=True)
 
 
 def h_of_graph(g: Graph) -> HittingResult:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import mishit.hitting
-from mishit.families import HammingSpec
+from mishit.families import HammingSpec, build_shift_graph, hamming_mis_family, shift_mis_family
 from mishit.graph import VertexSet, alpha, enumerate_mis, maximum_independent_set, random_graph
 from mishit.hajnal import kernel_corona
 from mishit.hitting import CoveringCode, build_hadamard_covering_code, covering_radius, min_hitting_set
@@ -27,21 +27,68 @@ def brute_min_hitting_sets(masks, n):
     raise AssertionError("unhittable family")
 
 
-def test_hitting_solver_against_subset_scan():
-    rng = np.random.default_rng(90210)
-    for _ in range(150):
-        n = int(rng.integers(3, 11))
-        count = int(rng.integers(1, 8))
+def random_families(seed, count):
+    """``count`` seeded families (n, masks): n from 3 to 12, 1 to 12 nonempty sets."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 13))
         masks = []
-        for _ in range(count):
-            size = int(rng.integers(1, n + 1))
-            members = rng.choice(n, size=size, replace=False)
+        for _ in range(int(rng.integers(1, 13))):
+            members = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
             masks.append(sum(1 << int(v) for v in members))
-        family = [VertexSet(n, m) for m in masks]
-        result = min_hitting_set(family)
+        yield n, masks
+
+
+def test_hitting_solver_against_subset_scan():
+    for n, masks in random_families(90210, 150):
+        result = min_hitting_set([VertexSet(n, m) for m in masks])
         opt, all_optima = brute_min_hitting_sets(masks, n)
         assert result.size == opt
         assert result.set.members() == min(all_optima)  # lexicographically least
+
+
+STRUCTURED = [("shift", 2), ("shift", 3), ("shift", 4), ("hamming", 6)]
+
+
+def structured_family(kind, size):
+    """The shift family for k = size, or the Hamming family for m = size, t = 1."""
+    if kind == "shift":
+        return shift_mis_family(build_shift_graph(size)[1]).sets
+    return hamming_mis_family(HammingSpec(size, 1)).sets
+
+
+def test_hitting_set_does_not_depend_on_family_order():
+    # the packing bound looks at the sets in the order given; the optimum and
+    # its lexicographically least representative must not
+    rng = np.random.default_rng(1729)
+    families = [structured_family(*spec) for spec in STRUCTURED]
+    families += [[VertexSet(n, m) for m in masks] for n, masks in random_families(31337, 100)]
+    for sets in families:
+        expected = min_hitting_set(sets)
+        for _ in range(3):
+            shuffled = [sets[i] for i in rng.permutation(len(sets))]
+            assert min_hitting_set(shuffled) == expected
+
+
+def milp_min_transversal_size(masks, n):
+    """The least transversal size as a 0/1 integer program solved by HiGHS."""
+    optimize = pytest.importorskip("scipy.optimize")
+    incidence = np.array([[m >> v & 1 for v in range(n)] for m in masks])
+    res = optimize.milp(np.ones(n), integrality=np.ones(n), bounds=optimize.Bounds(0, 1),
+                        constraints=optimize.LinearConstraint(incidence, lb=1))
+    assert res.success, res.message
+    return round(res.fun)
+
+
+@pytest.mark.parametrize("kind,size", STRUCTURED)
+def test_hitting_number_against_milp_on_structured_families(kind, size):
+    sets = structured_family(kind, size)
+    assert min_hitting_set(sets).size == milp_min_transversal_size([s.bits for s in sets], sets[0].n)
+
+
+def test_hitting_number_against_milp_on_random_families():
+    for n, masks in random_families(31337, 100):
+        assert min_hitting_set([VertexSet(n, m) for m in masks]).size == milp_min_transversal_size(masks, n)
 
 
 def brute_scan(words, m, target):

@@ -72,22 +72,24 @@ def test_infeasible_on_empty_member():
 
 
 def test_transversal_deeper_than_the_starting_recursion_limit():
-    # min_hitting_set must raise the limit for its own depth, whatever solve ran
-    # before it.  The limit is process-wide, so a fresh interpreter starts low;
-    # 100 stands in for the default 1000, which only a family of about a
-    # thousand sets would pass, and those take minutes to refine.
+    # 1200 disjoint singletons force a 1200-vertex transversal, one vertex per
+    # step; the search keeps its own stack, so it neither needs nor raises the
+    # process-wide recursion limit, and it finds the forced set without
+    # re-searching it slot by slot.  The limit starts at 100 in a fresh
+    # interpreter, so a solver that recursed once per chosen vertex would
+    # overflow it or have to raise it.
     script = (
         "import sys\n"
         "from mishit.graph import VertexSet\n"
         "from mishit.hitting import min_hitting_set\n"
         "sys.setrecursionlimit(100)\n"
-        "r = min_hitting_set([VertexSet(200, 1 << i) for i in range(200)])\n"
-        "print(r.size, r.set.bits == (1 << 200) - 1)\n"
+        "r = min_hitting_set([VertexSet(1200, 1 << i) for i in range(1200)])\n"
+        "print(r.size, r.set.bits == (1 << 1200) - 1, sys.getrecursionlimit())\n"
     )
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "200 True\n"
+    assert done.stdout == "1200 True 100\n"
 
 
 def test_universe_mismatch_rejected():

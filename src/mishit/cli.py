@@ -477,6 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except (ValueError, OSError, FamilyTooLargeError) as exc:
         print(f"mishit: error: {exc}", file=sys.stderr)

@@ -8,7 +8,8 @@ question: a branch and bound with greedy-colouring upper bounds that yields
 each leaf clique reaching a floor the caller may raise.  alpha(G) raises the
 floor past each clique found; enumeration holds it at alpha and so visits
 every maximum independent set exactly once; a yes/no question takes the
-first clique at its floor, if any.
+first clique at its floor, if any.  The search walks its own stack: nothing
+in the package recurses or touches the interpreter's recursion limit.
 
 Vertex order inside the solver is descending complement-degree with ties by
 index, which makes both the witness and the enumeration order reproducible.
@@ -28,7 +29,6 @@ than ``DEFAULT_MIS_CAP`` sets is refused before the product is built.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator
@@ -280,27 +280,26 @@ def _cliques(rows: tuple[int, ...], start: int, floor: list[int]) -> Iterator[in
     list read at every cut, so the caller may raise it between yields.  Held
     at the clique number of the restriction, it makes the search yield every
     maximum clique exactly once; ``next`` at any floor asks whether a clique
-    of that size exists.
+    of that size exists.  An explicit stack holds one frame per clique
+    member, so no depth of search touches the interpreter's recursion limit.
     """
-    # rec nests one level per clique member plus the leaf, so the depth is at
-    # most the clique number plus one; the limit is process-wide
-    need = 4 * start.bit_count() + 200
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
-
-    def rec(rsize: int, rmask: int, P: int) -> Iterator[int]:
-        if not P:
-            if rsize >= floor[0]:
-                yield rmask
-            return
-        for v, colour in reversed(_color_order(P, rows)):
-            if rsize + colour < floor[0]:
-                return
-            bit = 1 << v
-            yield from rec(rsize + 1, rmask | bit, P & rows[v])
-            P &= ~bit
-
-    return rec(0, 0, start)
+    if not start and floor[0] <= 0:
+        yield 0
+    # frame: [clique mask, candidates left, their (vertex, colour) pairs, highest colour last]
+    stack = [[0, start, _color_order(start, rows)]]
+    while stack:
+        clique, cands, order = frame = stack[-1]
+        if not order or len(stack) - 1 + order[-1][1] < floor[0]:  # clique size + colour bound
+            stack.pop()
+            continue
+        v = order.pop()[0]
+        bit = 1 << v
+        frame[1] = cands ^ bit  # v's branch covers every clique through v
+        P = cands & rows[v]
+        if P:
+            stack.append([clique | bit, P, _color_order(P, rows)])
+        elif len(stack) >= floor[0]:  # the leaf clique has len(stack) members
+            yield clique | bit
 
 
 def _max_clique(rows: tuple[int, ...], start: int) -> tuple[int, int]:

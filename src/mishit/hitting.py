@@ -378,7 +378,7 @@ def build_random_covering_code(
     return RandomCodeOutcome(code=None, verified=False, trials_used=trials)
 
 
-def min_covering_code_search(m: int, radius: int, max_size: int | None = None) -> CoveringCode:
+def min_covering_code_search(m: int, radius: int) -> CoveringCode:
     """Smallest code of covering radius <= ``radius`` by direct subset search.
 
     Independent of the hitting-set solver: enumerates candidate codes in
@@ -397,15 +397,14 @@ def min_covering_code_search(m: int, radius: int, max_size: int | None = None) -
         packed = np.packbits(near, bitorder="little").tobytes()
         balls.append(int.from_bytes(packed, "little"))
     full = (1 << size_space) - 1
-    limit = max_size if max_size is not None else size_space
-    for size in range(1, limit + 1):
+    # the whole space covers at radius 0, so the search stops by size 2^m
+    for size in range(1, size_space + 1):
         for combo in combinations(range(size_space), size):
             cover = 0
             for c in combo:
                 cover |= balls[c]
             if cover == full:
                 return CoveringCode(m=m, words=combo, target_radius=radius)
-    raise ValueError(f"no covering code of radius {radius} within size {limit}")
 
 
 # ---------------------------------------------------------------------------

@@ -19,5 +19,5 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> 
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     chunk = max(1, len(items) // (8 * workers))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:  # forks all up front
         return list(pool.map(fn, items, chunksize=chunk))

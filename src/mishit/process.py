@@ -229,10 +229,10 @@ def run_deletion_process(g: Graph, params: ProcessParams, seed, initial_alpha: i
     rng = np.random.default_rng(seed)
     current = (1 << g.n) - 1
     cur_alpha = initial_alpha
+    vertices = list(range(g.n))  # the vertices of ``current``, ascending
     steps = []
     for i in range(1, g.n - params.target_size + 1):
-        vertices = VertexSet(g.n, current).members()
-        victim = vertices[int(rng.integers(0, len(vertices)))]
+        victim = vertices.pop(int(rng.integers(0, len(vertices))))
         kernel_size = None
         if i > params.i0 and cur_alpha >= params.threshold:
             kernel_size = len(kernel_corona(g, within=VertexSet(g.n, current)).kernel)

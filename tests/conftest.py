@@ -7,6 +7,10 @@ checked pair by pair against the adjacency rows, and alpha by scanning all
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 
 from mishit.graph import Graph, random_graph
@@ -68,3 +72,12 @@ def hub_graph(k: int) -> Graph:
     one of b_i, c_i from each triangle."""
     edges = [(3 * i + u, 3 * i + v) for i in range(k) for u, v in ((0, 1), (1, 2), (0, 2))]
     return Graph.from_edges(3 * k + 1, edges + [(3 * k, 3 * i) for i in range(k)])
+
+
+def run_fresh_python(script: str) -> str:
+    """stdout of ``script`` run in a fresh interpreter that imports this
+    suite's ``mishit``; fails the test on a nonzero exit."""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr
+    return done.stdout

@@ -195,6 +195,20 @@ def test_process_rejects_unparsable_epsilon(g2_file, capsys, monkeypatch, epsilo
     assert "--epsilon" in _assert_one_line_error(capsys, argv)
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command", ["process", "alpha-prime", "hajnal-corpus"])
+def test_workers_below_one_rejected(g2_file, capsys, monkeypatch, command, value):
+    # refused before any graph is loaded or built
+    monkeypatch.setattr(mishit.cli, "load_graph", None)
+    monkeypatch.setattr(mishit.hajnal, "exhaustive_corpus_check", None)
+    argv = {
+        "process": ["process", "--graph", g2_file, "--traces", "5"],
+        "alpha-prime": ["alpha-prime", "--graph", g2_file, "--mode", "mc", "--samples", "600"],
+        "hajnal-corpus": ["hajnal-corpus", "--max-n", "3", "--random", "5"],
+    }[command]
+    assert "--workers" in _assert_one_line_error(capsys, argv + ["--seed", "1", "--workers", value])
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_process_artifact_bytes(g2_file, tmp_path, workers):
     csv_out, jsonl, out = tmp_path / "t.csv", tmp_path / "t.jsonl", tmp_path / "r.json"

@@ -1,15 +1,18 @@
 """Graph core: representation invariants, exact alpha, MIS enumeration, IO."""
 
+import hashlib
 import json
+from itertools import islice
 
 import pytest
 
 import mishit.graph
-from conftest import cycle_graph, oracle_alpha, oracle_mis_masks, seeded_graphs
+from conftest import cycle_graph, oracle_alpha, oracle_mis_masks, run_fresh_python, seeded_graphs
 from mishit.graph import (
     FamilyTooLargeError,
     Graph,
     VertexSet,
+    _cliques,
     alpha,
     alpha_induced,
     enumerate_mis,
@@ -138,6 +141,39 @@ def test_enumerate_cap(monkeypatch):
     monkeypatch.setattr(mishit.graph, "DEFAULT_MIS_CAP", 3)
     with pytest.raises(FamilyTooLargeError, match="more than 3 maximum independent sets"):
         enumerate_mis(Graph.complete(5))
+
+
+def test_witnesses_and_clique_order_are_pinned():
+    # sha256 over the witnesses and the first 64 cliques the search yields at
+    # floors 0-4, as the recursive search produced them: witness and
+    # enumeration order are promised to be reproducible
+    digest = hashlib.sha256()
+    for g in seeded_graphs(300, seed=12, n_hi=16):
+        rows, full = g.complement_rows(), (1 << g.n) - 1
+        digest.update(repr(maximum_independent_set(g).bits).encode())
+        for floor in range(5):
+            digest.update(repr(list(islice(_cliques(rows, full, [floor]), 64))).encode())
+    assert digest.hexdigest() == "39808c789299ded2b19570d81fb37fa76cca5209b5f5c3a2e9843fff2e11040e"
+
+
+def test_empty_start_yields_the_empty_clique_only_at_floor_zero():
+    assert list(_cliques((0,), 0, [0])) == [0]
+    assert list(_cliques((0,), 0, [1])) == []
+
+
+def test_search_deeper_than_the_starting_recursion_limit():
+    # the 600-vertex star's complement holds a 599-clique, so every search on
+    # it goes 599 levels deep; the search keeps its own stack, so it runs
+    # under a limit of 100 and leaves that limit as it found it
+    script = (
+        "import sys\n"
+        "from mishit.graph import Graph, alpha, enumerate_mis\n"
+        "from mishit.hajnal import kernel_corona\n"
+        "sys.setrecursionlimit(100)\n"
+        "star = Graph.from_edges(600, [(0, v) for v in range(1, 600)])\n"
+        "print(alpha(star), len(enumerate_mis(star)), len(kernel_corona(star).kernel), sys.getrecursionlimit())\n"
+    )
+    assert run_fresh_python(script) == "599 1 599 100\n"
 
 
 def test_removing_vertex_changes_alpha_by_at_most_one():

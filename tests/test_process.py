@@ -2,13 +2,16 @@
 
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+import mishit.parallel
 import mishit.process
 from conftest import disjoint_union, hub_graph, oracle_is_independent, seeded_graphs
 from mishit.families import build_shift_graph
 from mishit.graph import Graph, alpha
+from mishit.parallel import parallel_map
 from mishit.process import (
     ProcessParams,
     ProcessStep,
@@ -110,6 +113,31 @@ def test_mc_deterministic_and_covers_exact():
     assert lo <= float(G2_ALPHA_PRIME) <= hi
     parallel = alpha_prime_mc(G2, samples=10_000, seed=31, workers=2)
     assert parallel == est
+
+
+def test_pool_no_larger_than_the_work(monkeypatch):
+    # a process pool forks all its workers up front, so it is sized to the items
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    fake_futures = SimpleNamespace(ProcessPoolExecutor=FakePool)
+    monkeypatch.setattr(mishit.parallel, "concurrent", SimpleNamespace(futures=fake_futures))
+    assert parallel_map(abs, [-1, -2, -3, -4, -5], workers=64) == [1, 2, 3, 4, 5]
+    assert parallel_map(abs, [-1, -2, -3], workers=2) == [1, 2, 3]
+    assert parallel_map(abs, [-7], workers=8) == [7]  # one item runs in-process
+    assert sizes == [5, 2]
 
 
 def test_mc_single_sample_has_no_stderr():

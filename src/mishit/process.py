@@ -4,11 +4,12 @@ sequential-deletion argument that bounds it.
 alpha'(G) is the expectation of alpha(G[W]) over a uniform random subset W
 (all 2^n subsets equally likely, i.e. an independent fair coin per vertex),
 divided by n.  Exact values come from a dynamic program over subsets,
-alpha(W) = max(alpha(W - v), 1 + alpha(W - N[v])) for the lowest vertex v of
-W, run once per connected component: alpha is additive over a disjoint
-union, so each component's subset sum enters 2^(n - n_c) times.  Components
-beyond 20 vertices are left to a seeded Monte Carlo estimator that reports a
-normal 95% confidence interval.
+alpha(W) = max(alpha(W - v), 1 + alpha(W - N[v])) for the highest vertex v of
+W, filled by doubling the table once per vertex and run once per connected
+component: alpha is additive over a disjoint union, so each component's
+subset sum enters 2^(n - n_c) times.  Components beyond 20 vertices are left
+to a seeded Monte Carlo estimator that reports a normal 95% confidence
+interval.
 
 The deletion process removes uniform random vertices one at a time from V
 down to a target size.  With alpha(G) = (1/4 + eps)n, a step is successful
@@ -21,6 +22,15 @@ theta.  That mechanism yields the bound alpha'(G) <= 1/4 + eps - eps^2/3,
 whose finite-n surrogate this module evaluates and reports.  The observed
 successes on those steps are tested against that rate by the exact lower
 binomial tail.
+
+A trace keeps the live connected components of the current graph, each with
+its alpha, a maximum independent set W (its witness) and, once asked for,
+its kernel size.  Removing v touches only the component C that holds it.
+If v is outside W, nothing is solved: W lies in C - v, so alpha(C - v) =
+|W|, and each piece P of C - v inherits W & P, maximum in P because the
+piece alphas sum to |W|.  Only when v is in W are the pieces solved afresh.
+The kernel of the current graph is the union of the component kernels, so a
+monitored step solves the kernel only of components that have none yet.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import Graph, VertexSet, _components, alpha, alpha_induced, induced_subgraph
+from .graph import Graph, VertexSet, _components, _iter_bits, _solve_witness, alpha_induced, induced_subgraph
 from .hajnal import kernel_corona
 from .parallel import parallel_map
 
@@ -84,15 +94,17 @@ def alpha_prime_exact(g: Graph) -> AlphaPrimeEstimate:
 
 
 def _subset_alpha_sum(g: Graph) -> int:
-    """Sum of alpha(G[W]) over all 2^n subsets W, by the subset DP."""
-    n = g.n
-    closed = [g.adj[v] | (1 << v) for v in range(n)]
-    table = np.zeros(1 << n, dtype=np.uint8)
-    for w in range(1, 1 << n):
-        v = (w & -w).bit_length() - 1
-        skip = table[w & (w - 1)]
-        take = 1 + table[w & ~closed[v]]
-        table[w] = take if take > skip else skip
+    """Sum of alpha(G[W]) over all 2^n subsets W, by the subset DP.
+
+    The table doubles once per vertex k: a set W with highest vertex k has
+    alpha(W) = max(alpha(W - k), 1 + alpha(W - N[k])), and both sets lie
+    among the 2^k already filled, so each doubling is a few numpy operations.
+    """
+    table = np.zeros(1 << g.n, dtype=np.uint8)
+    low = np.arange(1 << g.n >> 1)  # the sets W - k, as indices
+    for k in range(g.n):
+        filled = table[: 1 << k]
+        np.maximum(filled, 1 + filled[low[: 1 << k] & ~g.adj[k]], out=table[1 << k : 2 << k])
     return int(table.sum(dtype=np.int64))
 
 
@@ -216,28 +228,64 @@ class ProcessTrace:
         return sum(1 for s in self.steps if lo < s.i <= hi and s.successful)
 
 
-def run_deletion_process(g: Graph, params: ProcessParams, seed, initial_alpha: int) -> ProcessTrace:
+def _starting_components(g: Graph) -> tuple[tuple[int, int, int], ...]:
+    """(component mask, alpha, witness mask) for each connected component of ``g``."""
+    return tuple((comp, *_solve_witness(g, comp)) for comp in _components(g, (1 << g.n) - 1))
+
+
+def run_deletion_process(
+    g: Graph, params: ProcessParams, seed, components: tuple[tuple[int, int, int], ...]
+) -> ProcessTrace:
     """Remove uniform random vertices down to the target size, tracking alpha.
 
-    ``initial_alpha`` is alpha(g), solved once by the caller for all traces.
-    For every monitored step whose predecessor graph still has alpha >=
-    threshold, the kernel size of that predecessor is recorded so the
-    Hajnal-based fraction argument can be checked on the trace.
+    ``components`` holds (mask, alpha, witness) for every connected
+    component of ``g``, solved once by the caller for all traces.  The trace
+    keeps the live components of the current graph by mask, and removing v
+    splits only the component C that held it.  If v lies outside C's
+    witness W, each piece P of C - v inherits W & P: W survives the removal,
+    so the piece alphas, each at least |W & P|, sum to at most alpha(C) = |W|
+    and each is exactly |W & P|.  Otherwise each piece is solved.  For every
+    monitored step whose predecessor graph still has alpha >= threshold, the
+    kernel size of that predecessor, the sum over its components, is
+    recorded so the Hajnal-based fraction argument can be checked on the
+    trace; a component's kernel is solved the first time a step needs it.
+    Pieces are strict subsets of their component, so no mask recurs within a
+    trace, and nothing is kept past it.
     """
     if params.n != g.n:
         raise ValueError(f"params built for n={params.n}, graph has n={g.n}")
     rng = np.random.default_rng(seed)
-    current = (1 << g.n) - 1
-    cur_alpha = initial_alpha
-    vertices = list(range(g.n))  # the vertices of ``current``, ascending
+    live = {}  # component mask -> [alpha, witness mask, kernel size or None]
+    owner = [0] * g.n  # vertex -> mask of the live component holding it
+    for comp, comp_alpha, witness in components:
+        live[comp] = [comp_alpha, witness, None]
+        for v in _iter_bits(comp):
+            owner[v] = comp
+    initial_alpha = cur_alpha = sum(entry[0] for entry in live.values())
+    vertices = list(range(g.n))  # the vertices of the current graph, ascending
     steps = []
     for i in range(1, g.n - params.target_size + 1):
         victim = vertices.pop(int(rng.integers(0, len(vertices))))
         kernel_size = None
         if i > params.i0 and cur_alpha >= params.threshold:
-            kernel_size = len(kernel_corona(g, within=VertexSet(g.n, current)).kernel)
-        current &= ~(1 << victim)
-        new_alpha = alpha_induced(g, current)
+            kernel_size = 0
+            for comp, entry in live.items():
+                if entry[2] is None:
+                    entry[2] = len(kernel_corona(g, within=VertexSet(g.n, comp)).kernel)
+                kernel_size += entry[2]
+        comp = owner[victim]
+        comp_alpha, witness, _ = live.pop(comp)
+        new_alpha = cur_alpha - comp_alpha
+        for piece in _components(g, comp & ~(1 << victim)):
+            if witness >> victim & 1:
+                piece_alpha, piece_witness = _solve_witness(g, piece)
+            else:
+                piece_witness = witness & piece
+                piece_alpha = piece_witness.bit_count()
+            live[piece] = [piece_alpha, piece_witness, None]
+            new_alpha += piece_alpha
+            for v in _iter_bits(piece):
+                owner[v] = piece
         successful = cur_alpha < params.threshold or new_alpha < cur_alpha
         steps.append(
             ProcessStep(
@@ -253,8 +301,8 @@ def run_deletion_process(g: Graph, params: ProcessParams, seed, initial_alpha: i
 
 
 def _trace_unit(args) -> ProcessTrace:
-    g, params, seed, index, initial_alpha = args
-    return run_deletion_process(g, params, [seed, index], initial_alpha)
+    g, params, seed, index, components = args
+    return run_deletion_process(g, params, [seed, index], components)
 
 
 def run_deletion_traces(
@@ -262,11 +310,12 @@ def run_deletion_traces(
 ) -> list[ProcessTrace]:
     """``count`` independent traces; trace j is seeded (seed, j).
 
-    Every trace starts from the same graph, so alpha(g) is solved once here
-    and travels with each work unit.
+    Every trace starts from the same graph, so each of its connected
+    components is solved once here, for alpha and a witness, and the
+    solutions travel with each work unit; no trace re-solves the start.
     """
-    initial_alpha = alpha(g)
-    units = [(g, params, seed, j, initial_alpha) for j in range(count)]
+    components = _starting_components(g)
+    units = [(g, params, seed, j, components) for j in range(count)]
     return parallel_map(_trace_unit, units, workers)
 
 

@@ -4,18 +4,22 @@ import json
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import mishit.parallel
 import mishit.process
 from conftest import disjoint_union, hub_graph, oracle_is_independent, seeded_graphs
 from mishit.families import build_shift_graph
-from mishit.graph import Graph, alpha
+from mishit.graph import Graph, VertexSet, _components, alpha, alpha_induced, random_graph
+from mishit.hajnal import kernel_corona
 from mishit.parallel import parallel_map
 from mishit.process import (
     ProcessParams,
     ProcessStep,
     ProcessTrace,
+    _starting_components,
+    _subset_alpha_sum,
     alpha_prime_bound,
     alpha_prime_exact,
     alpha_prime_mc,
@@ -100,6 +104,33 @@ def test_linearity_under_disjoint_union():
 def test_alpha_prime_at_most_alpha_over_n():
     for g in seeded_graphs(15, seed=78, n_lo=1, n_hi=10):
         assert alpha_prime_exact(g).mean <= Fraction(alpha(g), g.n)
+
+
+def brute_subset_alpha_sum(g):
+    """Sum over every subset W of the largest independent set inside W."""
+    independent = [m for m in range(1 << g.n) if oracle_is_independent(g, m)]
+    return sum(max(m.bit_count() for m in independent if m & ~w == 0) for w in range(1 << g.n))
+
+
+def loop_subset_alpha_sum(g):
+    """The subset DP one set at a time, branching on the lowest vertex."""
+    closed = [g.adj[v] | (1 << v) for v in range(g.n)]
+    table = [0] * (1 << g.n)
+    for w in range(1, 1 << g.n):
+        v = (w & -w).bit_length() - 1
+        table[w] = max(table[w & (w - 1)], 1 + table[w & ~closed[v]])
+    return sum(table)
+
+
+def test_subset_dp_matches_brute_force():
+    graphs = [Graph.empty(0), Graph.empty(10), Graph.complete(10), *seeded_graphs(12, seed=79, n_hi=10)]
+    for g in graphs:
+        assert _subset_alpha_sum(g) == brute_subset_alpha_sum(g)
+
+
+def test_subset_dp_matches_the_lowest_vertex_loop():
+    for g in [G2, *seeded_graphs(20, seed=80, n_lo=8, n_hi=14)]:
+        assert _subset_alpha_sum(g) == loop_subset_alpha_sum(g)
 
 
 # --- monte carlo ------------------------------------------------------------
@@ -198,7 +229,7 @@ def test_kernel_recorded_beyond_the_enumeration_cap():
     # i0 = 0 and a low threshold record the kernel of the whole graph at step 1
     g = hub_graph(20)
     params = ProcessParams(epsilon=Fraction(1, 12), n=61, i0=0, target_size=58, threshold=Fraction(3))
-    trace = run_deletion_process(g, params, seed=1, initial_alpha=21)
+    trace = run_deletion_process(g, params, seed=1, components=_starting_components(g))
     assert trace.steps[0].kernel_size == 1
     trace_invariants(trace, params)
 
@@ -207,7 +238,7 @@ def test_edgeless_process_every_step_successful():
     n = 10
     g = Graph.empty(n)
     params = ProcessParams.for_graph(n, Fraction(1, 8))
-    trace = run_deletion_process(g, params, seed=3, initial_alpha=n)
+    trace = run_deletion_process(g, params, seed=3, components=_starting_components(g))
     assert len(trace.steps) == n - params.target_size
     assert all(s.successful for s in trace.steps)  # alpha drops every removal
     assert trace.final_alpha == params.target_size
@@ -285,7 +316,7 @@ def test_success_statistics_edgeless_window_always_full():
 
 def test_trace_jsonl_schema(tmp_path):
     params = ProcessParams.for_graph(12, Fraction(1, 12))
-    trace = run_deletion_process(G2, params, seed=8, initial_alpha=4)
+    trace = run_deletion_process(G2, params, seed=8, components=_starting_components(G2))
     path = tmp_path / "trace.jsonl"
     export_trace_jsonl(trace, path)
     lines = path.read_text().splitlines()
@@ -297,6 +328,92 @@ def test_trace_jsonl_schema(tmp_path):
         assert obj["alpha"] == step.alpha
         assert obj["success"] == step.successful
         assert ("kernel_size" in obj) == (step.kernel_size is not None)
+
+
+def rescan_trace(g, params, seed):
+    """The deletion process re-solved from scratch: alpha of the whole current
+    graph at every step, and its kernel at every monitored step."""
+    rng = np.random.default_rng(seed)
+    current = (1 << g.n) - 1
+    initial_alpha = cur_alpha = alpha_induced(g, current)
+    vertices = list(range(g.n))
+    steps = []
+    for i in range(1, g.n - params.target_size + 1):
+        victim = vertices.pop(int(rng.integers(0, len(vertices))))
+        kernel_size = None
+        if i > params.i0 and cur_alpha >= params.threshold:
+            kernel_size = len(kernel_corona(g, within=VertexSet(g.n, current)).kernel)
+        current &= ~(1 << victim)
+        new_alpha = alpha_induced(g, current)
+        successful = cur_alpha < params.threshold or new_alpha < cur_alpha
+        steps.append(ProcessStep(i, victim, new_alpha, successful, kernel_size))
+        cur_alpha = new_alpha
+    return ProcessTrace(params=params, seed=seed, initial_alpha=initial_alpha, steps=tuple(steps))
+
+
+def _watch_every_step(n):
+    """Removes every vertex and records the kernel before each removal."""
+    return ProcessParams(epsilon=Fraction(1, 12), n=n, i0=0, target_size=0, threshold=Fraction(0))
+
+
+PROCESS_GRAPHS = {
+    "sparse_gnp_a": random_graph(30, 0.06, 81),
+    "sparse_gnp_b": random_graph(24, 0.1, 82),
+    "sparse_gnp_c": random_graph(18, 0.15, 83),
+    "hub": hub_graph(6),
+    "edgeless": Graph.empty(10),
+    "complete": Graph.complete(8),
+    "star": Graph.from_edges(9, [(0, v) for v in range(1, 9)]),
+    "g2": G2,
+    "g2x2": disjoint_union(G2, G2),
+    "g2x4": disjoint_union(G2, G2, G2, G2),
+}
+
+
+@pytest.mark.parametrize("watch", [False, True], ids=["paper_window", "every_step"])
+@pytest.mark.parametrize("name", sorted(PROCESS_GRAPHS))
+def test_live_components_match_the_rescan(name, watch):
+    g = PROCESS_GRAPHS[name]
+    params = _watch_every_step(g.n) if watch else ProcessParams.for_graph(g.n, Fraction(1, 12))
+    traces = run_deletion_traces(g, params, 4, seed=9)
+    assert traces == [rescan_trace(g, params, [9, j]) for j in range(4)]
+
+
+def test_live_components_match_the_rescan_with_two_workers():
+    g = PROCESS_GRAPHS["g2x4"]
+    params = _watch_every_step(g.n)
+    expected = [rescan_trace(g, params, [4, j]) for j in range(3)]
+    assert run_deletion_traces(g, params, 3, seed=4, workers=1) == expected
+    assert run_deletion_traces(g, params, 3, seed=4, workers=2) == expected
+
+
+def test_a_step_solves_only_components_it_has_not_seen(monkeypatch):
+    g = disjoint_union(*[G2] * 32)
+    params = ProcessParams.for_graph(g.n, Fraction(1, 12))
+    start = _starting_components(g)
+    solved = []  # (entry point, mask) of every solve in the current trace
+    original_witness, original_kernel = mishit.process._solve_witness, mishit.process.kernel_corona
+
+    def witness(g, within_bits):
+        solved.append(("witness", within_bits))
+        return original_witness(g, within_bits)
+
+    def kernel(g, within):
+        solved.append(("kernel", within.bits))
+        return original_kernel(g, within=within)
+
+    monkeypatch.setattr(mishit.process, "_solve_witness", witness)
+    monkeypatch.setattr(mishit.process, "kernel_corona", kernel)
+    steps = witness_solves = 0
+    for j in range(10):
+        solved.clear()
+        trace = run_deletion_process(g, params, [3, j], start)
+        steps += len(trace.steps)
+        witness_solves += sum(name == "witness" for name, _ in solved)
+        assert all(_components(g, mask) == [mask] for _, mask in solved)  # one component each
+        assert len(set(solved)) == len(solved)  # and each at most once per trace
+    assert steps == 1920
+    assert witness_solves < steps
 
 
 # --- the bound --------------------------------------------------------------

@@ -12,7 +12,7 @@ import mishit.process
 from mishit.cli import main
 from mishit.families import build_shift_graph
 from conftest import disjoint_union
-from mishit.graph import alpha, enumerate_mis, save_graph
+from mishit.graph import _components, alpha, enumerate_mis, save_graph
 from mishit.hajnal import kernel_corona
 
 
@@ -114,21 +114,24 @@ def test_hajnal_corpus_sweeps_each_n_once(counted, tmp_path):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_process_solves_the_full_graph_once_for_all_traces(monkeypatch, g2_file, workers):
-    calls = {"mishit.process": 0, "mishit.cli": 0}
+def test_process_solves_the_full_graph_once_for_all_traces(counted, monkeypatch, tmp_path, workers):
+    calls, count = counted
+    count(mishit.cli, "alpha")
+    g2 = build_shift_graph(2)[0]
+    double = disjoint_union(g2, g2)
+    path = tmp_path / "g2x2.json"
+    save_graph(double, path)
+    solved = []  # masks handed to the process's witness solve in this process
+    original = mishit.process._solve_witness
 
-    def counting(module):
-        original = module.alpha
+    def recording(g, within_bits):
+        solved.append(within_bits)
+        return original(g, within_bits)
 
-        def wrapper(g):
-            calls[module.__name__] += 1
-            return original(g)
-
-        return wrapper
-
-    for module in (mishit.process, mishit.cli):
-        monkeypatch.setattr(module, "alpha", counting(module))
-    argv = ["process", "--graph", g2_file, "--traces", "7", "--seed", "3", "--workers", workers]
+    monkeypatch.setattr(mishit.process, "_solve_witness", recording)
+    argv = ["process", "--graph", str(path), "--traces", "7", "--seed", "3", "--workers", workers]
     assert main(argv) == 0
-    # one solve shared by every trace and one for eps in the CLI; worker processes solve none
-    assert calls == {"mishit.process": 1, "mishit.cli": 1}
+    # each starting component is solved once, in this process, for every trace;
+    # a trace solves only strict parts of a component
+    assert [solved.count(comp) for comp in _components(double, (1 << 24) - 1)] == [1, 1]
+    assert calls == {"alpha": 1}  # and alpha(G) once more for eps in the CLI

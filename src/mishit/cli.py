@@ -236,10 +236,16 @@ def cmd_alpha_prime(args) -> int:
     g = load_graph(args.graph)
     if args.mode == "mc":
         _require_seed(args)
-        estimate = process.alpha_prime_mc(g, args.samples, args.seed, workers=args.workers)
     else:
-        estimate = process.alpha_prime_exact(g)
+        estimate = process.alpha_prime_exact(g)  # refuses a component beyond the DP before alpha is solved
     a = alpha(g)
+    # the ceiling applies for alpha/n in (1/4, 1/2); n = 0 is refused by the estimators
+    ceiling_applies = g.n > 0 and 0 < Fraction(a, g.n) - Fraction(1, 4) < Fraction(1, 4)
+    if args.mode == "mc":
+        # a verdict needs the interval of two or more samples: refused before any is drawn
+        if args.samples == 1 and ceiling_applies:
+            raise ValueError("--samples must be at least 2 for a Monte Carlo verdict on the alpha' ceiling")
+        estimate = process.alpha_prime_mc(g, args.samples, args.seed, workers=args.workers)
     report = {
         "n": g.n,
         "alpha": a,
@@ -247,8 +253,7 @@ def cmd_alpha_prime(args) -> int:
         "estimate": estimate.to_json_dict(),
     }
     checks = [("alpha' at most alpha/n", float(estimate.mean) <= a / g.n + 1e-12)]
-    epsilon = Fraction(a, g.n) - Fraction(1, 4)
-    if 0 < epsilon < Fraction(1, 4):
+    if ceiling_applies:
         bound_report = process.verify_alpha_prime_bound(g.n, a, estimate)
         report["bound"] = bound_report.to_json_dict()
         report["bound_holds_at_this_n"] = bound_report.holds

@@ -9,7 +9,12 @@ W, filled by doubling the table once per vertex and run once per connected
 component: alpha is additive over a disjoint union, so each component's
 subset sum enters 2^(n - n_c) times.  Components beyond 20 vertices are left
 to a seeded Monte Carlo estimator that reports a normal 95% confidence
-interval.
+interval.  It uses the same additivity: the components whose tables fit
+together in the DP's own 2^20 cells answer each sample W by lookup at W's
+bits within them, and only the other components are searched per sample.
+Samples are drawn a block of 512 at a time, in one call that yields the same
+bits as drawing each sample's ceil(n/8) bytes on its own, so the estimate
+does not depend on how it is computed.
 
 The deletion process removes uniform random vertices one at a time from V
 down to a target size.  With alpha(G) = (1/4 + eps)n, a step is successful
@@ -89,12 +94,12 @@ def alpha_prime_exact(g: Graph) -> AlphaPrimeEstimate:
     for comp in comps:
         sub, _ = induced_subgraph(g, VertexSet(n, comp))
         # each of the 2^(n - n_c) choices outside the component repeats its subset sum
-        total += _subset_alpha_sum(sub) << (n - sub.n)
+        total += int(_subset_alpha_table(sub).sum(dtype=np.int64)) << (n - sub.n)
     return AlphaPrimeEstimate(mean=Fraction(total, (1 << n) * n), exact=True)
 
 
-def _subset_alpha_sum(g: Graph) -> int:
-    """Sum of alpha(G[W]) over all 2^n subsets W, by the subset DP.
+def _subset_alpha_table(g: Graph) -> np.ndarray:
+    """alpha(G[W]) for all 2^n subsets W, as a uint8 array indexed by the mask of W.
 
     The table doubles once per vertex k: a set W with highest vertex k has
     alpha(W) = max(alpha(W - k), 1 + alpha(W - N[k])), and both sets lie
@@ -105,36 +110,74 @@ def _subset_alpha_sum(g: Graph) -> int:
     for k in range(g.n):
         filled = table[: 1 << k]
         np.maximum(filled, 1 + filled[low[: 1 << k] & ~g.adj[k]], out=table[1 << k : 2 << k])
-    return int(table.sum(dtype=np.int64))
+    return table
+
+
+def _mc_tables(g: Graph) -> tuple[list[tuple[tuple[int, ...], np.ndarray]], int]:
+    """Split ``g`` into tabled components and the mask of the rest.
+
+    Components are taken smallest first, each with its vertex list and subset
+    table, while the tables hold at most 2^EXACT_MAX_N cells together, the
+    exact DP's own largest table; every other component goes into ``rest``.
+    """
+    tables = []
+    rest = 0
+    cells = 0
+    for comp in sorted(_components(g, (1 << g.n) - 1), key=int.bit_count):
+        cells += 1 << comp.bit_count()
+        if cells <= 1 << EXACT_MAX_N:
+            sub, verts = induced_subgraph(g, VertexSet(g.n, comp))
+            tables.append((verts, _subset_alpha_table(sub)))
+        else:
+            rest |= comp
+    return tables, rest
 
 
 def _mc_block(args) -> list[int]:
-    g, seed, block_index, count = args
+    """alpha(G[W]) for the ``count`` samples W of one block.
+
+    A sample is defined as ``rng.bytes(ceil(n/8))``, read little-endian and
+    cut to n bits, drawn once per sample.  ``Generator.bytes(b)`` draws
+    ceil(b/4) uint32 words and keeps their first b little-endian bytes, so
+    one draw of ``count`` rows of ceil(n/32) words yields the same bits in
+    the same order.  A sample's alpha is the sum over components: a table
+    lookup at its local index for each tabled component, and one search of
+    W & rest.
+    """
+    g, tables, rest, seed, block_index, count = args
     rng = np.random.default_rng([seed, block_index])
-    nbytes = (g.n + 7) // 8
-    mask = (1 << g.n) - 1
-    return [
-        alpha_induced(g, int.from_bytes(rng.bytes(nbytes), "little") & mask)
-        for _ in range(count)
-    ]
+    words = rng.integers(0, 1 << 32, size=(count, (g.n + 31) // 32), dtype=np.uint32)
+    raw = words.astype("<u4").view(np.uint8)
+    bits = np.unpackbits(raw, axis=1, count=g.n, bitorder="little")
+    values = np.zeros(count, dtype=np.int64)
+    for verts, table in tables:
+        index = bits[:, verts] @ (1 << np.arange(len(verts), dtype=np.int64))
+        values += table[index]
+    if rest:
+        for j, row in enumerate(raw):
+            values[j] += alpha_induced(g, int.from_bytes(row.tobytes(), "little") & rest)
+    return values.tolist()
 
 
 def alpha_prime_mc(g: Graph, samples: int, seed, workers: int = 1) -> AlphaPrimeEstimate:
     """Monte Carlo alpha'(G): independent fair coin per vertex, seeded.
 
     Sample j lives in block j // 512 whose generator is seeded (seed, block),
-    so results are identical for any worker count.
+    so results are identical for any worker count.  The components are split
+    once per call: those within the exact DP's table budget answer every
+    sample by lookup, and only the rest, if any, is searched per sample.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     if g.n < 1:
         raise ValueError("alpha' is undefined on the empty graph")
+    tables, rest = _mc_tables(g)
     blocks = []
     remaining = samples
     index = 0
     while remaining > 0:
         take = min(MC_BLOCK, remaining)
-        blocks.append((g, seed, index, take))
+        blocks.append((g, tables, rest, seed, index, take))
         remaining -= take
         index += 1
     values = [v for block in parallel_map(_mc_block, blocks, workers) for v in block]

@@ -385,10 +385,25 @@ def test_empty_graph_is_a_one_line_error(tmp_path, capsys, argv):
     _assert_one_line_error(capsys, [*argv, "--graph", str(path)])
 
 
-def test_single_sample_verdict_is_a_one_line_error(g2_file, capsys):
-    _assert_one_line_error(
-        capsys, ["alpha-prime", "--graph", g2_file, "--mode", "mc", "--samples", "1", "--seed", "1"]
-    )
+def test_single_sample_verdict_is_a_one_line_error(g2_file, capsys, monkeypatch):
+    # G_2 has alpha/n = 1/3, inside the ceiling's range: refused before any sample is drawn
+    monkeypatch.setattr(mishit.process, "alpha_prime_mc", None)
+    argv = ["alpha-prime", "--graph", g2_file, "--mode", "mc", "--samples", "1", "--seed", "1"]
+    assert "--samples" in _assert_one_line_error(capsys, argv)
+
+
+def test_exact_refuses_a_large_component_before_solving_alpha(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(mishit.cli, "alpha", None)
+    path = tmp_path / "path21.json"
+    save_graph(Graph.from_edges(21, [(i, i + 1) for i in range(20)]), path)
+    assert "at most 20 vertices" in _assert_one_line_error(capsys, ["alpha-prime", "--graph", str(path)])
+
+
+def test_single_sample_is_valid_outside_the_ceiling(tmp_path, capsys):
+    path = tmp_path / "edgeless.json"
+    save_graph(Graph.empty(6), path)  # alpha/n = 1, so no verdict is asked of the sample
+    assert main(["alpha-prime", "--graph", str(path), "--mode", "mc", "--samples", "1", "--seed", "1"]) == 0
+    assert "ceiling not applicable" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag, argv", [

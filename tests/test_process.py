@@ -1,6 +1,7 @@
 """alpha', the deletion process, and the averaged bound."""
 
 import json
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -9,17 +10,19 @@ import pytest
 
 import mishit.parallel
 import mishit.process
-from conftest import disjoint_union, hub_graph, oracle_is_independent, seeded_graphs
+from conftest import cycle_graph, disjoint_union, hub_graph, oracle_is_independent, seeded_graphs
 from mishit.families import build_shift_graph
 from mishit.graph import Graph, VertexSet, _components, alpha, alpha_induced, random_graph
 from mishit.hajnal import kernel_corona
 from mishit.parallel import parallel_map
 from mishit.process import (
+    AlphaPrimeEstimate,
     ProcessParams,
     ProcessStep,
     ProcessTrace,
+    _mc_tables,
     _starting_components,
-    _subset_alpha_sum,
+    _subset_alpha_table,
     alpha_prime_bound,
     alpha_prime_exact,
     alpha_prime_mc,
@@ -106,10 +109,10 @@ def test_alpha_prime_at_most_alpha_over_n():
         assert alpha_prime_exact(g).mean <= Fraction(alpha(g), g.n)
 
 
-def brute_subset_alpha_sum(g):
-    """Sum over every subset W of the largest independent set inside W."""
+def brute_subset_alpha_table(g):
+    """For every subset W, by mask, the largest independent set inside W."""
     independent = [m for m in range(1 << g.n) if oracle_is_independent(g, m)]
-    return sum(max(m.bit_count() for m in independent if m & ~w == 0) for w in range(1 << g.n))
+    return [max(m.bit_count() for m in independent if m & ~w == 0) for w in range(1 << g.n)]
 
 
 def loop_subset_alpha_sum(g):
@@ -122,15 +125,24 @@ def loop_subset_alpha_sum(g):
     return sum(table)
 
 
+SUBSET_DP_GRAPHS = [Graph.empty(0), Graph.empty(10), Graph.complete(10), *seeded_graphs(12, seed=79, n_hi=10)]
+
+
 def test_subset_dp_matches_brute_force():
-    graphs = [Graph.empty(0), Graph.empty(10), Graph.complete(10), *seeded_graphs(12, seed=79, n_hi=10)]
-    for g in graphs:
-        assert _subset_alpha_sum(g) == brute_subset_alpha_sum(g)
+    for g in SUBSET_DP_GRAPHS:
+        assert int(_subset_alpha_table(g).sum()) == sum(brute_subset_alpha_table(g))
+
+
+def test_subset_table_matches_brute_force_at_every_set():
+    for g in SUBSET_DP_GRAPHS:
+        table = _subset_alpha_table(g)
+        assert table.dtype == np.uint8 and len(table) == 1 << g.n
+        assert table.tolist() == brute_subset_alpha_table(g)
 
 
 def test_subset_dp_matches_the_lowest_vertex_loop():
     for g in [G2, *seeded_graphs(20, seed=80, n_lo=8, n_hi=14)]:
-        assert _subset_alpha_sum(g) == loop_subset_alpha_sum(g)
+        assert int(_subset_alpha_table(g).sum()) == loop_subset_alpha_sum(g)
 
 
 # --- monte carlo ------------------------------------------------------------
@@ -185,6 +197,85 @@ def test_mc_edgeless_near_half():
 def test_mc_rejects_bad_samples():
     with pytest.raises(ValueError):
         alpha_prime_mc(G2, samples=0, seed=1)
+
+
+def reference_alpha_prime_mc(g, samples, seed):
+    """The per-sample definition: block b's generator, seeded (seed, b), draws
+    each of its samples as ceil(n/8) bytes, read little-endian and cut to n
+    bits, and alpha(G[W]) is solved by search."""
+    values = []
+    for block in range(math.ceil(samples / 512)):
+        rng = np.random.default_rng([seed, block])
+        for _ in range(min(512, samples - 512 * block)):
+            w = int.from_bytes(rng.bytes((g.n + 7) // 8), "little") & ((1 << g.n) - 1)
+            values.append(alpha_induced(g, w))
+    arr = np.array(values, dtype=np.float64)
+    mean = float(arr.mean()) / g.n
+    if samples == 1:
+        return AlphaPrimeEstimate(mean=mean, exact=False, samples=1)
+    stderr = float(arr.std(ddof=1)) / math.sqrt(samples) / g.n
+    return AlphaPrimeEstimate(mean=mean, exact=False, samples=samples, stderr=stderr,
+                              ci95=(mean - 1.96 * stderr, mean + 1.96 * stderr))
+
+
+MC_GRAPHS = {
+    "g2": G2,
+    "g2x4": disjoint_union(G2, G2, G2, G2),
+    "g2+c8": disjoint_union(G2, cycle_graph(8)),
+    "edgeless10": Graph.empty(10),
+    "n1": Graph.empty(1),
+    "connected24": random_graph(24, 0.2, 3),  # one component beyond the tables
+    "two20+g2": disjoint_union(random_graph(20, 0.3, 2), random_graph(20, 0.3, 3), G2),
+    "n71": disjoint_union(G2, G2, G2, G2, cycle_graph(23)),  # three words per sample
+}
+
+
+@pytest.mark.parametrize("samples", [1, 511, 513, 1300])
+@pytest.mark.parametrize("name", list(MC_GRAPHS))
+def test_mc_equals_the_per_sample_definition(name, samples):
+    g = MC_GRAPHS[name]
+    assert alpha_prime_mc(g, samples, seed=17) == reference_alpha_prime_mc(g, samples, 17)
+
+
+def test_mc_equals_the_per_sample_definition_on_two_workers():
+    g = MC_GRAPHS["n71"]
+    assert alpha_prime_mc(g, 1300, seed=[3, 9], workers=2) == reference_alpha_prime_mc(g, 1300, [3, 9])
+
+
+def test_mc_tables_fill_smallest_components_first_within_the_budget():
+    assert len(_components(MC_GRAPHS["connected24"], (1 << 24) - 1)) == 1
+    tables, rest = _mc_tables(MC_GRAPHS["connected24"])
+    assert tables == [] and rest == (1 << 24) - 1
+    tables, rest = _mc_tables(MC_GRAPHS["two20+g2"])
+    assert [verts for verts, _ in tables] == [tuple(range(40, 52))]
+    assert rest == (1 << 40) - 1
+    tables, rest = _mc_tables(disjoint_union(random_graph(20, 0.3, 2), random_graph(20, 0.3, 3)))
+    assert [len(verts) for verts, _ in tables] == [20] and rest.bit_count() == 20
+
+
+@pytest.mark.parametrize("n", [1, 8, 31, 33, 70])
+def test_block_draw_equals_successive_bytes_draws(n):
+    # the Monte Carlo relies on this numpy behaviour to keep its samples; a change must fail here
+    count = 7
+    words = np.random.default_rng([5, 2]).integers(0, 1 << 32, size=(count, (n + 31) // 32), dtype=np.uint32)
+    rng = np.random.default_rng([5, 2])
+    for row in words:
+        assert row.astype("<u4").tobytes()[: (n + 7) // 8] == rng.bytes((n + 7) // 8)
+
+
+@pytest.mark.parametrize("g, searched", [(MC_GRAPHS["g2x4"], 0), (MC_GRAPHS["g2+c8"], 0), (cycle_graph(22), 300)],
+                         ids=["g2x4", "g2+c8", "cycle22"])
+def test_mc_searches_only_components_beyond_the_tables(monkeypatch, g, searched):
+    calls = []
+    original = mishit.process.alpha_induced
+
+    def counting(graph, within):
+        calls.append(within)
+        return original(graph, within)
+
+    monkeypatch.setattr(mishit.process, "alpha_induced", counting)
+    alpha_prime_mc(g, 300, seed=8)
+    assert len(calls) == searched
 
 
 # --- process ----------------------------------------------------------------

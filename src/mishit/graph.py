@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations, compress, islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -464,12 +464,13 @@ def induced_subgraph(g: Graph, w: VertexSet) -> tuple[Graph, tuple[int, ...]]:
 def random_graph(n: int, p: float, seed) -> Graph:
     """Erdos-Renyi G(n, p) from a numpy seed or Generator; deterministic."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    # one draw per pair (u, v), u < v, in lexicographic order: the doubles and
+    # the generator state after them are those of n(n-1)/2 scalar draws
+    coins = (rng.random(n * (n - 1) // 2) < p).tolist()
     rows = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
+    for u, v in compress(combinations(range(n), 2), coins):
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
     return Graph(n, rows, validate=False)
 
 

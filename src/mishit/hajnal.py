@@ -17,8 +17,9 @@ vertices by direct edge-mask enumeration.  The latter is one sweep per n
 over the vertex subsets by descending size, vectorised over all 2^C(n,2)
 graphs: a subset updates, in place, the graphs in which it is independent
 and whose alpha is unset or equal to its size.  The check keeps the per-n
-arrays, so the CSV export reuses that sweep and streams its lines to disk in
-blocks instead of building one row object per graph.
+arrays, so the CSV export reuses that sweep and writes its lines as
+fixed-width byte blocks, one width per id digit count, instead of
+formatting one line per graph.
 """
 
 from __future__ import annotations
@@ -91,10 +92,12 @@ def all_graphs_kernel_stats(n: int) -> dict[str, np.ndarray]:
         # the Ellipsis keeps a 0-d view when s spans every edge
         index = tuple(0 if s & both == both else slice(None) for both in reversed(edges)) + (Ellipsis,)
         a, ker, cor = (v[index] for v in views)
-        is_mis = a <= k  # every alpha already set is at least k
-        np.copyto(a, k, where=is_mis)
-        np.bitwise_and(ker, s, out=ker, where=is_mis)
-        np.bitwise_or(cor, s, out=cor, where=is_mis)
+        # 0xFF where s is a maximum independent set: every alpha already set
+        # is at least k, so a <= k means a is unset or k, and max sets it to k
+        m = np.negative((a <= k).view(np.uint8))
+        np.maximum(a, k, out=a)
+        ker &= ~m | s
+        cor |= m & s
     return {
         "alpha": alpha,
         "kernel_size": np.bitwise_count(kernel),
@@ -141,16 +144,28 @@ def exhaustive_corpus_rows(check: CorpusCheck) -> Iterator[str]:
     ``CSV_BLOCK_ROWS`` ``graph_id,n,alpha,kernel_size,corona_size`` lines.
 
     Lines end in ``\\r\\n`` and are unquoted, as ``csv.writer`` writes them.
-    Every field after the id is one digit (n <= 7), so a line is its id
-    followed by one of 512 suffixes indexed by (alpha, kernel, corona) size.
+    Every field after the id is one digit (n <= 7), so within one n the ids
+    with d decimal digits make lines of one width.  A block never spans two
+    widths: it is a (rows, width) byte array, a template line with ``0`` in
+    every digit column, to which each row adds its id digits and sizes.
     """
     for n, stats in enumerate(check.stats, start=1):
-        suffixes = [f",{n},{a},{k},{c}\r\n" for a in range(8) for k in range(8) for c in range(8)]
-        codes = stats["alpha"].astype(np.uint16) << 6 | stats["kernel_size"] << 3 | stats["corona_size"]
-        line = f"n{n}:mask{{}}{{}}".format
-        for lo in range(0, codes.shape[0], CSV_BLOCK_ROWS):
-            block = codes[lo:lo + CSV_BLOCK_ROWS].tolist()
-            yield "".join(map(line, range(lo, lo + len(block)), map(suffixes.__getitem__, block)))
+        count = stats["alpha"].shape[0]
+        prefix = len(f"n{n}:mask")
+        for d in range(1, len(str(count - 1)) + 1):
+            template = np.frombuffer(f"n{n}:mask{'0' * d},{n},0,0,0\r\n".encode("ascii"), dtype=np.uint8)
+            end = prefix + d  # the comma after the id
+            start, stop = (10 ** (d - 1) if d > 1 else 0), min(count, 10**d)
+            for lo in range(start, stop, CSV_BLOCK_ROWS):
+                hi = min(stop, lo + CSV_BLOCK_ROWS)
+                block = np.tile(template, (hi - lo, 1))
+                q = np.arange(lo, hi, dtype=np.uint32)
+                for col in range(end - 1, prefix - 1, -1):  # id digits, lowest first
+                    q, r = np.divmod(q, 10)
+                    block[:, col] += r.astype(np.uint8)
+                for col, key in zip((end + 3, end + 5, end + 7), ("alpha", "kernel_size", "corona_size")):
+                    block[:, col] += stats[key][lo:hi]
+                yield block.tobytes().decode("ascii")
 
 
 def _random_corpus_unit(args: tuple[int, int, int]) -> tuple[str, int, int, int, int, bool]:

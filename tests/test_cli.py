@@ -136,6 +136,21 @@ def test_hajnal_corpus_csv_bytes(tmp_path):
     )
 
 
+def test_hajnal_corpus_artifact_bytes_at_max_n7(tmp_path):
+    out, csv_out = tmp_path / "r.json", tmp_path / "rows.csv"
+    assert main([
+        "hajnal-corpus", "--max-n", "7", "--random", "200", "--seed", "3", "--workers", "1",
+        "--json", str(out), "--csv", str(csv_out),
+    ]) == 0
+    # sha256 digests as the per-line formatting writer and per-pair edge draws wrote them
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "20e5d157e0b0a673d32b674bec50b0880a3768aa72dfee80c1ca447b04b8584c"
+    )
+    assert hashlib.sha256(csv_out.read_bytes()).hexdigest() == (
+        "8b0db61c665758e3f4260e7380ae27d56a525f3377c016e36c96750e031b5855"
+    )
+
+
 def test_hajnal_corpus_random_requires_seed(capsys):
     assert "--seed" in _assert_one_line_error(capsys, ["hajnal-corpus", "--max-n", "3", "--random", "5"])
 

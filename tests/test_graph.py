@@ -4,6 +4,7 @@ import hashlib
 import json
 from itertools import islice
 
+import numpy as np
 import pytest
 
 import mishit.graph
@@ -263,3 +264,19 @@ def test_random_graph_deterministic():
     g2 = random_graph(10, 0.4, seed=99)
     assert g1 == g2
     assert g1 != random_graph(10, 0.4, seed=100)
+
+
+def _scalar_draw_random_graph(n, p, rng):
+    # the definition random_graph keeps: one scalar draw per pair (u, v), u < v, in order
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 0.5, 0.9, 1.0])
+def test_random_graph_keeps_the_per_pair_draw_stream(p):
+    for n in range(15):
+        for seed in range(4):
+            gen, ref = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+            assert random_graph(n, p, gen) == _scalar_draw_random_graph(n, p, ref), (n, p, seed)
+            # callers keep drawing from the same generator after the graph; n = 0 and
+            # n = 1 draw nothing
+            assert gen.random() == ref.random(), (n, p, seed)

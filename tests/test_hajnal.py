@@ -1,5 +1,9 @@
 """Kernel/corona structure and the two verification corpora."""
 
+import csv
+import hashlib
+import io
+
 import numpy as np
 import pytest
 
@@ -123,6 +127,72 @@ def test_exhaustive_rows_shape(monkeypatch):
     gid, n, a, ker, cor = lines[-1].split(",")
     assert gid == "n3:mask7" and (n, a, ker, cor) == ("3", "1", "0", "3")
     assert all(int(line.split(",")[1]) == 3 for line in lines[3:])
+
+
+@pytest.fixture(scope="module")
+def corpus7():
+    return exhaustive_corpus_check(7)
+
+
+# sha256 of each array's bytes as the where=-masked sweep computed them
+SWEEP_DIGESTS = {
+    6: {
+        "alpha": "a4bc791d294055ce48290d93a985b1a494404d3ef4c49a14cdd6eb92b1357ed7",
+        "kernel_size": "036091e57961cf50a77de11a003cf496c1a4f432e909b1edbda8bad40d52b35e",
+        "corona_size": "8d8b9784b9951f0a76515940b144f5ffdeef4c202a5924212978884abd412278",
+    },
+    7: {
+        "alpha": "9e8c2c5a31b39b6a44999294ef808414e6a085b23cd70b2c5a5b1001ff39ed94",
+        "kernel_size": "8fd64be0cd15faa2ef60fc7b65d6dd51481cf23442b99e32b489729ac4cc14bb",
+        "corona_size": "9939f93f1b0a92d2a414134fd7e728a1389e8aa0aaa088b8a6e37f485d5194b5",
+    },
+}
+
+
+def test_exhaustive_sweep_arrays_are_pinned(corpus7):
+    for n, digests in SWEEP_DIGESTS.items():
+        stats = corpus7.stats[n - 1]
+        for key, digest in digests.items():
+            assert stats[key].dtype == np.uint8 and stats[key].shape == (1 << n * (n - 1) // 2,)
+            assert hashlib.sha256(stats[key].tobytes()).hexdigest() == digest, (n, key)
+
+
+def _csv_writer_lines(check, n, ids):
+    # the reference: csv.writer on the row tuples, one line per graph id
+    stats = check.stats[n - 1]
+    out = io.StringIO()
+    csv.writer(out).writerows(
+        (f"n{n}:mask{gid}", n, *(int(stats[key][gid]) for key in ("alpha", "kernel_size", "corona_size")))
+        for gid in ids
+    )
+    return out.getvalue().split("\r\n")[:-1]
+
+
+def _rows_by_line(check):
+    for block in exhaustive_corpus_rows(check):
+        assert block.endswith("\r\n")  # block edges split no line
+        yield from block.split("\r\n")[:-1]
+
+
+@pytest.mark.parametrize("block_rows", [7, 1 << 16])
+def test_exhaustive_rows_match_csv_writer_on_every_row_up_to_n6(monkeypatch, block_rows):
+    # odd block sizes make blocks meet the id-width changes at 10, 100, 1000 and 10000
+    monkeypatch.setattr(mishit.hajnal, "CSV_BLOCK_ROWS", block_rows)
+    check = exhaustive_corpus_check(6)
+    expected = [line for n in range(1, 7) for line in _csv_writer_lines(check, n, range(1 << n * (n - 1) // 2))]
+    assert list(_rows_by_line(check)) == expected
+
+
+@pytest.mark.parametrize("block_rows", [4999, 1 << 16])
+def test_exhaustive_rows_match_csv_writer_at_every_id_width_change(monkeypatch, corpus7, block_rows):
+    # blocks of 7 rows would take seconds at n = 7; 4999 is odd and small next to 10^6
+    monkeypatch.setattr(mishit.hajnal, "CSV_BLOCK_ROWS", block_rows)
+    count = 1 << 21
+    ids = sorted({0, 1, count - 2, count - 1} | {10**d + delta for d in range(1, 7) for delta in (-2, -1, 0, 1)})
+    offset = sum(1 << n * (n - 1) // 2 for n in range(1, 7))  # lines before n = 7
+    wanted = {offset + gid for gid in ids}
+    got = [line for i, line in enumerate(_rows_by_line(corpus7)) if i in wanted]
+    assert got == _csv_writer_lines(corpus7, 7, ids)
 
 
 def test_random_corpus_clean_and_deterministic():

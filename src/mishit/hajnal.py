@@ -50,7 +50,7 @@ def kernel_corona(g: Graph, within: VertexSet | None = None) -> KernelReport:
     family size.
 
     ``within`` restricts to an induced subgraph while keeping the original
-    vertex labels, which is what the deletion process needs.
+    vertex labels.
     """
     a, kernel, corona = _solve_kernel_corona(g, (1 << g.n) - 1 if within is None else within.bits)
     return KernelReport(

@@ -47,8 +47,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import Graph, VertexSet, _components, _iter_bits, _solve_witness, alpha_induced, induced_subgraph
-from .hajnal import kernel_corona
+from .graph import (
+    Graph, VertexSet, _components, _iter_bits, _solve_kernel_corona, _solve_witness, alpha_induced, induced_subgraph
+)
 from .parallel import parallel_map
 
 EXACT_MAX_N = 20
@@ -92,25 +93,28 @@ def alpha_prime_exact(g: Graph) -> AlphaPrimeEstimate:
         )
     total = 0
     for comp in comps:
-        sub, _ = induced_subgraph(g, VertexSet(n, comp))
+        verts, table = _subset_alpha_table(g, comp)
         # each of the 2^(n - n_c) choices outside the component repeats its subset sum
-        total += int(_subset_alpha_table(sub).sum(dtype=np.int64)) << (n - sub.n)
+        total += int(table.sum(dtype=np.int64)) << (n - len(verts))
     return AlphaPrimeEstimate(mean=Fraction(total, (1 << n) * n), exact=True)
 
 
-def _subset_alpha_table(g: Graph) -> np.ndarray:
-    """alpha(G[W]) for all 2^n subsets W, as a uint8 array indexed by the mask of W.
+def _subset_alpha_table(g: Graph, within: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The vertices of ``within``, ascending, and alpha(G[W]) for all subsets W
+    of them, as a uint8 array indexed by W's bits in that vertex order.
 
-    The table doubles once per vertex k: a set W with highest vertex k has
-    alpha(W) = max(alpha(W - k), 1 + alpha(W - N[k])), and both sets lie
-    among the 2^k already filled, so each doubling is a few numpy operations.
+    The table doubles once per vertex k of the restriction: a set W with
+    highest vertex k has alpha(W) = max(alpha(W - k), 1 + alpha(W - N[k])),
+    and both sets lie among the 2^k already filled, so each doubling is a
+    few numpy operations.
     """
-    table = np.zeros(1 << g.n, dtype=np.uint8)
-    low = np.arange(1 << g.n >> 1)  # the sets W - k, as indices
-    for k in range(g.n):
+    sub, verts = induced_subgraph(g, VertexSet(g.n, within))
+    table = np.zeros(1 << sub.n, dtype=np.uint8)
+    low = np.arange(1 << sub.n >> 1)  # the sets W - k, as indices
+    for k in range(sub.n):
         filled = table[: 1 << k]
-        np.maximum(filled, 1 + filled[low[: 1 << k] & ~g.adj[k]], out=table[1 << k : 2 << k])
-    return table
+        np.maximum(filled, 1 + filled[low[: 1 << k] & ~sub.adj[k]], out=table[1 << k : 2 << k])
+    return verts, table
 
 
 def _mc_tables(g: Graph) -> tuple[list[tuple[tuple[int, ...], np.ndarray]], int]:
@@ -126,8 +130,7 @@ def _mc_tables(g: Graph) -> tuple[list[tuple[tuple[int, ...], np.ndarray]], int]
     for comp in sorted(_components(g, (1 << g.n) - 1), key=int.bit_count):
         cells += 1 << comp.bit_count()
         if cells <= 1 << EXACT_MAX_N:
-            sub, verts = induced_subgraph(g, VertexSet(g.n, comp))
-            tables.append((verts, _subset_alpha_table(sub)))
+            tables.append(_subset_alpha_table(g, comp))
         else:
             rest |= comp
     return tables, rest
@@ -251,7 +254,6 @@ class ProcessStep:
 @dataclass(frozen=True)
 class ProcessTrace:
     params: ProcessParams
-    seed: object
     initial_alpha: int
     steps: tuple[ProcessStep, ...]
 
@@ -314,7 +316,7 @@ def run_deletion_process(
             kernel_size = 0
             for comp, entry in live.items():
                 if entry[2] is None:
-                    entry[2] = len(kernel_corona(g, within=VertexSet(g.n, comp)).kernel)
+                    entry[2] = _solve_kernel_corona(g, comp)[1].bit_count()
                 kernel_size += entry[2]
         comp = owner[victim]
         comp_alpha, witness, _ = live.pop(comp)
@@ -340,7 +342,7 @@ def run_deletion_process(
             )
         )
         cur_alpha = new_alpha
-    return ProcessTrace(params=params, seed=seed, initial_alpha=initial_alpha, steps=tuple(steps))
+    return ProcessTrace(params=params, initial_alpha=initial_alpha, steps=tuple(steps))
 
 
 def _trace_unit(args) -> ProcessTrace:
@@ -524,15 +526,12 @@ def verify_alpha_prime_bound(n: int, alpha: int, estimate: AlphaPrimeEstimate) -
     """Compare an alpha' estimate with 1/4 + eps - eps^2/3, eps = alpha/n - 1/4.
 
     An exact estimate is compared as a rational; a Monte Carlo one by the
-    upper end of its 95% interval.
+    upper end of its 95% interval.  ``alpha_prime_bound`` raises unless eps
+    lies in (0, 1/4).
     """
     if n < 1:
         raise ValueError("empty graph")
     epsilon = Fraction(alpha, n) - Fraction(1, 4)
-    if epsilon <= 0:
-        raise ValueError(f"alpha/n = {Fraction(alpha, n)} is not above 1/4")
-    if epsilon >= Fraction(1, 4):
-        raise ValueError(f"epsilon = {epsilon} is not below 1/4")
     bound = alpha_prime_bound(epsilon)
     if estimate.exact:
         holds = estimate.mean <= bound

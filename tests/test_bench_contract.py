@@ -1,23 +1,30 @@
-"""The benchmark's tracer can still wrap every function it names.
+"""The benchmark can still drive the program it measures.
 
 ``perfbench/tracing.py`` looks up each of its layer functions by name in the
-``mishit`` modules, so renaming or deleting one breaks the traced benchmark
-run.  This test makes that a tier-1 failure instead.  It only reads
-``perfbench/``.
+``mishit`` modules, and ``perfbench/workloads.py`` passes fixed command
+lines to the CLI, so renaming or deleting a function or a flag breaks the
+benchmark run.  These tests make that a tier-1 failure instead.  They only
+read ``perfbench/``.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
-import mishit  # noqa: F401  (loads every module the tracer patches)
+import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+import mishit.cli  # loads every module the tracer patches, as perfbench/run.py does
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(monkeypatch, name):
+    """``perfbench/<name>.py`` as module ``name``, in sys.modules for this test
+    only: its dataclasses look their module up there, and its siblings import
+    each other by plain name."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
     spec.loader.exec_module(module)
     return module
 
@@ -30,8 +37,8 @@ def _mishit_namespaces():
     }
 
 
-def test_tracer_installs_every_layer_and_restores_it():
-    tracing = _load_tracing()
+def test_tracer_installs_every_layer_and_restores_it(monkeypatch):
+    tracing = _load(monkeypatch, "tracing")
     before = _mishit_namespaces()
     tracer = tracing.Tracer()
     tracer.install()
@@ -47,3 +54,24 @@ def test_tracer_installs_every_layer_and_restores_it():
     for name, namespace in before.items():
         changed = [key for key, value in namespace.items() if after[name].get(key) is not value]
         assert not changed, f"{name}: {changed} not restored"
+
+
+class _InputPaths(dict):
+    """Any input name the workloads ask for maps to a file name; nothing is read."""
+
+    def __missing__(self, name):
+        return f"{name}.json"
+
+
+def test_every_benchmark_command_line_parses(monkeypatch, tmp_path):
+    _load(monkeypatch, "oracles")
+    workloads = _load(monkeypatch, "workloads")
+    parser = mishit.cli.build_parser()
+    for workload in workloads.WORKLOADS:
+        tasks = workloads.tasks_for(workload, 1, _InputPaths(), tmp_path)
+        assert tasks, workload
+        for task in tasks:
+            try:
+                parser.parse_args(list(task.argv))
+            except SystemExit:
+                pytest.fail(f"{task.id}: the CLI rejects {' '.join(task.argv)}")

@@ -128,21 +128,37 @@ def loop_subset_alpha_sum(g):
 SUBSET_DP_GRAPHS = [Graph.empty(0), Graph.empty(10), Graph.complete(10), *seeded_graphs(12, seed=79, n_hi=10)]
 
 
+def full_table(g):
+    verts, table = _subset_alpha_table(g, (1 << g.n) - 1)
+    assert verts == tuple(range(g.n))
+    return table
+
+
 def test_subset_dp_matches_brute_force():
     for g in SUBSET_DP_GRAPHS:
-        assert int(_subset_alpha_table(g).sum()) == sum(brute_subset_alpha_table(g))
+        assert int(full_table(g).sum()) == sum(brute_subset_alpha_table(g))
 
 
 def test_subset_table_matches_brute_force_at_every_set():
     for g in SUBSET_DP_GRAPHS:
-        table = _subset_alpha_table(g)
+        table = full_table(g)
         assert table.dtype == np.uint8 and len(table) == 1 << g.n
         assert table.tolist() == brute_subset_alpha_table(g)
 
 
+def test_subset_table_of_a_restriction_is_indexed_by_its_ascending_vertices():
+    for g in seeded_graphs(10, seed=84, n_lo=4, n_hi=12):
+        within = int(np.random.default_rng(g.n).integers(0, 1 << g.n))
+        verts, table = _subset_alpha_table(g, within)
+        assert verts == VertexSet(g.n, within).members()
+        for local in range(1 << len(verts)):
+            w = sum(1 << v for j, v in enumerate(verts) if local >> j & 1)
+            assert table[local] == alpha_induced(g, w)
+
+
 def test_subset_dp_matches_the_lowest_vertex_loop():
     for g in [G2, *seeded_graphs(20, seed=80, n_lo=8, n_hi=14)]:
-        assert int(_subset_alpha_table(g).sum()) == loop_subset_alpha_sum(g)
+        assert int(full_table(g).sum()) == loop_subset_alpha_sum(g)
 
 
 # --- monte carlo ------------------------------------------------------------
@@ -384,7 +400,7 @@ def _stalled_trace(steps: int) -> tuple[ProcessTrace, ProcessParams]:
     )
     flat = tuple(ProcessStep(i=i, removed=i - 1, alpha=2, successful=False, kernel_size=None)
                  for i in range(1, steps + 1))
-    return ProcessTrace(params=params, seed=0, initial_alpha=2, steps=flat), params
+    return ProcessTrace(params=params, initial_alpha=2, steps=flat), params
 
 
 @pytest.mark.parametrize("steps, ok", [(4, True), (75, True), (76, False), (200, False)])
@@ -439,7 +455,7 @@ def rescan_trace(g, params, seed):
         successful = cur_alpha < params.threshold or new_alpha < cur_alpha
         steps.append(ProcessStep(i, victim, new_alpha, successful, kernel_size))
         cur_alpha = new_alpha
-    return ProcessTrace(params=params, seed=seed, initial_alpha=initial_alpha, steps=tuple(steps))
+    return ProcessTrace(params=params, initial_alpha=initial_alpha, steps=tuple(steps))
 
 
 def _watch_every_step(n):
@@ -483,18 +499,18 @@ def test_a_step_solves_only_components_it_has_not_seen(monkeypatch):
     params = ProcessParams.for_graph(g.n, Fraction(1, 12))
     start = _starting_components(g)
     solved = []  # (entry point, mask) of every solve in the current trace
-    original_witness, original_kernel = mishit.process._solve_witness, mishit.process.kernel_corona
+    original_witness, original_kernel = mishit.process._solve_witness, mishit.process._solve_kernel_corona
 
     def witness(g, within_bits):
         solved.append(("witness", within_bits))
         return original_witness(g, within_bits)
 
-    def kernel(g, within):
-        solved.append(("kernel", within.bits))
-        return original_kernel(g, within=within)
+    def kernel(g, within_bits):
+        solved.append(("kernel", within_bits))
+        return original_kernel(g, within_bits)
 
     monkeypatch.setattr(mishit.process, "_solve_witness", witness)
-    monkeypatch.setattr(mishit.process, "kernel_corona", kernel)
+    monkeypatch.setattr(mishit.process, "_solve_kernel_corona", kernel)
     steps = witness_solves = 0
     for j in range(10):
         solved.clear()

@@ -11,7 +11,7 @@ import mishit.hitting
 import mishit.process
 from mishit.cli import main
 from mishit.families import build_shift_graph
-from conftest import disjoint_union
+from conftest import cycle_graph, disjoint_union
 from mishit.graph import _components, alpha, enumerate_mis, save_graph
 from mishit.hajnal import kernel_corona
 
@@ -87,6 +87,22 @@ def test_alpha_prime_estimates_once(counted, g2_file, mode):
     assert main(argv) == 0
     assert calls[f"alpha_prime_{mode}"] == 1
     assert sum(calls.values()) == 1
+
+
+@pytest.mark.parametrize("mode, tables", [("exact", 2), ("mc", 4)])
+def test_alpha_prime_tables_each_component_once(counted, tmp_path, mode, tables):
+    calls, count = counted
+    count(mishit.process, "_subset_alpha_table")
+    g2 = build_shift_graph(2)[0]
+    # exact on G_2 plus an 8-cycle, Monte Carlo on four copies of G_2: one table per component
+    g = disjoint_union(g2, cycle_graph(8)) if mode == "exact" else disjoint_union(g2, g2, g2, g2)
+    path = tmp_path / "g.json"
+    save_graph(g, path)
+    argv = ["alpha-prime", "--graph", str(path), "--mode", mode]
+    if mode == "mc":
+        argv += ["--samples", "2000", "--seed", "4"]
+    assert main(argv) == 0
+    assert calls["_subset_alpha_table"] == tables
 
 
 @pytest.mark.parametrize("method_args", [

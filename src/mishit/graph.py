@@ -24,6 +24,10 @@ most one further decision search per vertex, never by enumeration.  The MIS
 family of a union is the product of the component families, so enumeration
 lists each component's sets once and ORs one from each; a family of more
 than ``DEFAULT_MIS_CAP`` sets is refused before the product is built.
+
+Small graphs also have a subset table, alpha of every induced subgraph,
+filled by doubling once per vertex and run over a batch of graphs on the
+same vertex count in one numpy pass (``_subset_alpha_tables``).
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import numpy as np
 
 MAX_VERTICES = 4096
 DEFAULT_MIS_CAP = 10**6  # most sets enumerate_mis will list; guards memory against input graphs
+EXACT_MAX_N = 20  # largest subset table: 2^20 cells, the most its callers hold at once
 
 
 class FamilyTooLargeError(RuntimeError):
@@ -400,6 +405,30 @@ def _solve_kernel_corona(g: Graph, within_bits: int) -> tuple[int, int, int]:
     return size, kernel, corona
 
 
+def _subset_alpha_tables(adj: np.ndarray) -> np.ndarray:
+    """alpha(G[W]) for every subset W of every graph in a batch.
+
+    ``adj`` is a (B, n) int64 array, row b the adjacency rows of graph b;
+    the result is a (B, 2^n) uint8 array, row b indexed by W's bits.  The
+    tables double once per vertex k: a set W with highest vertex k has
+    alpha(W) = max(alpha(W - k), 1 + alpha(W - N[k])), and both sets lie
+    among the 2^k already filled, so each doubling is one gather through
+    flat indices into the whole batch.
+    """
+    batch, n = adj.shape
+    tables = np.zeros((batch, 1 << n), dtype=np.uint8)
+    flat = tables.reshape(-1)
+    # the sets W - k as flat indices: graph b's row base b << n plus W's bits.
+    # The base's bits lie above n, where ~adj[b, k] has every bit set, so
+    # masking with ~adj[b, k] clears N[k] from W and keeps the base.
+    low = (np.arange(batch, dtype=np.int64)[:, None] << n) + np.arange(1 << n >> 1, dtype=np.int64)
+    keep = ~adj
+    for k in range(n):
+        gathered = flat[low[:, : 1 << k] & keep[:, k, None]]
+        np.maximum(tables[:, : 1 << k], 1 + gathered, out=tables[:, 1 << k : 2 << k])
+    return tables
+
+
 def maximum_independent_set(g: Graph) -> VertexSet:
     """One maximum independent set of ``g`` (deterministic witness)."""
     _, mask = _solve_witness(g, (1 << g.n) - 1)
@@ -461,12 +490,17 @@ def induced_subgraph(g: Graph, w: VertexSet) -> tuple[Graph, tuple[int, ...]]:
     return Graph(len(old), rows, validate=False), old
 
 
+def _edge_coins(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """The edges of G(n, p) as one bool per pair (u, v), u < v, in ascending
+    order: the doubles and the generator state after them are those of
+    n(n-1)/2 scalar draws."""
+    return rng.random(n * (n - 1) // 2) < p
+
+
 def random_graph(n: int, p: float, seed) -> Graph:
     """Erdos-Renyi G(n, p) from a numpy seed or Generator; deterministic."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    # one draw per pair (u, v), u < v, in lexicographic order: the doubles and
-    # the generator state after them are those of n(n-1)/2 scalar draws
-    coins = (rng.random(n * (n - 1) // 2) < p).tolist()
+    coins = _edge_coins(n, p, rng).tolist()
     rows = [0] * n
     for u, v in compress(combinations(range(n), 2), coins):
         rows[u] |= 1 << v

@@ -10,16 +10,24 @@ enumerating the family: v is in the kernel iff alpha(G - v) < alpha(G), and
 in the corona iff 1 + alpha(G - N[v]) = alpha(G).  Each of these is a
 decision search that stops at the first maximum independent set it meets,
 and every such set narrows the kernel and widens the corona, so each vertex
-costs at most one search (``graph._solve_kernel_corona``).  The
-theorem itself is checked empirically on two corpora: seeded random graphs
-up to 14 vertices through the exact solver, and every graph on up to 7
-vertices by direct edge-mask enumeration.  The latter is one sweep per n
-over the vertex subsets by descending size, vectorised over all 2^C(n,2)
-graphs: a subset updates, in place, the graphs in which it is independent
-and whose alpha is unset or equal to its size.  The check keeps the per-n
-arrays, so the CSV export reuses that sweep and writes its lines as
-fixed-width byte blocks, one width per id digit count, instead of
-formatting one line per graph.
+costs at most one search (``graph._solve_kernel_corona``).
+
+The theorem itself is checked empirically on two corpora: seeded random
+graphs (up to 14 vertices by default), and every graph on up to 7 vertices
+by direct edge-mask enumeration.  A random graph of at most
+``TABLE_MAX_N`` vertices is answered from its subset table, not by
+searches: alpha is the table at the full set, v is in the kernel iff the
+table drops at the full set minus v, and in the corona iff 1 + its value at
+the full set minus N[v] is alpha.  Such graphs wait in groups by vertex
+count, and a group's tables are filled in one batched numpy pass once they
+reach 2^EXACT_MAX_N cells or the run ends; larger graphs go to
+``kernel_corona``.  The
+exhaustive corpus is one sweep per n over the vertex subsets by descending
+size, vectorised over all 2^C(n,2) graphs: a subset updates, in place, the
+graphs in which it is independent and whose alpha is unset or equal to its
+size.  The check keeps the per-n arrays, so the CSV export reuses that
+sweep and writes its lines as fixed-width byte blocks, one width per id
+digit count, instead of formatting one line per graph.
 """
 
 from __future__ import annotations
@@ -29,10 +37,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .graph import Graph, VertexSet, _solve_kernel_corona, random_graph
+from .graph import (
+    EXACT_MAX_N, Graph, VertexSet, _edge_coins, _solve_kernel_corona, _subset_alpha_tables, random_graph
+)
 from .parallel import parallel_map
 
 EXHAUSTIVE_MAX_N = 7
+# random-corpus graphs up to this many vertices are answered from batched
+# subset tables, larger ones by the clique search, which is faster from 14 on
+TABLE_MAX_N = 13
 
 
 @dataclass(frozen=True)
@@ -45,14 +58,10 @@ class KernelReport:
     holds: bool
 
 
-def kernel_corona(g: Graph, within: VertexSet | None = None) -> KernelReport:
+def kernel_corona(g: Graph) -> KernelReport:
     """Intersection/union over all maximum independent sets, exact for any
-    family size.
-
-    ``within`` restricts to an induced subgraph while keeping the original
-    vertex labels.
-    """
-    a, kernel, corona = _solve_kernel_corona(g, (1 << g.n) - 1 if within is None else within.bits)
+    family size."""
+    a, kernel, corona = _solve_kernel_corona(g, (1 << g.n) - 1)
     return KernelReport(
         alpha=a,
         kernel=VertexSet(g.n, kernel),
@@ -168,21 +177,73 @@ def exhaustive_corpus_rows(check: CorpusCheck) -> Iterator[str]:
                 yield block.tobytes().decode("ascii")
 
 
-def _random_corpus_unit(args: tuple[int, int, int]) -> tuple[str, int, int, int, int, bool]:
-    seed, index, n_max = args
-    rng = np.random.default_rng([seed, index])
-    n = int(rng.integers(1, n_max + 1))
-    p = float(rng.uniform(0.05, 0.95))
-    g = random_graph(n, p, rng)
-    report = kernel_corona(g)
-    return (
-        f"seed{seed}:{index}",
-        n,
-        report.alpha,
-        len(report.kernel),
-        len(report.corona),
-        report.holds,
-    )
+def _table_kernel_corona(n: int, coins: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """alpha, |kernel| and |corona| of each graph on n vertices whose edge
+    coins, C(n, 2) in ascending pair order, form one row of ``coins``.
+
+    One batched subset-table pass answers all of them: with T a graph's
+    table and F its full vertex set, alpha = T[F], v is in the kernel iff
+    T[F - v] < alpha, and in the corona iff 1 + T[F - N[v]] = alpha.
+    """
+    u, v = np.triu_indices(n, 1)  # the pairs in ascending order
+    weights = np.zeros((len(u), n), dtype=np.int64)
+    weights[np.arange(len(u)), u] = 1 << v
+    weights[np.arange(len(u)), v] = 1 << u
+    adj = coins @ weights
+    tables = _subset_alpha_tables(adj)
+    full = (1 << n) - 1
+    bits = 1 << np.arange(n, dtype=np.int64)
+    alpha = tables[:, full]
+    kernel = (tables[:, full ^ bits] < alpha[:, None]).sum(axis=1)
+    corona = (np.take_along_axis(tables, full & ~(adj | bits), axis=1) + 1 == alpha[:, None]).sum(axis=1)
+    return alpha, kernel, corona
+
+
+def _random_corpus_block(args: tuple[int, int, int, int]) -> list[tuple[str, int, int, int, int, bool]]:
+    """(graph id, n, alpha, |kernel|, |corona|, Hajnal holds) for the random
+    graphs ``start`` <= index < ``stop``, in index order.
+
+    Graph ``index`` is G(n, p) drawn from ``default_rng([seed, index])``
+    with n uniform in 1..n_max and p uniform in [0.05, 0.95).  A graph of
+    more than ``TABLE_MAX_N`` vertices is answered by ``kernel_corona`` at
+    once.  A smaller one waits, as its edge coins, in a group of graphs on
+    as many vertices, answered by one batched table pass when the group's
+    tables reach 2^EXACT_MAX_N cells, and at the end of the block.
+    """
+    seed, start, stop, n_max = args
+    sizes = np.zeros((4, stop - start), dtype=np.int32)  # n, alpha, |kernel|, |corona| by position
+    groups = {}  # n -> [graphs waiting, their positions, their edge coins]
+
+    def flush(n: int) -> None:
+        waiting, positions, coins = groups.pop(n)
+        sizes[1:, positions[:waiting]] = _table_kernel_corona(n, coins[:waiting])
+
+    for pos, index in enumerate(range(start, stop)):
+        rng = np.random.default_rng([seed, index])
+        n = int(rng.integers(1, n_max + 1))
+        p = float(rng.uniform(0.05, 0.95))
+        sizes[0, pos] = n
+        if n > TABLE_MAX_N:
+            report = kernel_corona(random_graph(n, p, rng))
+            sizes[1:, pos] = report.alpha, len(report.kernel), len(report.corona)
+            continue
+        group = groups.get(n)
+        if group is None:
+            # room for the graphs whose tables fill 2^EXACT_MAX_N cells, or for the rest of the block
+            cap = min(max(1, (1 << EXACT_MAX_N) >> n), stop - start - pos)
+            group = groups[n] = [0, np.empty(cap, dtype=np.int64), np.empty((cap, n * (n - 1) // 2), dtype=bool)]
+        waiting, positions, coins = group
+        positions[waiting] = pos
+        coins[waiting] = _edge_coins(n, p, rng)
+        group[0] = waiting = waiting + 1
+        if waiting == len(positions):
+            flush(n)
+    for n in list(groups):
+        flush(n)
+    return [
+        (f"seed{seed}:{start + pos}", n, a, ker, cor, ker + cor >= 2 * a)
+        for pos, (n, a, ker, cor) in enumerate(zip(*sizes.tolist()))
+    ]
 
 
 def random_corpus_check(
@@ -193,11 +254,14 @@ def random_corpus_check(
 ) -> tuple[CorpusCheck, list[tuple[str, int, int, int, int]]]:
     """Hajnal inequality on ``count`` seeded random graphs; returns CSV rows too.
 
-    Graph ``index`` depends only on (seed, index), so the outcome is
-    deterministic for any worker count.
+    Graph ``index`` depends only on (seed, index), and the rows come back in
+    index order, so the outcome is the same for any worker count; the index
+    range is cut into one contiguous block per worker.
     """
-    units = [(seed, i, n_max) for i in range(count)]
-    results = parallel_map(_random_corpus_unit, units, workers)
+    parts = max(1, min(workers, count))
+    bounds = [count * i // parts for i in range(parts + 1)]
+    blocks = [(seed, lo, hi, n_max) for lo, hi in zip(bounds, bounds[1:])]
+    results = [row for block in parallel_map(_random_corpus_block, blocks, workers) for row in block]
     rows = [(gid, n, a, ker, cor) for gid, n, a, ker, cor, _ in results]
     bad = tuple(gid for gid, *_, holds in results if not holds)
     return CorpusCheck(checked=count, violations=len(bad), violating_ids=bad[:16]), rows

@@ -48,11 +48,11 @@ from fractions import Fraction
 import numpy as np
 
 from .graph import (
-    Graph, VertexSet, _components, _iter_bits, _solve_kernel_corona, _solve_witness, alpha_induced, induced_subgraph
+    EXACT_MAX_N, Graph, VertexSet, _components, _iter_bits, _solve_kernel_corona, _solve_witness,
+    _subset_alpha_tables, alpha_induced, induced_subgraph,
 )
 from .parallel import parallel_map
 
-EXACT_MAX_N = 20
 MC_BLOCK = 512
 FREQUENCY_TAIL_LEVEL = Fraction(135, 100_000)  # one-sided normal tail at 3 sigma
 
@@ -101,20 +101,10 @@ def alpha_prime_exact(g: Graph) -> AlphaPrimeEstimate:
 
 def _subset_alpha_table(g: Graph, within: int) -> tuple[tuple[int, ...], np.ndarray]:
     """The vertices of ``within``, ascending, and alpha(G[W]) for all subsets W
-    of them, as a uint8 array indexed by W's bits in that vertex order.
-
-    The table doubles once per vertex k of the restriction: a set W with
-    highest vertex k has alpha(W) = max(alpha(W - k), 1 + alpha(W - N[k])),
-    and both sets lie among the 2^k already filled, so each doubling is a
-    few numpy operations.
-    """
+    of them, as a uint8 array indexed by W's bits in that vertex order: the
+    batched subset DP on a batch of one."""
     sub, verts = induced_subgraph(g, VertexSet(g.n, within))
-    table = np.zeros(1 << sub.n, dtype=np.uint8)
-    low = np.arange(1 << sub.n >> 1)  # the sets W - k, as indices
-    for k in range(sub.n):
-        filled = table[: 1 << k]
-        np.maximum(filled, 1 + filled[low[: 1 << k] & ~sub.adj[k]], out=table[1 << k : 2 << k])
-    return verts, table
+    return verts, _subset_alpha_tables(np.array(sub.adj, dtype=np.int64).reshape(1, sub.n))[0]
 
 
 def _mc_tables(g: Graph) -> tuple[list[tuple[tuple[int, ...], np.ndarray]], int]:

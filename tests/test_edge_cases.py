@@ -7,8 +7,7 @@ import pytest
 import mishit.graph
 from mishit.cli import main
 from mishit.families import HammingSpec
-from mishit.graph import Graph, MisFamily, VertexSet, enumerate_mis, save_graph
-from mishit.hajnal import kernel_corona
+from mishit.graph import Graph, MisFamily, VertexSet, _solve_kernel_corona, enumerate_mis, save_graph
 from mishit.hitting import (
     InfeasibleFamilyError,
     build_random_covering_code,
@@ -49,10 +48,7 @@ def test_duplicate_members_rejected_by_family_type():
 
 
 def test_kernel_corona_of_empty_restriction():
-    r = kernel_corona(Graph.complete(4), within=VertexSet.empty(4))
-    assert r.alpha == 0
-    assert len(r.kernel) == 0 and len(r.corona) == 0
-    assert r.holds
+    assert _solve_kernel_corona(Graph.complete(4), 0) == (0, 0, 0)
 
 
 def test_random_code_unverified_beyond_scan_range():

@@ -10,8 +10,12 @@ import pytest
 import mishit.hajnal
 from conftest import hub_graph, oracle_mis_masks, seeded_graphs
 from mishit.families import build_shift_graph, shift_mis_family
-from mishit.graph import DEFAULT_MIS_CAP, Graph, VertexSet, enumerate_mis
+from mishit.cli import build_parser
+from mishit.graph import (
+    DEFAULT_MIS_CAP, EXACT_MAX_N, Graph, VertexSet, _solve_kernel_corona, enumerate_mis, random_graph
+)
 from mishit.hajnal import (
+    TABLE_MAX_N,
     all_graphs_kernel_stats,
     exhaustive_corpus_check,
     exhaustive_corpus_rows,
@@ -58,10 +62,10 @@ def test_shift_k2_kernel_and_corona():
 
 def test_kernel_within_restriction():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    r = kernel_corona(g, within=VertexSet.from_members(4, [0, 1]))
-    assert r.alpha == 1
-    assert len(r.kernel) == 0
-    assert r.corona.members() == (0, 1)
+    a, kernel, corona = _solve_kernel_corona(g, VertexSet.from_members(4, [0, 1]).bits)
+    assert a == 1
+    assert kernel == 0
+    assert VertexSet(4, corona).members() == (0, 1)
 
 
 def test_hub_graph_kernel_and_corona_beyond_the_enumeration_cap():
@@ -196,10 +200,50 @@ def test_exhaustive_rows_match_csv_writer_at_every_id_width_change(monkeypatch, 
 
 
 def test_random_corpus_clean_and_deterministic():
-    check1, rows1 = random_corpus_check(120, seed=99, n_max=11)
-    check2, rows2 = random_corpus_check(120, seed=99, n_max=11, workers=2)
+    # n_max above TABLE_MAX_N, so both the tables and the search answer graphs
+    check1, rows1 = random_corpus_check(120, seed=99, n_max=16)
+    check2, rows2 = random_corpus_check(120, seed=99, n_max=16, workers=2)
     assert check1.ok
     assert rows1 == rows2
+
+
+def _per_graph_corpus_rows(count, seed, n_max):
+    """The random corpus one graph at a time: each drawn as a Graph and
+    answered by the clique search."""
+    rows = []
+    for index in range(count):
+        rng = np.random.default_rng([seed, index])
+        n = int(rng.integers(1, n_max + 1))
+        p = float(rng.uniform(0.05, 0.95))
+        r = kernel_corona(random_graph(n, p, rng))
+        rows.append((f"seed{seed}:{index}", n, r.alpha, len(r.kernel), len(r.corona)))
+    return rows
+
+
+@pytest.mark.parametrize("table_cells_log2", [6, EXACT_MAX_N])
+def test_random_corpus_rows_match_the_per_graph_search(monkeypatch, table_cells_log2):
+    # groups flush at 2^6 cells: every graph of 6 or more vertices on its own,
+    # and a group of 2-vertex graphs every 16 of them, in the middle of the block
+    monkeypatch.setattr(mishit.hajnal, "EXACT_MAX_N", table_cells_log2)
+    passes = []  # n of every batched table pass
+    table_pass = mishit.hajnal._table_kernel_corona
+
+    def counted(n, coins):
+        passes.append(n)
+        return table_pass(n, coins)
+
+    monkeypatch.setattr(mishit.hajnal, "_table_kernel_corona", counted)
+    check, rows = random_corpus_check(400, seed=5, n_max=16)
+    assert rows == _per_graph_corpus_rows(400, seed=5, n_max=16)
+    assert check.ok
+    sizes = {n for _, n, *_ in rows}
+    assert max(sizes) > TABLE_MAX_N and set(passes) == {n for n in sizes if n <= TABLE_MAX_N}
+    if table_cells_log2 == 6:
+        assert passes.count(2) > 1  # a group flushed before the end of the block
+
+
+def test_cli_default_n_max_reaches_past_the_table_cut():
+    assert build_parser().parse_args(["hajnal-corpus"]).n_max > TABLE_MAX_N
 
 
 def test_exhaustive_rejects_large_n():

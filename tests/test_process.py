@@ -10,10 +10,12 @@ import pytest
 
 import mishit.parallel
 import mishit.process
-from conftest import cycle_graph, disjoint_union, hub_graph, oracle_is_independent, seeded_graphs
+from conftest import cycle_graph, disjoint_union, hub_graph, oracle_is_independent, oracle_mis_masks, seeded_graphs
 from mishit.families import build_shift_graph
-from mishit.graph import Graph, VertexSet, _components, alpha, alpha_induced, random_graph
-from mishit.hajnal import kernel_corona
+from mishit.graph import (
+    Graph, VertexSet, _components, _solve_kernel_corona, _subset_alpha_tables, alpha, alpha_induced, random_graph
+)
+from mishit.hajnal import _table_kernel_corona
 from mishit.parallel import parallel_map
 from mishit.process import (
     AlphaPrimeEstimate,
@@ -144,6 +146,23 @@ def test_subset_table_matches_brute_force_at_every_set():
         table = full_table(g)
         assert table.dtype == np.uint8 and len(table) == 1 << g.n
         assert table.tolist() == brute_subset_alpha_table(g)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_one_batch_of_different_graphs_matches_brute_force_graph_by_graph(n):
+    rng = np.random.default_rng(85 + n)
+    graphs = [Graph.empty(n), Graph.complete(n), *(random_graph(n, p, rng) for p in (0.2, 0.5, 0.8))]
+    tables = _subset_alpha_tables(np.array([g.adj for g in graphs], dtype=np.int64).reshape(len(graphs), n))
+    coins = np.array([[g.has_edge(u, v) for u in range(n) for v in range(u + 1, n)] for g in graphs], dtype=bool)
+    alphas, kernels, coronas = _table_kernel_corona(n, coins.reshape(len(graphs), -1))
+    for g, table, a, ker, cor in zip(graphs, tables, alphas, kernels, coronas):
+        assert table.tolist() == brute_subset_alpha_table(g)
+        masks = oracle_mis_masks(g)
+        kernel = corona = masks[0]
+        for m in masks:
+            kernel &= m
+            corona |= m
+        assert (a, ker, cor) == (masks[0].bit_count(), kernel.bit_count(), corona.bit_count())
 
 
 def test_subset_table_of_a_restriction_is_indexed_by_its_ascending_vertices():
@@ -449,7 +468,7 @@ def rescan_trace(g, params, seed):
         victim = vertices.pop(int(rng.integers(0, len(vertices))))
         kernel_size = None
         if i > params.i0 and cur_alpha >= params.threshold:
-            kernel_size = len(kernel_corona(g, within=VertexSet(g.n, current)).kernel)
+            kernel_size = _solve_kernel_corona(g, current)[1].bit_count()
         current &= ~(1 << victim)
         new_alpha = alpha_induced(g, current)
         successful = cur_alpha < params.threshold or new_alpha < cur_alpha

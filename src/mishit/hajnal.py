@@ -22,10 +22,13 @@ the full set minus N[v] is alpha.  Such graphs wait in groups by vertex
 count, and a group's tables are filled in one batched numpy pass once they
 reach 2^EXACT_MAX_N cells or the run ends; larger graphs go to
 ``kernel_corona``.  The
-exhaustive corpus is one sweep per n over the vertex subsets by descending
-size, vectorised over all 2^C(n,2) graphs: a subset updates, in place, the
-graphs in which it is independent and whose alpha is unset or equal to its
-size.  The check keeps the per-n arrays, so the CSV export reuses that
+exhaustive corpus is one sweep per n over the vertex subsets of at least 3
+vertices by descending size, vectorised over all 2^C(n,2) graphs: a subset
+updates, in place, the graphs in which it is independent and whose alpha is
+unset or equal to its size.  The few graphs left unset have alpha <= 2, and
+one pass over their ids' edge bits settles them: their maximum independent
+sets are the non-adjacent pairs, or the single vertices of a complete
+graph.  The check keeps the per-n arrays, so the CSV export reuses that
 sweep and writes its lines as fixed-width byte blocks, one width per id
 digit count, instead of formatting one line per graph.
 """
@@ -79,12 +82,16 @@ def all_graphs_kernel_stats(n: int) -> dict[str, np.ndarray]:
     """alpha, kernel and corona sizes for every graph on n labelled vertices.
 
     Graph id g encodes edge e = (i, j) as bit e in the order of ascending
-    (i, j).  One sweep over the vertex subsets by descending size k: the
-    graphs in which subset s is independent are those with a 0 at every edge
-    bit inside s, a strided view of the id-indexed arrays seen with one axis
-    per edge bit, and each of them whose alpha is unset or equal to k takes s
-    as a maximum independent set.  Independent of the branch-and-bound
-    solver, so it doubles as an oracle.
+    (i, j).  One sweep over the vertex subsets of at least 3 vertices by
+    descending size k: the graphs in which subset s is independent are those
+    with a 0 at every edge bit inside s, a strided view of the id-indexed
+    arrays seen with one axis per edge bit, and each of them whose alpha is
+    unset or equal to k takes s as a maximum independent set.  The graphs
+    still unset after k = 3 have alpha <= 2 (the complements of the
+    triangle-free graphs), and one pass over the edge bits of their ids
+    settles them: their maximum independent sets are the pairs whose edge
+    bit is 0, or, if there is none, the single vertices.  Independent of the
+    branch-and-bound solver, so it doubles as an oracle.
     """
     if not 1 <= n <= EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive enumeration supports 1 <= n <= {EXHAUSTIVE_MAX_N}")
@@ -96,7 +103,7 @@ def all_graphs_kernel_stats(n: int) -> dict[str, np.ndarray]:
     # ids are row-major over the axes, so the last axis holds edge bit 0
     shape = (2,) * len(edges)
     views = alpha.reshape(shape), kernel.reshape(shape), corona.reshape(shape)
-    for s in sorted(range(1, full + 1), key=lambda s: -s.bit_count()):
+    for s in sorted((s for s in range(1, full + 1) if s.bit_count() >= 3), key=lambda s: -s.bit_count()):
         k = s.bit_count()
         # the Ellipsis keeps a 0-d view when s spans every edge
         index = tuple(0 if s & both == both else slice(None) for both in reversed(edges)) + (Ellipsis,)
@@ -107,6 +114,19 @@ def all_graphs_kernel_stats(n: int) -> dict[str, np.ndarray]:
         np.maximum(a, k, out=a)
         ker &= ~m | s
         cor |= m & s
+    ids = np.flatnonzero(alpha == 0).astype(np.uint32)
+    pair_and = np.full(ids.shape, full, dtype=np.uint8)
+    pair_or = np.zeros(ids.shape, dtype=np.uint8)
+    for e, both in enumerate(edges):
+        m = np.negative((ids >> e & 1 == 0).view(np.uint8))  # 0xFF where pair e is independent
+        pair_and &= ~m | both
+        pair_or |= m & both
+    # no independent pair: the graph is complete, and its maximum independent
+    # sets are the single vertices, which meet only when n = 1
+    complete = pair_or == 0
+    alpha[ids] = np.where(complete, 1, 2)
+    kernel[ids] = np.where(complete, full if n == 1 else 0, pair_and)
+    corona[ids] = np.where(complete, full, pair_or)
     return {
         "alpha": alpha,
         "kernel_size": np.bitwise_count(kernel),
@@ -136,10 +156,10 @@ def exhaustive_corpus_check(max_n: int = EXHAUSTIVE_MAX_N) -> CorpusCheck:
     for n in range(1, max_n + 1):
         stats = all_graphs_kernel_stats(n)
         all_stats.append(stats)
-        total = stats["kernel_size"].astype(np.int32) + stats["corona_size"].astype(np.int32)
-        mask = total < 2 * stats["alpha"].astype(np.int32)
+        # every size is at most 7, so the sums and 2*alpha fit in uint8
+        mask = stats["kernel_size"] + stats["corona_size"] < stats["alpha"] << 1
         checked += stats["alpha"].shape[0]
-        violations += int(mask.sum())
+        violations += int(np.count_nonzero(mask))
         for gid in np.nonzero(mask)[0][:16]:
             bad.append(f"n{n}:mask{int(gid)}")
     return CorpusCheck(checked=checked, violations=violations, violating_ids=tuple(bad), stats=tuple(all_stats))
@@ -221,7 +241,8 @@ def _random_corpus_block(args: tuple[int, int, int, int]) -> list[tuple[str, int
     for pos, index in enumerate(range(start, stop)):
         rng = np.random.default_rng([seed, index])
         n = int(rng.integers(1, n_max + 1))
-        p = float(rng.uniform(0.05, 0.95))
+        # what rng.uniform(0.05, 0.95) draws, without its per-call overhead
+        p = 0.05 + (0.95 - 0.05) * rng.random()
         sizes[0, pos] = n
         if n > TABLE_MAX_N:
             report = kernel_corona(random_graph(n, p, rng))

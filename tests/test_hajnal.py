@@ -95,10 +95,16 @@ def _graph_of_id(n, gid):
 
 
 def test_vectorised_stats_match_solver_on_samples():
-    # every graph on n <= 5 vertices (1099 graphs), then a seeded sample at n = 7
+    # every graph on n <= 5 vertices (1099 graphs), then seeded samples at n = 7:
+    # 200 uniform ids, which almost never have alpha <= 2, and 200 of the
+    # alpha <= 2 graphs, which the sweep settles by their edge bits
     cases = [(n, gid) for n in range(1, 6) for gid in range(1 << n * (n - 1) // 2)]
-    cases += [(7, int(gid)) for gid in np.random.default_rng(8).integers(0, 1 << 21, size=200)]
     stats = {n: all_graphs_kernel_stats(n) for n in (1, 2, 3, 4, 5, 7)}
+    rng = np.random.default_rng(8)
+    cases += [(7, int(gid)) for gid in rng.integers(0, 1 << 21, size=200)]
+    dense = np.flatnonzero(stats[7]["alpha"] <= 2)
+    cases += [(7, int(gid)) for gid in rng.choice(dense, size=200, replace=False)]
+    cases.append((7, (1 << 21) - 1))  # K_7, the one graph with alpha 1
     for n, gid in cases:
         g = _graph_of_id(n, gid)
         r = kernel_corona(g)
@@ -138,7 +144,8 @@ def corpus7():
     return exhaustive_corpus_check(7)
 
 
-# sha256 of each array's bytes as the where=-masked sweep computed them
+# sha256 of each array's bytes: they pin the arrays themselves, whatever the
+# sweep that computes them, so any change to the sweep must reproduce them
 SWEEP_DIGESTS = {
     6: {
         "alpha": "a4bc791d294055ce48290d93a985b1a494404d3ef4c49a14cdd6eb92b1357ed7",
@@ -151,6 +158,12 @@ SWEEP_DIGESTS = {
         "corona_size": "9939f93f1b0a92d2a414134fd7e728a1389e8aa0aaa088b8a6e37f485d5194b5",
     },
 }
+
+
+def test_alpha_at_most_2_graphs_are_the_triangle_free_complements(corpus7):
+    # labelled triangle-free graphs on n = 1..7 vertices, OEIS A006785
+    counts = [np.count_nonzero(stats["alpha"] <= 2) for stats in corpus7.stats]
+    assert counts == [1, 2, 7, 41, 388, 5789, 133501]
 
 
 def test_exhaustive_sweep_arrays_are_pinned(corpus7):

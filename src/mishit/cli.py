@@ -125,12 +125,8 @@ def cmd_shift(args) -> int:
         save_graph(g, args.graph_out)
     if args.family_out:
         _write_family_json(args.family_out, structural)
-    csv_spec = (
-        ["k", "n", "alpha", "mis_count", "h", "sqrt_n_over_2", "sqrt_n_over_2_alt_count"],
-        [[args.k, n, a, len(family), result.size,
-          report["sqrt_n_over_2"], report["sqrt_n_over_2_alt_count"]]],
-    )
-    return _emit(args, report, checks, csv_spec)
+    header = ["k", "n", "alpha", "mis_count", "h", "sqrt_n_over_2", "sqrt_n_over_2_alt_count"]
+    return _emit(args, report, checks, (header, [[report[key] for key in header]]))
 
 
 HAMMING_EXACT_MAX_M = 6
@@ -322,8 +318,8 @@ def cmd_process(args) -> int:
     csv_spec = (
         ["trace", "window_successes", "final_alpha", "final_below_threshold"],
         [
-            [i, t.success_count_in_window(), t.final_alpha, t.final_alpha < params.threshold]
-            for i, t in enumerate(traces)
+            [i, successes, t.final_alpha, t.final_alpha < params.threshold]
+            for i, (t, successes) in enumerate(zip(traces, stats.success_counts))
         ],
     )
     return _emit(args, report, checks, csv_spec)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
 
 import numpy as np
 
@@ -67,10 +66,6 @@ class ShiftSpec:
         i += 1
         j = rank + 1 if rank + 1 < i else rank + 2
         return i, j
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        for idx in range(self.n):
-            yield self.index_to_pair(idx)
 
 
 def build_shift_graph(k: int) -> tuple[Graph, ShiftSpec]:

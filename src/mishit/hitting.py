@@ -314,13 +314,14 @@ def build_hadamard_covering_code(spec: HammingSpec) -> CoveringCode:
     if spec.m < h0:
         raise ValueError(f"m={spec.m} is below the Hadamard prefix order {h0}")
     pre_mask = (1 << h0) - 1
-    ones_suffix = ((1 << (spec.m - h0)) - 1) << h0
-    words = []
-    for row in sylvester_hadamard_rows(h0):
-        for prefix in (row, row ^ pre_mask):
-            words.append(prefix)
-            words.append(prefix | ones_suffix)
-    return CoveringCode(m=spec.m, words=tuple(words), target_radius=spec.ball_radius)
+    return _suffixed_code(spec, h0, [p for row in sylvester_hadamard_rows(h0) for p in (row, row ^ pre_mask)])
+
+
+def _suffixed_code(spec: HammingSpec, prefix_len: int, prefixes: list[int]) -> CoveringCode:
+    """Each ``prefix_len``-bit prefix completed by an all-zeros and an all-ones suffix."""
+    ones_suffix = ((1 << (spec.m - prefix_len)) - 1) << prefix_len
+    words = tuple(w for p in prefixes for w in (p, p | ones_suffix))
+    return CoveringCode(m=spec.m, words=words, target_radius=spec.ball_radius)
 
 
 @dataclass(frozen=True)
@@ -360,14 +361,9 @@ def build_random_covering_code(
     rng = np.random.default_rng(rng_seed)
     nbytes = (prefix_len + 7) // 8
     pmask = (1 << prefix_len) - 1
-    ones_suffix = ((1 << (spec.m - prefix_len)) - 1) << prefix_len
     for trial in range(1, trials + 1):
-        words = []
-        for _ in range(count):
-            prefix = int.from_bytes(rng.bytes(nbytes), "little") & pmask
-            words.append(prefix)
-            words.append(prefix | ones_suffix)
-        code = CoveringCode(m=spec.m, words=tuple(words), target_radius=spec.ball_radius)
+        prefixes = [int.from_bytes(rng.bytes(nbytes), "little") & pmask for _ in range(count)]
+        code = _suffixed_code(spec, prefix_len, prefixes)
         if spec.m > SCAN_MAX_M:
             return RandomCodeOutcome(code=code, verified=False, trials_used=trial)
         radius, far_point = covering_radius(code)

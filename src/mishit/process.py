@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -400,21 +400,8 @@ class ProcessStats:
     implication_violations: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "traces": self.traces,
-            "window": self.window,
-            "required_successes": self.required_successes,
-            "mean_successes": self.mean_successes,
-            "binomial_tail": self.binomial_tail,
-            "fraction_reaching_required": self.fraction_reaching_required,
-            "fraction_final_below": self.fraction_final_below,
-            "qualifying_steps": self.qualifying_steps,
-            "qualifying_successes": self.qualifying_successes,
-            "success_frequency": self.success_frequency,
-            "frequency_stderr": self.frequency_stderr,
-            "frequency_ok": self.frequency_ok,
-            "implication_violations": self.implication_violations,
-        }
+        """Every field but the per-trace ``success_counts``, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "success_counts"}
 
 
 def success_statistics(traces, params: ProcessParams) -> ProcessStats:
@@ -428,7 +415,7 @@ def success_statistics(traces, params: ProcessParams) -> ProcessStats:
     qual_steps = 0
     qual_succ = 0
     violations = 0
-    for t in traces:
+    for t, count in zip(traces, counts):
         before = t.alphas_before()
         for step, prev_alpha in zip(t.steps, before):
             if lo < step.i <= hi and prev_alpha >= params.threshold:
@@ -436,7 +423,7 @@ def success_statistics(traces, params: ProcessParams) -> ProcessStats:
                 qual_succ += step.successful
         if (
             t.initial_alpha <= alpha_ceiling
-            and t.success_count_in_window() >= req
+            and count >= req
             and t.final_alpha > params.threshold
         ):
             violations += 1

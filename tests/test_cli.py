@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -59,11 +61,16 @@ def test_hamming_exports(tmp_path):
     assert all(len(arr) == 5 for arr in family)
 
 
-def test_shift_k3(capsys):
-    assert main(["shift", "--k", "3"]) == 0
+def test_shift_k3(tmp_path, capsys):
+    csv_out = tmp_path / "r.csv"
+    assert main(["shift", "--k", "3", "--csv", str(csv_out)]) == 0
     printed = capsys.readouterr().out
     assert "n: 30" in printed and "alpha: 9" in printed
     assert "mis_count: 20" in printed and "h: 4" in printed
+    # sha256 as the CSV row listing each value beside the report wrote it
+    assert hashlib.sha256(csv_out.read_bytes()).hexdigest() == (
+        "2f4fc1a56527afd7e7a1b524ac7d7a59bb367e47a981e93ad2f962e9b524f986"
+    )
 
 
 def test_shift_k4_passes_every_check(capsys):
@@ -225,7 +232,7 @@ def test_workers_below_one_rejected(g2_file, capsys, monkeypatch, command, value
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_process_artifact_bytes(g2_file, tmp_path, workers):
+def test_process_artifact_bytes(g2_file, tmp_path, capsys, workers):
     csv_out, jsonl, out = tmp_path / "t.csv", tmp_path / "t.jsonl", tmp_path / "r.json"
     assert main([
         "process", "--graph", g2_file, "--traces", "25", "--seed", "5", "--workers", workers,
@@ -242,6 +249,10 @@ def test_process_artifact_bytes(g2_file, tmp_path, workers):
     )
     assert hashlib.sha256(report).hexdigest() == (
         "dbaed7b0563c1ae2ff233bd34a403f58edf781c9c36bb9b66fc92dfb825da75b"
+    )
+    # stdout prints the stats keys in their written order, which the sorted report above does not pin
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "c10d93c16465e267bde91e374460b7330f46bf2ec11de6133d1fed42ae41df44"
     )
 
 
@@ -299,15 +310,24 @@ def test_covering_code_hadamard(tmp_path):
     assert main(["covering-code", "--m", "10", "--t", "1", "--method", "hadamard", "--out", str(out)]) == 0
     code = read_code(out)
     assert len(code) == 16 and code.m == 10
+    # sha256 as the builder appending each suffix in place wrote it
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "1e623a5218682487c8249b95a1b7aa0ca154b4507c71bdb6b57531f994150c75"
+    )
 
 
 def test_covering_code_random_seeded(tmp_path):
     r1 = tmp_path / "c1.json"
     r2 = tmp_path / "c2.json"
     base = ["covering-code", "--m", "4", "--t", "1", "--method", "random", "--trials", "60"]
-    assert main(base + ["--seed", "3", "--json", str(r1)]) == 0
+    code = tmp_path / "code.txt"
+    assert main(base + ["--seed", "3", "--json", str(r1), "--out", str(code)]) == 0
     assert main(base + ["--seed", "3", "--json", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+    # sha256 as the builder appending each suffix in place wrote it
+    assert hashlib.sha256(code.read_bytes()).hexdigest() == (
+        "049d99fe231059857862666fcb16ba806387acd2c7488e0881afa4593d9272c5"
+    )
 
 
 def test_covering_code_random_requires_seed(capsys):
@@ -433,3 +453,18 @@ def test_single_sample_is_valid_outside_the_ceiling(tmp_path, capsys):
 def test_hajnal_corpus_bad_flag_is_a_one_line_error(capsys, monkeypatch, flag, argv):
     monkeypatch.setattr(mishit.hajnal, "random_corpus_check", None)  # refused before any graph is drawn
     assert flag in _assert_one_line_error(capsys, ["hajnal-corpus", *argv])
+
+
+def test_every_readme_command_line_parses():
+    # the doc-side twin of tests/test_bench_contract.py: each example in the
+    # README's "Command line" block is accepted by the parser as written
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("mishit ")]
+    assert len(examples) == 11
+    parser = mishit.cli.build_parser()
+    for example in examples:
+        try:
+            parser.parse_args(shlex.split(example)[1:])
+        except SystemExit:
+            pytest.fail(f"the CLI rejects the README example {example.strip()!r}")

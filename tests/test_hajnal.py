@@ -10,7 +10,7 @@ import pytest
 import mishit.hajnal
 from conftest import hub_graph, oracle_mis_masks, seeded_graphs
 from mishit.families import build_shift_graph, shift_mis_family
-from mishit.cli import build_parser
+from mishit.cli import build_parser, main
 from mishit.graph import (
     DEFAULT_MIS_CAP, EXACT_MAX_N, Graph, VertexSet, _solve_kernel_corona, enumerate_mis, random_graph
 )
@@ -123,6 +123,40 @@ def test_exhaustive_corpus_small():
     assert check.checked == 1 + 2 + 8 + 64 + 1024
     assert check.ok
     assert [s["alpha"].shape[0] for s in check.stats] == [1, 2, 8, 64, 1024]
+
+
+@pytest.mark.parametrize("corpus", ["exhaustive", "random"])
+def test_a_planted_violation_fails_its_corpus_check(monkeypatch, capsys, corpus):
+    # graph 5 on 3 vertices, or the first graph of the first table pass, gets
+    # kernel = corona = 0 < 2 * alpha; equality, as in K_2, is no violation
+    sweep, table_pass = mishit.hajnal.all_graphs_kernel_stats, mishit.hajnal._table_kernel_corona
+    planted = []  # the table passes that planted one
+
+    def planted_sweep(n):
+        stats = sweep(n)
+        if n == 3:
+            stats["kernel_size"][5] = stats["corona_size"][5] = 0
+        return stats
+
+    def planted_table_pass(n, coins):
+        a, kernel, corona = table_pass(n, coins)
+        if not planted:
+            kernel[0] = corona[0] = 0
+            planted.append(n)
+        return a, kernel, corona
+
+    if corpus == "exhaustive":
+        monkeypatch.setattr(mishit.hajnal, "all_graphs_kernel_stats", planted_sweep)
+        check = exhaustive_corpus_check(4)
+    else:
+        monkeypatch.setattr(mishit.hajnal, "_table_kernel_corona", planted_table_pass)
+        check, _ = random_corpus_check(200, seed=5, n_max=10)
+    assert (check.violations, check.ok) == (1, False)
+    planted.clear()
+    assert main(["hajnal-corpus", "--max-n", "4", "--random", "200", "--seed", "5", "--n-max", "10"]) == 1
+    printed = capsys.readouterr().out
+    assert f"{corpus}_violations: 1" in printed
+    assert printed.count("[FAIL]") == 1
 
 
 def test_exhaustive_rows_shape(monkeypatch):

@@ -97,7 +97,8 @@ def cmd_shift(args) -> int:
     a = family.alpha
     structural = families.shift_mis_family(spec)
     same_family = {s.bits for s in family.sets} == {s.bits for s in structural.sets}
-    result = hitting.min_hitting_set(structural)
+    hit = hitting.min_hitting_set(structural)
+    h = len(hit)
     cycle = families.shift_cycle_hitting_set(spec)
     cycle_hits = all(not s.isdisjoint(cycle) for s in structural.sets)
     n = spec.n
@@ -107,8 +108,8 @@ def cmd_shift(args) -> int:
         "n": n,
         "alpha": a,
         "mis_count": len(family),
-        "h": result.size,
-        "hitting_set": [spec.index_to_pair(v) for v in result.set],
+        "h": h,
+        "hitting_set": [spec.index_to_pair(v) for v in hit],
         "cycle_certificate": [spec.index_to_pair(v) for v in cycle],
         "sqrt_n_over_2": math.sqrt(n) / 2,
         "sqrt_n_over_2_alt_count": math.sqrt(n_alt) / 2,
@@ -117,9 +118,9 @@ def cmd_shift(args) -> int:
         ("alpha equals k^2", a == args.k**2),
         ("family complete with C(2k,k) members", len(family) == math.comb(2 * args.k, args.k)),
         ("enumerated family equals partition family", same_family),
-        ("h equals k+1", result.size == args.k + 1),
+        ("h equals k+1", h == args.k + 1),
         ("cycle certificate has size k+1 and hits every set", len(cycle) == args.k + 1 and cycle_hits),
-        ("h exceeds sqrt(n)/2", 4 * result.size * result.size > n),
+        ("h exceeds sqrt(n)/2", 4 * h * h > n),
     ]
     if args.graph_out:
         save_graph(g, args.graph_out)
@@ -157,8 +158,8 @@ def cmd_hamming(args) -> int:
         report["mis_count"] = len(family)
         if not args.force:
             checks.append(("MIS family is exactly the 2^m balls", balls_match))
-        h_hit = hitting.min_hitting_set(family)
-        report["h_exact"] = h_hit.size
+        h = len(hitting.min_hitting_set(family))
+        report["h_exact"] = h
         if spec.ball_radius == 0:
             code_size = spec.n  # radius 0 forces the whole space
         elif (spec.n + kle - 1) // kle <= 6:
@@ -168,7 +169,7 @@ def cmd_hamming(args) -> int:
             code_size = None
         report["min_code_size"] = code_size
         if code_size is not None and balls_match:
-            checks.append(("hitting number equals minimum covering-code size", h_hit.size == code_size))
+            checks.append(("hitting number equals minimum covering-code size", h == code_size))
     h0 = hitting.hadamard_prefix_order(args.t)
     if args.m >= h0:
         had = hitting.build_hadamard_covering_code(spec)
@@ -345,7 +346,7 @@ def cmd_covering_code(args) -> int:
             print(f"no verified code found in {outcome.trials_used} trials", file=sys.stderr)
             return 1
         code = outcome.code
-        verified = outcome.verified
+        verified = outcome.radius is not None
         trials_used = outcome.trials_used
         scan = (outcome.radius, outcome.far_point)  # the accepted trial's scan
     report = {
@@ -363,7 +364,7 @@ def cmd_covering_code(args) -> int:
         checks.append(("covering radius within target", radius <= code.target_radius))
         report["far_point"] = far
         checks.append(
-            ("far point exists iff radius exceeds target", (far is None) == (radius <= spec.ball_radius))
+            ("far point exists iff radius exceeds target", (far is None) == (radius <= code.target_radius))
         )
     else:
         report["covering_radius"] = None
@@ -376,13 +377,15 @@ def cmd_covering_code(args) -> int:
 def cmd_hitting_set(args) -> int:
     g = load_graph(args.graph)
     family = enumerate_mis(g)
-    result = hitting.min_hitting_set(family)
-    hits_all = all(not s.isdisjoint(result.set) for s in family.sets)
+    hit = hitting.min_hitting_set(family)
+    hits_all = all(not s.isdisjoint(hit) for s in family.sets)
     report = {
         "n": g.n,
         "alpha": family.alpha,
         "mis_count": len(family),
-        **result.to_json_dict(),
+        "size": len(hit),
+        "vertices": list(hit.members()),
+        "optimal": True,  # min_hitting_set tried every smaller budget first
     }
     checks = [
         ("transversal meets every maximum independent set", hits_all),

@@ -87,9 +87,6 @@ class VertexSet:
     def __iter__(self) -> Iterator[int]:
         return _iter_bits(self.bits)
 
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.n and bool(self.bits >> v & 1)
-
     def _check_universe(self, other: VertexSet) -> None:
         if self.n != other.n:
             raise ValueError(f"mismatched universes ({self.n} vs {other.n})")

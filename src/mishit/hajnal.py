@@ -58,19 +58,13 @@ class KernelReport:
     alpha: int
     kernel: VertexSet
     corona: VertexSet
-    holds: bool
 
 
 def kernel_corona(g: Graph) -> KernelReport:
     """Intersection/union over all maximum independent sets, exact for any
     family size."""
     a, kernel, corona = _solve_kernel_corona(g, (1 << g.n) - 1)
-    return KernelReport(
-        alpha=a,
-        kernel=VertexSet(g.n, kernel),
-        corona=VertexSet(g.n, corona),
-        holds=kernel.bit_count() + corona.bit_count() >= 2 * a,
-    )
+    return KernelReport(alpha=a, kernel=VertexSet(g.n, kernel), corona=VertexSet(g.n, corona))
 
 
 # ---------------------------------------------------------------------------

@@ -45,26 +45,6 @@ class InfeasibleFamilyError(ValueError):
     """A family member is empty, so no vertex set can hit everything."""
 
 
-@dataclass(frozen=True)
-class HittingResult:
-    """A minimum transversal with its certificate.
-
-    ``optimal`` means the search found no transversal within any smaller
-    budget for the *given* family.
-    """
-
-    set: VertexSet
-    size: int
-    optimal: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "vertices": list(self.set.members()),
-            "optimal": self.optimal,
-        }
-
-
 def _family_masks(family) -> tuple[list[int], int]:
     """Extract (bitmasks, universe size) from a MisFamily or a VertexSet sequence."""
     sets: Sequence[VertexSet] = family.sets if isinstance(family, MisFamily) else family
@@ -119,23 +99,24 @@ def _least_transversal(masks: list[int], budget: int) -> int | None:
     return None
 
 
-def min_hitting_set(family) -> HittingResult:
+def min_hitting_set(family) -> VertexSet:
     """Exact minimum-cardinality set meeting every family member.
 
     ``family`` is a MisFamily or a sequence of VertexSets over one universe.
-    Ties among optima are broken toward the lexicographically least vertex
-    tuple.
+    The set is optimal for the given family: the search is run at budgets
+    1, 2, ... and has found no transversal within any smaller one.  Ties
+    among optima are broken toward the lexicographically least vertex tuple.
     """
     masks, n = _family_masks(family)
     size = 1
     while (best := _least_transversal(masks, size)) is None:
         size += 1
-    return HittingResult(set=VertexSet(n, best), size=size, optimal=True)
+    return VertexSet(n, best)
 
 
-def h_of_graph(g: Graph) -> HittingResult:
-    """Hitting number of ``g``: minimum transversal of all maximum independent
-    sets.  Raises FamilyTooLargeError where ``enumerate_mis`` refuses."""
+def h_of_graph(g: Graph) -> VertexSet:
+    """A minimum transversal of all maximum independent sets of ``g``, of size
+    h(g).  Raises FamilyTooLargeError where ``enumerate_mis`` refuses."""
     return min_hitting_set(enumerate_mis(g))
 
 
@@ -329,11 +310,11 @@ class RandomCodeOutcome:
     """Result of the randomized construction: ``code`` is None after failure.
 
     ``radius`` and ``far_point`` are the accepted code's ``covering_radius``
-    result, or None when nothing was scanned.
+    result, or None when nothing was scanned, so the code is verified exactly
+    when ``radius`` is set.
     """
 
     code: CoveringCode | None
-    verified: bool
     trials_used: int
     radius: int | None = None
     far_point: int | None = None
@@ -365,13 +346,11 @@ def build_random_covering_code(
         prefixes = [int.from_bytes(rng.bytes(nbytes), "little") & pmask for _ in range(count)]
         code = _suffixed_code(spec, prefix_len, prefixes)
         if spec.m > SCAN_MAX_M:
-            return RandomCodeOutcome(code=code, verified=False, trials_used=trial)
+            return RandomCodeOutcome(code=code, trials_used=trial)
         radius, far_point = covering_radius(code)
         if radius <= spec.ball_radius:
-            return RandomCodeOutcome(
-                code=code, verified=True, trials_used=trial, radius=radius, far_point=far_point
-            )
-    return RandomCodeOutcome(code=None, verified=False, trials_used=trials)
+            return RandomCodeOutcome(code=code, trials_used=trial, radius=radius, far_point=far_point)
+    return RandomCodeOutcome(code=None, trials_used=trials)
 
 
 def min_covering_code_search(m: int, radius: int) -> CoveringCode:

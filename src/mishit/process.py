@@ -243,7 +243,6 @@ class ProcessStep:
 
 @dataclass(frozen=True)
 class ProcessTrace:
-    params: ProcessParams
     initial_alpha: int
     steps: tuple[ProcessStep, ...]
 
@@ -256,11 +255,6 @@ class ProcessTrace:
         prev = [self.initial_alpha]
         prev.extend(step.alpha for step in self.steps[:-1])
         return prev
-
-    def success_count_in_window(self) -> int:
-        lo = self.params.i0
-        hi = self.params.n - self.params.target_size
-        return sum(1 for s in self.steps if lo < s.i <= hi and s.successful)
 
 
 def _starting_components(g: Graph) -> tuple[tuple[int, int, int], ...]:
@@ -332,7 +326,7 @@ def run_deletion_process(
             )
         )
         cur_alpha = new_alpha
-    return ProcessTrace(params=params, initial_alpha=initial_alpha, steps=tuple(steps))
+    return ProcessTrace(initial_alpha=initial_alpha, steps=tuple(steps))
 
 
 def _trace_unit(args) -> ProcessTrace:
@@ -405,20 +399,22 @@ class ProcessStats:
 
 
 def success_statistics(traces, params: ProcessParams) -> ProcessStats:
-    """Empirical behaviour of the monitored window against the binomial model."""
+    """Empirical behaviour of the monitored window against the binomial model.
+
+    The traces were run under ``params``, so each stops at step n - target_size
+    and its monitored steps are those with i > i0.
+    """
     if not traces:
         raise ValueError("need at least one trace")
-    counts = tuple(t.success_count_in_window() for t in traces)
+    counts = tuple(sum(s.successful for s in t.steps if s.i > params.i0) for t in traces)
     req = params.required_successes
-    lo, hi = params.i0, params.n - params.target_size
     alpha_ceiling = (Fraction(1, 4) + params.epsilon) * params.n
     qual_steps = 0
     qual_succ = 0
     violations = 0
     for t, count in zip(traces, counts):
-        before = t.alphas_before()
-        for step, prev_alpha in zip(t.steps, before):
-            if lo < step.i <= hi and prev_alpha >= params.threshold:
+        for step, prev_alpha in zip(t.steps, t.alphas_before()):
+            if step.i > params.i0 and prev_alpha >= params.threshold:
                 qual_steps += 1
                 qual_succ += step.successful
         if (

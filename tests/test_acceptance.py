@@ -67,7 +67,7 @@ def test_criterion_1_shift_graph_values():
             shift_mis_from_partition(spec, s).bits
             for s in combinations(range(1, 2 * k + 1), k)
         }
-        h = min_hitting_set(family).size
+        h = len(min_hitting_set(family))
         ok &= a == k * k
         ok &= len(family) == math.comb(2 * k, k)
         ok &= {s.bits for s in family.sets} == partition_bits
@@ -75,7 +75,7 @@ def test_criterion_1_shift_graph_values():
         details.append(f"k={k}: alpha={a} mis={len(family)} h={h}")
     g4, _ = build_shift_graph(4)
     family4 = enumerate_mis(g4)
-    h4 = min_hitting_set(family4).size
+    h4 = len(min_hitting_set(family4))
     ok &= len(family4) == 70 and h4 == 5
     details.append(f"k=4: mis={len(family4)} h={h4}")
     report(1, ok, "; ".join(details))
@@ -134,7 +134,7 @@ def test_criterion_3_hamming_family():
 def test_criterion_4_covering_code_correspondence():
     spec = HammingSpec(4, 1)
     g = build_hamming_graph(spec)
-    h = h_of_graph(g).size
+    h = len(h_of_graph(g))
     code_size = len(min_covering_code_search(4, 1))
     ok = h == code_size == 4
     report(4, ok, f"h(G_4,1)={h}, min radius-1 code size={code_size}")

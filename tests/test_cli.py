@@ -198,6 +198,30 @@ def test_process_report_and_artifacts(g2_file, tmp_path):
     assert all(json.loads(line)["i"] >= 1 for line in jsonl.read_text().splitlines())
 
 
+def test_process_target_size(g2_file, tmp_path, capsys, monkeypatch):
+    seen = []  # the traces success_statistics receives
+
+    def spy(traces, params):
+        seen.extend(traces)
+        return statistics(traces, params)
+
+    statistics = mishit.process.success_statistics
+    monkeypatch.setattr(mishit.process, "success_statistics", spy)
+    jsonl = tmp_path / "t.jsonl"
+    argv = ["process", "--graph", g2_file, "--traces", "3", "--seed", "1", "--target-size", "4"]
+    assert main(argv + ["--trace-jsonl", str(jsonl)]) == 0
+    assert "target_size: 4" in capsys.readouterr().out.splitlines()
+    # 12 vertices down to 4: eight steps in every trace
+    assert [len(t.steps) for t in seen] == [8, 8, 8]
+    assert [json.loads(line)["i"] for line in jsonl.read_text().splitlines()] == list(range(1, 9))
+
+
+@pytest.mark.parametrize("size", ["12", "-1"])
+def test_process_rejects_target_size_out_of_range(g2_file, capsys, size):
+    argv = ["process", "--graph", g2_file, "--traces", "3", "--seed", "1", "--target-size", size]
+    assert "target size" in _assert_one_line_error(capsys, argv)
+
+
 def test_process_requires_seed(g2_file, capsys):
     assert "--seed" in _assert_one_line_error(capsys, ["process", "--graph", g2_file, "--traces", "2"])
 
@@ -353,6 +377,25 @@ def test_hitting_set_command(g2_file, tmp_path):
     assert len(payload["report"]["vertices"]) == 3
 
 
+def test_hitting_set_stdout_on_shift4(tmp_path, capsys):
+    path = tmp_path / "shift4.json"
+    save_graph(build_shift_graph(4)[0], path)
+    assert main(["hitting-set", "--graph", str(path)]) == 0
+    # sha256 as the search returning a result record wrote it
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "fae31faea9de0a6db00533407621f00d18cc558c626c919658a216e7e4dbecb8"
+    )
+
+
+def test_hitting_set_report_on_c4(tmp_path, capsys):
+    # C_4's maximum independent sets are {0, 2} and {1, 3}; the least optimum is {0, 1}
+    path = tmp_path / "c4.json"
+    save_graph(cycle_graph(4), path)
+    assert main(["hitting-set", "--graph", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3:6] == ["size: 2", "vertices: [0, 1]", "optimal: True"]
+
+
 def test_stochastic_commands_reproduce_json_bytes(g2_file, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["process", "--graph", g2_file, "--traces", "10", "--seed", "21"]
@@ -413,7 +456,9 @@ def test_missing_graph_file_is_a_one_line_error(tmp_path, capsys):
     _assert_one_line_error(capsys, ["alpha-prime", "--graph", str(tmp_path / "absent.json")])
 
 
-@pytest.mark.parametrize("argv", [["process", "--seed", "1"], ["alpha-prime"]], ids=["process", "alpha-prime"])
+@pytest.mark.parametrize(
+    "argv", [["process", "--seed", "1"], ["alpha-prime"], ["hitting-set"]], ids=["process", "alpha-prime", "hitting-set"]
+)
 def test_empty_graph_is_a_one_line_error(tmp_path, capsys, argv):
     path = tmp_path / "empty.json"
     path.write_text('{"n": 0, "edges": []}')

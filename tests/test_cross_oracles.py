@@ -43,8 +43,8 @@ def test_hitting_solver_against_subset_scan():
     for n, masks in random_families(90210, 150):
         result = min_hitting_set([VertexSet(n, m) for m in masks])
         opt, all_optima = brute_min_hitting_sets(masks, n)
-        assert result.size == opt
-        assert result.set.members() == min(all_optima)  # lexicographically least
+        assert len(result) == opt
+        assert result.members() == min(all_optima)  # lexicographically least
 
 
 STRUCTURED = [("shift", 2), ("shift", 3), ("shift", 4), ("hamming", 6)]
@@ -83,12 +83,12 @@ def milp_min_transversal_size(masks, n):
 @pytest.mark.parametrize("kind,size", STRUCTURED)
 def test_hitting_number_against_milp_on_structured_families(kind, size):
     sets = structured_family(kind, size)
-    assert min_hitting_set(sets).size == milp_min_transversal_size([s.bits for s in sets], sets[0].n)
+    assert len(min_hitting_set(sets)) == milp_min_transversal_size([s.bits for s in sets], sets[0].n)
 
 
 def test_hitting_number_against_milp_on_random_families():
     for n, masks in random_families(31337, 100):
-        assert min_hitting_set([VertexSet(n, m) for m in masks]).size == milp_min_transversal_size(masks, n)
+        assert len(min_hitting_set([VertexSet(n, m) for m in masks])) == milp_min_transversal_size(masks, n)
 
 
 def brute_scan(words, m, target):

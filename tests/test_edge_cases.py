@@ -25,7 +25,7 @@ def test_h_of_zero_vertex_graph_is_infeasible():
 def test_min_hitting_set_accepts_mis_family():
     family = enumerate_mis(Graph.complete(4))
     r = min_hitting_set(family)
-    assert r.size == 4
+    assert len(r) == 4
 
 
 def test_family_above_the_cap_is_refused(tmp_path, capsys, monkeypatch):
@@ -54,7 +54,7 @@ def test_kernel_corona_of_empty_restriction():
 def test_random_code_unverified_beyond_scan_range():
     out = build_random_covering_code(HammingSpec(30, 1), trials=5, rng_seed=11)
     assert out.code is not None
-    assert not out.verified
+    assert out.radius is None  # not verified
     assert out.trials_used == 1
     assert all(0 <= w < (1 << 30) for w in out.code.words)
 
@@ -68,6 +68,15 @@ def test_cli_covering_code_unverified_flag(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["report"]["covering_radius"] is None
     assert payload["report"]["verified"] is False
+
+
+def test_cli_hadamard_code_beyond_scan_range_is_unchecked(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["covering-code", "--m", "30", "--t", "2", "--method", "hadamard", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["report"] == {
+        "m": 30, "t": 2, "method": "hadamard", "code_size": 64, "target_radius": 13,
+        "trials_used": None, "covering_radius": None, "verified": None,
+    }
 
 
 def test_cli_process_rejects_unusable_epsilon(tmp_path):

@@ -37,29 +37,38 @@ def vs(n, members):
 # --- exact hitting sets ---------------------------------------------------
 
 
+def _no_transversal_below(size, sets, n):
+    """Exhaustive check that no vertex set of fewer than ``size`` vertices hits every set."""
+    for smaller in range(1, size):
+        for members in combinations(range(n), smaller):
+            hb = sum(1 << v for v in members)
+            assert any(s.bits & hb == 0 for s in sets)
+
+
 def test_disjoint_singletons():
-    r = min_hitting_set([vs(4, [1]), vs(4, [2])])
-    assert r.size == 2 and r.set.members() == (1, 2)
-    assert r.optimal
+    family = [vs(4, [1]), vs(4, [2])]
+    r = min_hitting_set(family)
+    assert len(r) == 2 and r.members() == (1, 2)
+    _no_transversal_below(len(r), family, 4)  # optimal
 
 
 def test_common_element():
     r = min_hitting_set([vs(4, [1, 2]), vs(4, [2, 3])])
-    assert r.size == 1 and r.set.members() == (2,)
+    assert len(r) == 1 and r.members() == (2,)
 
 
 def test_lexicographically_least_optimum():
     # optima are {0,2}, {0,3}, {1,2}, {1,3}
     r = min_hitting_set([vs(4, [0, 1]), vs(4, [2, 3])])
-    assert r.set.members() == (0, 2)
+    assert r.members() == (0, 2)
 
 
 def test_per_set_witnesses():
     family = [vs(5, [0, 1]), vs(5, [1, 2]), vs(5, [3, 4])]
     r = min_hitting_set(family)
-    assert r.set.members() == (1, 3)
+    assert r.members() == (1, 3)
     for s in family:
-        assert not s.isdisjoint(r.set)
+        assert not s.isdisjoint(r)
 
 
 def test_infeasible_on_empty_member():
@@ -82,7 +91,7 @@ def test_transversal_deeper_than_the_starting_recursion_limit():
         "from mishit.hitting import min_hitting_set\n"
         "sys.setrecursionlimit(100)\n"
         "r = min_hitting_set([VertexSet(1200, 1 << i) for i in range(1200)])\n"
-        "print(r.size, r.set.bits == (1 << 1200) - 1, sys.getrecursionlimit())\n"
+        "print(len(r), r.bits == (1 << 1200) - 1, sys.getrecursionlimit())\n"
     )
     assert run_fresh_python(script) == "1200 True 100\n"
 
@@ -97,37 +106,29 @@ def test_shift_hitting_number(k, expected):
     _, spec = build_shift_graph(k)
     family = shift_mis_family(spec)
     r = min_hitting_set(family)
-    assert r.size == expected
-    assert all(not s.isdisjoint(r.set) for s in family.sets)
+    assert len(r) == expected
+    assert all(not s.isdisjoint(r) for s in family.sets)
 
 
 def test_shift_k2_optimality_by_brute_force():
     _, spec = build_shift_graph(2)
     family = shift_mis_family(spec)
     r = min_hitting_set(family)
-    # no set of size < r.size hits everything (independent exhaustive check)
-    for size in range(1, r.size):
-        for h in combinations(range(spec.n), size):
-            hb = sum(1 << v for v in h)
-            assert any(s.bits & hb == 0 for s in family.sets)
+    # no smaller set hits everything (independent exhaustive check)
+    _no_transversal_below(len(r), family.sets, spec.n)
 
 
 def test_h_of_graph_basics():
-    assert h_of_graph(Graph.empty(5)).size == 1
-    assert h_of_graph(Graph.complete(4)).size == 4
+    assert len(h_of_graph(Graph.empty(5))) == 1
+    assert len(h_of_graph(Graph.complete(4))) == 4
     g2, _ = build_shift_graph(2)
-    assert h_of_graph(g2).size == 3
+    assert len(h_of_graph(g2)) == 3
 
 
 def test_h_of_graph_cap_overflow(monkeypatch):
     monkeypatch.setattr(mishit.graph, "DEFAULT_MIS_CAP", 3)
     with pytest.raises(FamilyTooLargeError):
         h_of_graph(Graph.complete(5))
-
-
-def test_hitting_result_json_schema():
-    r = min_hitting_set([vs(4, [0, 1]), vs(4, [2, 3])])
-    assert r.to_json_dict() == {"size": 2, "vertices": [0, 2], "optimal": True}
 
 
 # --- covering codes ---------------------------------------------------------
@@ -165,12 +166,12 @@ def test_hitting_code_correspondence_4_1():
     g = build_hamming_graph(spec)
     family = hamming_mis_family(spec)
     h = h_of_graph(g)
-    code = CoveringCode(spec.m, h.set.members(), spec.ball_radius)
+    code = CoveringCode(spec.m, h.members(), spec.ball_radius)
     radius, _ = covering_radius(code)
     assert radius <= spec.ball_radius
-    assert VertexSet.from_members(spec.n, code.words).bits == h.set.bits
+    assert VertexSet.from_members(spec.n, code.words).bits == h.bits
     # the two independent optimisation routes agree
-    assert h.size == len(min_covering_code_search(4, 1))
+    assert len(h) == len(min_covering_code_search(4, 1))
     # any set hits all balls iff its code has radius <= 1 (random sample)
     rng = np.random.default_rng(1)
     for _ in range(60):
@@ -186,11 +187,7 @@ def test_hamming_4_1_hitting_optimality_by_brute_force():
     spec = HammingSpec(4, 1)
     g = build_hamming_graph(spec)
     family = hamming_mis_family(spec)
-    h = h_of_graph(g)
-    for size in range(1, h.size):
-        for members in combinations(range(16), size):
-            hb = sum(1 << v for v in members)
-            assert any(s.bits & hb == 0 for s in family.sets)
+    _no_transversal_below(len(h_of_graph(g)), family.sets, spec.n)
 
 
 def test_far_point_single_codeword():
@@ -259,7 +256,7 @@ def test_random_code_4_1():
     spec = HammingSpec(4, 1)
     out = build_random_covering_code(spec, trials=100, rng_seed=7)
     assert isinstance(out, RandomCodeOutcome)
-    assert out.verified and out.code is not None
+    assert out.radius is not None and out.code is not None
     radius, _ = covering_radius(out.code)
     assert radius <= 1
     again = build_random_covering_code(spec, trials=100, rng_seed=7)
@@ -269,7 +266,7 @@ def test_random_code_4_1():
 
 def test_random_code_zero_trials_fails():
     out = build_random_covering_code(HammingSpec(4, 1), trials=0, rng_seed=1)
-    assert out.code is None and not out.verified
+    assert out.code is None and out.radius is None
 
 
 def test_random_code_rejects_long_prefix():

@@ -419,7 +419,7 @@ def _stalled_trace(steps: int) -> tuple[ProcessTrace, ProcessParams]:
     )
     flat = tuple(ProcessStep(i=i, removed=i - 1, alpha=2, successful=False, kernel_size=None)
                  for i in range(1, steps + 1))
-    return ProcessTrace(params=params, initial_alpha=2, steps=flat), params
+    return ProcessTrace(initial_alpha=2, steps=flat), params
 
 
 @pytest.mark.parametrize("steps, ok", [(4, True), (75, True), (76, False), (200, False)])
@@ -474,7 +474,7 @@ def rescan_trace(g, params, seed):
         successful = cur_alpha < params.threshold or new_alpha < cur_alpha
         steps.append(ProcessStep(i, victim, new_alpha, successful, kernel_size))
         cur_alpha = new_alpha
-    return ProcessTrace(params=params, initial_alpha=initial_alpha, steps=tuple(steps))
+    return ProcessTrace(initial_alpha=initial_alpha, steps=tuple(steps))
 
 
 def _watch_every_step(n):

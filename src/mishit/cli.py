@@ -331,7 +331,8 @@ def cmd_covering_code(args) -> int:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     if args.count is not None and args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
-    spec = families.HammingSpec(args.m, args.t, constrained=not args.force)
+    spec = families.HammingSpec(args.m, args.t)
+    report = {"m": args.m, "t": args.t, "method": args.method}
     if args.method == "hadamard":
         code = hitting.build_hadamard_covering_code(spec)
         verified = None
@@ -342,21 +343,14 @@ def cmd_covering_code(args) -> int:
         outcome = hitting.build_random_covering_code(
             spec, trials=args.trials, rng_seed=args.seed, count=args.count
         )
-        if outcome.code is None:
-            print(f"no verified code found in {outcome.trials_used} trials", file=sys.stderr)
-            return 1
+        if outcome.code is None:  # every trial scanned, none within target: no code to write
+            report.update(code_size=None, target_radius=spec.ball_radius, trials_used=outcome.trials_used)
+            return _emit(args, report, [("some trial's covering radius within target", False)])
         code = outcome.code
         verified = outcome.radius is not None
         trials_used = outcome.trials_used
         scan = (outcome.radius, outcome.far_point)  # the accepted trial's scan
-    report = {
-        "m": args.m,
-        "t": args.t,
-        "method": args.method,
-        "code_size": len(code),
-        "target_radius": code.target_radius,
-        "trials_used": trials_used,
-    }
+    report.update(code_size=len(code), target_radius=code.target_radius, trials_used=trials_used)
     checks = []
     if args.m <= hitting.SCAN_MAX_M:
         radius, far = scan or hitting.covering_radius(code)
@@ -465,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["hadamard", "random"], required=True)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--count", type=int, default=None, help="random prefixes per trial")
-    p.add_argument("--force", action="store_true", help="skip the 4t^2 <= m constraint")
     p.add_argument("--out", metavar="PATH", help="write the code file")
     add_common(p, seed=True)
     p.set_defaults(func=cmd_covering_code)

@@ -83,7 +83,7 @@ def build_shift_graph(k: int) -> tuple[Graph, ShiftSpec]:
             if c != a:
                 row |= 1 << spec.pair_to_index(c, a)
         rows[idx] = row & ~(1 << idx)
-    return Graph(spec.n, rows, validate=False), spec
+    return Graph(spec.n, rows), spec
 
 
 def shift_mis_from_partition(spec: ShiftSpec, s) -> VertexSet:
@@ -187,7 +187,7 @@ def build_hamming_graph(spec: HammingSpec) -> Graph:
         far[u] = False
         packed = np.packbits(far, bitorder="little").tobytes()
         rows.append(int.from_bytes(packed[:nbytes], "little"))
-    return Graph(n, rows, validate=False)
+    return Graph(n, rows)
 
 
 def kleitman_alpha(spec: HammingSpec) -> int:

@@ -121,11 +121,16 @@ class MisFamily:
 
 
 class Graph:
-    """Immutable undirected graph on vertices 0..n-1 with bitmask rows."""
+    """Immutable undirected graph on vertices 0..n-1 with bitmask rows.
+
+    The constructor trusts its rows to be in range, loop-free and symmetric,
+    as every builder in the package makes them; outside data must come
+    through ``from_edges``, which checks each edge.
+    """
 
     __slots__ = ("n", "adj", "_comp")
 
-    def __init__(self, n: int, adj: Iterable[int], validate: bool = True):
+    def __init__(self, n: int, adj: Iterable[int]):
         self.n = n
         self.adj = tuple(adj)
         self._comp = None
@@ -135,8 +140,6 @@ class Graph:
             raise ValueError(f"n={n} exceeds the {MAX_VERTICES}-vertex bitmask cap")
         if len(self.adj) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(self.adj)}")
-        if validate:
-            _validate_rows(n, self.adj)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -150,16 +153,16 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, rows, validate=False)
+        return cls(n, rows)
 
     @classmethod
     def empty(cls, n: int) -> Graph:
-        return cls(n, [0] * n, validate=False)
+        return cls(n, [0] * n)
 
     @classmethod
     def complete(cls, n: int) -> Graph:
         full = (1 << n) - 1
-        return cls(n, [full & ~(1 << v) for v in range(n)], validate=False)
+        return cls(n, [full & ~(1 << v) for v in range(n)])
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -192,11 +195,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges()})"
 
     def __reduce__(self):
-        return (_rebuild_graph, (self.n, self.adj))
-
-
-def _rebuild_graph(n, adj):
-    return Graph(n, adj, validate=False)
+        return (Graph, (self.n, self.adj))
 
 
 def _iter_bits(bits: int) -> Iterator[int]:
@@ -204,22 +203,6 @@ def _iter_bits(bits: int) -> Iterator[int]:
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
-
-
-def _validate_rows(n: int, rows: tuple[int, ...]) -> None:
-    for v, row in enumerate(rows):
-        if row < 0 or row >> n:
-            raise ValueError(f"row {v} has bits outside 0..{n - 1}")
-        if row >> v & 1:
-            raise ValueError(f"self-loop at vertex {v}")
-    nbytes = (n + 7) // 8
-    buf = b"".join(row.to_bytes(nbytes, "little") for row in rows)
-    mat = np.unpackbits(
-        np.frombuffer(buf, dtype=np.uint8).reshape(n, nbytes),
-        axis=1, count=n, bitorder="little",
-    )
-    if not np.array_equal(mat, mat.T):
-        raise ValueError("asymmetric adjacency")
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +467,7 @@ def induced_subgraph(g: Graph, w: VertexSet) -> tuple[Graph, tuple[int, ...]]:
         for u in _iter_bits(g.adj[v] & w.bits):
             row |= 1 << pos[u]
         rows.append(row)
-    return Graph(len(old), rows, validate=False), old
+    return Graph(len(old), rows), old
 
 
 def _edge_coins(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -502,7 +485,7 @@ def random_graph(n: int, p: float, seed) -> Graph:
     for u, v in compress(combinations(range(n), 2), coins):
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, rows, validate=False)
+    return Graph(n, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +523,7 @@ def save_graph(g: Graph, path) -> None:
 
 
 def parse_dimacs(text: str) -> Graph:
-    """DIMACS edge format: 'p edge n m' header, 'e u v' lines, 1-based."""
+    """DIMACS edge format: one 'p edge n m' header, 'e u v' lines, 1-based."""
     n = None
     edges = []
     for line in text.splitlines():
@@ -550,6 +533,8 @@ def parse_dimacs(text: str) -> Graph:
         if parts[0] in ("p", "e") and len(parts) < 3:
             raise ValueError(f"DIMACS line {line.strip()!r} has fewer than three fields")
         if parts[0] == "p":
+            if n is not None:
+                raise ValueError("second DIMACS problem line")
             n = int(parts[2])
         elif parts[0] == "e":
             if n is None:

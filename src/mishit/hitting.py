@@ -392,35 +392,9 @@ def word_to_string(word: int, m: int) -> str:
     return "".join("1" if word >> j & 1 else "0" for j in range(m))
 
 
-def string_to_word(s: str) -> int:
-    word = 0
-    for j, ch in enumerate(s):
-        if ch == "1":
-            word |= 1 << j
-        elif ch != "0":
-            raise ValueError(f"bad code character {ch!r}")
-    return word
-
-
 def write_code(code: CoveringCode, path) -> None:
     t = code.m // 2 - code.target_radius
     with open(path, "w") as fh:
         fh.write(f"m={code.m} t={t}\n")
         for w in code.words:
             fh.write(word_to_string(w, code.m) + "\n")
-
-
-def read_code(path) -> CoveringCode:
-    with open(path) as fh:
-        header = fh.readline().split()
-        fields = dict(part.split("=") for part in header)
-        m = int(fields["m"])
-        t = int(fields["t"])
-        words = []
-        for line in fh:
-            line = line.strip()
-            if line:
-                if len(line) != m:
-                    raise ValueError(f"word of length {len(line)} in a length-{m} code file")
-                words.append(string_to_word(line))
-    return CoveringCode(m=m, words=tuple(words), target_radius=m // 2 - t)

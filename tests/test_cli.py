@@ -13,9 +13,8 @@ import mishit.hitting
 import mishit.process
 from conftest import cycle_graph, disjoint_union
 from mishit.cli import main
-from mishit.families import build_shift_graph
+from mishit.families import HammingSpec, build_shift_graph
 from mishit.graph import MAX_VERTICES, Graph, save_graph
-from mishit.hitting import read_code
 
 
 @pytest.fixture
@@ -332,8 +331,11 @@ def test_process_epsilon_override(g2_file, tmp_path):
 def test_covering_code_hadamard(tmp_path):
     out = tmp_path / "code.txt"
     assert main(["covering-code", "--m", "10", "--t", "1", "--method", "hadamard", "--out", str(out)]) == 0
-    code = read_code(out)
-    assert len(code) == 16 and code.m == 10
+    header, *words = out.read_text().splitlines()
+    assert header == "m=10 t=1"
+    assert len(words) == 16 and all(len(w) == 10 for w in words)
+    built = mishit.hitting.build_hadamard_covering_code(HammingSpec(10, 1))
+    assert tuple(int(w[::-1], 2) for w in words) == built.words
     # sha256 as the builder appending each suffix in place wrote it
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "1e623a5218682487c8249b95a1b7aa0ca154b4507c71bdb6b57531f994150c75"
@@ -352,6 +354,29 @@ def test_covering_code_random_seeded(tmp_path):
     assert hashlib.sha256(code.read_bytes()).hexdigest() == (
         "049d99fe231059857862666fcb16ba806387acd2c7488e0881afa4593d9272c5"
     )
+
+
+def test_covering_code_random_failure_reports_and_writes_json(tmp_path, capsys):
+    # one prefix per trial never covers Z_2^4 at radius 1
+    out = tmp_path / "r.json"
+    code = tmp_path / "code.txt"
+    argv = ["covering-code", "--m", "4", "--t", "1", "--method", "random", "--trials", "3", "--seed", "5",
+            "--count", "1", "--json", str(out), "--out", str(code)]
+    assert main(argv) == 1
+    printed = capsys.readouterr().out
+    assert "code_size: None" in printed and "trials_used: 3" in printed
+    assert printed.count("[FAIL]") == 1
+    payload = json.loads(out.read_text())
+    assert payload["report"]["code_size"] is None and payload["report"]["trials_used"] == 3
+    assert list(payload["checks"].values()) == [False]
+    assert not code.exists()
+
+
+def test_covering_code_has_no_force_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["covering-code", "--m", "6", "--t", "2", "--method", "hadamard", "--force"])
+    assert exc.value.code == 2
+    assert "--force" in capsys.readouterr().err
 
 
 def test_covering_code_random_requires_seed(capsys):
@@ -445,6 +470,7 @@ def test_out_of_range_edge_is_a_one_line_error(tmp_path, capsys):
     '{"n": 1000000000, "edges": []}',
     "p edge\ne 1 2\n",
     "p edge 3 1\ne 1\n",
+    "p edge 3 1\ne 1 2\np edge 5 0\n",  # a second problem line
 ])
 def test_malformed_graph_file_is_a_one_line_error(tmp_path, capsys, text):
     path = tmp_path / "bad.graph"

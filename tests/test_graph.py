@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import pickle
 from itertools import islice
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import mishit.graph
 from conftest import cycle_graph, oracle_alpha, oracle_mis_masks, run_fresh_python, seeded_graphs
+from mishit.families import HammingSpec, build_hamming_graph, build_shift_graph
 from mishit.graph import (
     FamilyTooLargeError,
     Graph,
@@ -57,15 +59,45 @@ def test_vertexset_algebra():
 
 def test_graph_validation():
     with pytest.raises(ValueError):
-        Graph(2, [0b10, 0b00])  # asymmetric
-    with pytest.raises(ValueError):
-        Graph(2, [0b01, 0b10])  # self-loops
-    with pytest.raises(ValueError):
-        Graph(1, [0b10])  # out of range
-    with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 5)])
+
+
+def _random_builds():
+    params = [(0, 0.5, 1), (1, 0.5, 2), (9, 0.3, 3), (17, 0.7, 4), (40, 0.5, 5)]
+    return [random_graph(n, p, seed) for n, p, seed in params]
+
+
+def _induced_builds():
+    g = random_graph(14, 0.5, 6)
+    subsets = [[], [3], range(0, 14, 2), range(14)]
+    return [induced_subgraph(g, VertexSet.from_members(14, members))[0] for members in subsets]
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: [Graph.from_edges(5, [(0, 1), (1, 2), (4, 0), (2, 1)])], id="from_edges"),
+    pytest.param(lambda: [Graph.empty(n) for n in (0, 1, 7)], id="empty"),
+    pytest.param(lambda: [Graph.complete(n) for n in (0, 1, 2, 9)], id="complete"),
+    pytest.param(_random_builds, id="random_graph"),
+    pytest.param(lambda: [build_shift_graph(k)[0] for k in (1, 2, 3)], id="shift"),
+    pytest.param(
+        lambda: [build_hamming_graph(HammingSpec(m, t, constrained=False)) for m in (2, 4, 6, 8) for t in (1, 2)],
+        id="hamming",
+    ),
+    pytest.param(_induced_builds, id="induced_subgraph"),
+])
+def test_builders_make_valid_rows(build):
+    # Graph trusts its rows, so every in-package builder must make them in
+    # range, loop-free and symmetric
+    for g in build():
+        assert len(g.adj) == g.n
+        for v, row in enumerate(g.adj):
+            assert 0 <= row < 1 << g.n
+            assert not row >> v & 1
+            for u in range(g.n):
+                assert (row >> u & 1) == (g.adj[u] >> v & 1)
+        assert pickle.loads(pickle.dumps(g)) == g
 
 
 def test_graph_too_large_rejected():

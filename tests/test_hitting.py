@@ -23,7 +23,6 @@ from mishit.hitting import (
     kneser_lower_bound,
     min_covering_code_search,
     min_hitting_set,
-    read_code,
     sylvester_hadamard_rows,
     word_to_string,
     write_code,
@@ -293,6 +292,17 @@ def test_kneser_lower_bound_values():
     assert discrepancy_lower_bound(12) == 4 < 24 == kneser_lower_bound(HammingSpec(576, 12))
 
 
+@pytest.mark.parametrize("m,t", [(m, t) for t in (1, 2, 3) for m in range(2, 38, 2) if 4 * t * t > m])
+def test_builders_refuse_prefixes_longer_than_m(m, t):
+    # the 4t^2 <= m constraint is the builders' own precondition, so lifting it
+    # in HammingSpec changes no covering-code result
+    spec = HammingSpec(m, t, constrained=False)
+    with pytest.raises(ValueError):
+        build_hadamard_covering_code(spec)
+    with pytest.raises(ValueError):
+        build_random_covering_code(spec, trials=1, rng_seed=0)
+
+
 # --- files ------------------------------------------------------------------
 
 
@@ -305,7 +315,7 @@ def test_code_file_roundtrip(tmp_path):
     code = build_hadamard_covering_code(spec)
     path = tmp_path / "code.txt"
     write_code(code, path)
-    header = path.read_text().splitlines()[0]
+    header, *lines = path.read_text().splitlines()
     assert header == "m=8 t=1"
-    back = read_code(path)
-    assert back == code
+    assert all(len(line) == 8 for line in lines)
+    assert tuple(int(line[::-1], 2) for line in lines) == code.words

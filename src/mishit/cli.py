@@ -134,9 +134,11 @@ HAMMING_EXACT_MAX_M = 6
 
 
 def cmd_hamming(args) -> int:
-    if (args.graph_out or args.family_out) and args.m > families.EXPLICIT_MAX_M:
-        raise ValueError(f"--graph-out and --family-out need m <= {families.EXPLICIT_MAX_M}, got {args.m}")
-    spec = families.HammingSpec(args.m, args.t, constrained=not args.force)
+    spec = families.HammingSpec(args.m, args.t)
+    exact = args.m <= HAMMING_EXACT_MAX_M
+    # built once for the checks and the exports; the builders refuse m > 12 before any work
+    g = families.build_hamming_graph(spec) if exact or args.graph_out else None
+    balls = families.hamming_mis_family(spec) if exact or args.family_out else None
     kle = families.kleitman_alpha(spec)
     report = {
         "m": args.m,
@@ -148,16 +150,13 @@ def cmd_hamming(args) -> int:
         "kneser_lower_bound": hitting.kneser_lower_bound(spec),
     }
     checks: list[tuple[str, bool]] = []
-    if args.m <= HAMMING_EXACT_MAX_M:
-        g = families.build_hamming_graph(spec)
+    if exact:
         family = enumerate_mis(g)
         report["alpha_exact"] = family.alpha
         checks.append(("exact alpha equals the Kleitman sum", family.alpha == kle))
-        balls = families.hamming_mis_family(spec)
         balls_match = {s.bits for s in family.sets} == {s.bits for s in balls.sets}
         report["mis_count"] = len(family)
-        if not args.force:
-            checks.append(("MIS family is exactly the 2^m balls", balls_match))
+        checks.append(("MIS family is exactly the 2^m balls", balls_match))
         h = len(hitting.min_hitting_set(family))
         report["h_exact"] = h
         if spec.ball_radius == 0:
@@ -181,9 +180,9 @@ def cmd_hamming(args) -> int:
     else:
         report["hadamard_code_size"] = None
     if args.graph_out:
-        save_graph(families.build_hamming_graph(spec), args.graph_out)
+        save_graph(g, args.graph_out)
     if args.family_out:
-        _write_family_json(args.family_out, families.hamming_mis_family(spec))
+        _write_family_json(args.family_out, balls)
     csv_spec = (
         list(report.keys()),
         [list(report.values())],
@@ -335,9 +334,8 @@ def cmd_covering_code(args) -> int:
     report = {"m": args.m, "t": args.t, "method": args.method}
     if args.method == "hadamard":
         code = hitting.build_hadamard_covering_code(spec)
-        verified = None
         trials_used = None
-        scan = None
+        scan = hitting.covering_radius(code) if args.m <= hitting.SCAN_MAX_M else None
     else:
         _require_seed(args)
         outcome = hitting.build_random_covering_code(
@@ -347,22 +345,20 @@ def cmd_covering_code(args) -> int:
             report.update(code_size=None, target_radius=spec.ball_radius, trials_used=outcome.trials_used)
             return _emit(args, report, [("some trial's covering radius within target", False)])
         code = outcome.code
-        verified = outcome.radius is not None
         trials_used = outcome.trials_used
         scan = (outcome.radius, outcome.far_point)  # the accepted trial's scan
     report.update(code_size=len(code), target_radius=code.target_radius, trials_used=trials_used)
     checks = []
-    if args.m <= hitting.SCAN_MAX_M:
-        radius, far = scan or hitting.covering_radius(code)
+    if scan is None:
+        report["covering_radius"] = None
+    else:
+        radius, far = scan
         report["covering_radius"] = radius
         checks.append(("covering radius within target", radius <= code.target_radius))
         report["far_point"] = far
         checks.append(
             ("far point exists iff radius exceeds target", (far is None) == (radius <= code.target_radius))
         )
-    else:
-        report["covering_radius"] = None
-        report["verified"] = verified
     if args.out:
         hitting.write_code(code, args.out)
     return _emit(args, report, checks)
@@ -424,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hamming", help="Hamming family: Kleitman alpha, h bounds, Hadamard code")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--force", action="store_true", help="skip the 4t^2 <= m constraint")
     add_exports(p)
     add_common(p, csv_opt=True)
     p.set_defaults(func=cmd_hamming)

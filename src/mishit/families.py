@@ -7,11 +7,12 @@ products S x T over the equal-split partitions S, T of the ground set, so
 there are C(2k, k) of them, each of size k^2, and a directed (k+1)-cycle is a
 smallest set of vertices meeting them all.
 
-Hamming graph: vertices are the binary words of length m (m even), adjacent
-iff their Hamming distance exceeds m - 2t.  This is the Cayley graph of
-Z_2^m over the words of weight >= m - 2t + 1; the independence number is the
-Kleitman value sum_{i<=m/2-t} C(m, i), attained exactly by the 2^m Hamming
-balls of radius m/2 - t.
+Hamming graph: for even m and 1 <= t <= m/2, vertices are the binary words
+of length m, adjacent iff their Hamming distance exceeds m - 2t.  This is the
+Cayley graph of Z_2^m over the words of weight >= m - 2t + 1; the
+independence number is the Kleitman value sum_{i<=m/2-t} C(m, i), attained
+exactly by the 2^m Hamming balls of radius m/2 - t.  The paper's 4t^2 <= m
+belongs to the covering-code builders in ``hitting``, not to the graph.
 
 Explicit adjacency rows are materialised only up to 2^12 vertices.
 """
@@ -27,6 +28,7 @@ import numpy as np
 from .graph import Graph, MisFamily, VertexSet
 
 EXPLICIT_MAX_M = 12
+HAMMING_MAX_M = 4096  # 2^4096 has 1234 digits, under Python's 4300-digit str() limit
 
 
 @dataclass(frozen=True)
@@ -142,22 +144,17 @@ def shift_avoiding_partition(spec: ShiftSpec, h: VertexSet) -> tuple[int, ...] |
 
 @dataclass(frozen=True)
 class HammingSpec:
-    """Parameters (m, t) with m even; ``constrained`` asserts 4t^2 <= m."""
+    """Parameters (m, t): m even in 2..HAMMING_MAX_M and 1 <= t <= m/2, so
+    the ball radius m/2 - t is never negative."""
 
     m: int
     t: int
-    constrained: bool = True
 
     def __post_init__(self):
-        if self.m < 2 or self.m % 2:
-            raise ValueError("m must be a positive even integer")
-        if self.t < 1:
-            raise ValueError("t must be a positive integer")
-        if self.constrained and 4 * self.t * self.t > self.m:
-            raise ValueError(
-                f"4t^2={4 * self.t * self.t} exceeds m={self.m}; "
-                "pass constrained=False to build anyway"
-            )
+        if not 2 <= self.m <= HAMMING_MAX_M or self.m % 2:
+            raise ValueError(f"m must be an even integer from 2 to {HAMMING_MAX_M}, got {self.m}")
+        if not 1 <= self.t <= self.m // 2:
+            raise ValueError(f"t must be between 1 and m/2 = {self.m // 2}, got {self.t}")
 
     @property
     def n(self) -> int:
@@ -192,17 +189,13 @@ def build_hamming_graph(spec: HammingSpec) -> Graph:
 
 def kleitman_alpha(spec: HammingSpec) -> int:
     """Exact independence number sum_{i=0}^{m/2-t} C(m, i) as a big integer."""
-    if spec.ball_radius < 0:
-        raise ValueError(f"m/2 - t = {spec.ball_radius} is negative")
     return sum(math.comb(spec.m, i) for i in range(spec.ball_radius + 1))
 
 
 def hamming_ball(spec: HammingSpec, center: int, radius: int) -> VertexSet:
     """All words at distance <= radius from ``center`` (explicit range only)."""
     if spec.m > EXPLICIT_MAX_M:
-        raise ValueError(f"materialised balls need m <= {EXPLICIT_MAX_M}")
-    if not 0 <= radius <= spec.m:
-        raise ValueError(f"radius {radius} out of range 0..{spec.m}")
+        raise ValueError(f"materialised balls need m <= {EXPLICIT_MAX_M}, got m={spec.m}")
     if not 0 <= center < spec.n:
         raise ValueError("center out of range")
     words = np.arange(spec.n, dtype=np.uint32)
@@ -213,10 +206,5 @@ def hamming_ball(spec: HammingSpec, center: int, radius: int) -> VertexSet:
 
 def hamming_mis_family(spec: HammingSpec) -> MisFamily:
     """The 2^m balls of radius m/2 - t, in center order; complete by Kleitman."""
-    if spec.m > EXPLICIT_MAX_M:
-        raise ValueError(f"materialised family needs m <= {EXPLICIT_MAX_M}")
-    radius = spec.ball_radius
-    if radius < 0:
-        raise ValueError(f"m/2 - t = {radius} is negative")
-    sets = tuple(hamming_ball(spec, c, radius) for c in range(spec.n))
+    sets = tuple(hamming_ball(spec, c, spec.ball_radius) for c in range(spec.n))
     return MisFamily(alpha=kleitman_alpha(spec), sets=sets)

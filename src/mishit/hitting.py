@@ -23,7 +23,8 @@ the discrepancy bound forces code sizes of at least ceil(t^2/36).
 Upper-bound constructions: rows of a Sylvester Hadamard matrix of order h0
 (the least power of two >= 4t^2) together with their complements, each
 extended by an all-zeros and an all-ones suffix; and seeded random prefixes
-of length 4t^2 extended the same two complementary ways.
+of length 4t^2 extended the same two complementary ways.  The builders
+refuse m below their prefix length, so 4t^2 <= m is checked there.
 """
 
 from __future__ import annotations
@@ -310,8 +311,7 @@ class RandomCodeOutcome:
     """Result of the randomized construction: ``code`` is None after failure.
 
     ``radius`` and ``far_point`` are the accepted code's ``covering_radius``
-    result, or None when nothing was scanned, so the code is verified exactly
-    when ``radius`` is set.
+    result, or None with the code.
     """
 
     code: CoveringCode | None
@@ -330,10 +330,11 @@ def build_random_covering_code(
 
     Each trial samples ``count`` prefixes (default 16t^2, matching the
     Hadamard code size), extends each with the all-zeros and the all-ones
-    suffix, and accepts the first trial whose exhaustively verified covering
-    radius is at most m/2 - t.  Beyond the scan range the first sample is
-    returned unverified.
+    suffix, and accepts the first trial whose exhaustively scanned covering
+    radius is at most m/2 - t, so m is refused beyond the scan range.
     """
+    if spec.m > SCAN_MAX_M:
+        raise ValueError(f"the random method scans every trial, which needs m <= {SCAN_MAX_M}, got m={spec.m}")
     prefix_len = 4 * spec.t * spec.t
     if prefix_len > spec.m:
         raise ValueError(f"prefix length 4t^2={prefix_len} exceeds m={spec.m}")
@@ -345,8 +346,6 @@ def build_random_covering_code(
     for trial in range(1, trials + 1):
         prefixes = [int.from_bytes(rng.bytes(nbytes), "little") & pmask for _ in range(count)]
         code = _suffixed_code(spec, prefix_len, prefixes)
-        if spec.m > SCAN_MAX_M:
-            return RandomCodeOutcome(code=code, trials_used=trial)
         radius, far_point = covering_radius(code)
         if radius <= spec.ball_radius:
             return RandomCodeOutcome(code=code, trials_used=trial, radius=radius, far_point=far_point)

@@ -66,6 +66,14 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return Graph.from_edges(offset, edges)
 
 
+def lex_product(g: Graph, h: Graph) -> Graph:
+    """G∘H: each vertex u of G becomes a copy of H on u*|H| .. u*|H| + |H| - 1,
+    and two copies are joined completely when their vertices are adjacent in G."""
+    inside = [(u * h.n + x, u * h.n + y) for u in range(g.n) for x, y in h.edges()]
+    across = [(u * h.n + x, v * h.n + y) for u, v in g.edges() for x in range(h.n) for y in range(h.n)]
+    return Graph.from_edges(g.n * h.n, inside + across)
+
+
 def hub_graph(k: int) -> Graph:
     """k triangles (a_i, b_i, c_i) = (3i, 3i+1, 3i+2) and a hub 3k joined to
     every a_i: alpha = k + 1 and 2^k maximum independent sets, the hub with

@@ -8,12 +8,13 @@ from pathlib import Path
 import pytest
 
 import mishit.cli
+import mishit.families
 import mishit.hajnal
 import mishit.hitting
 import mishit.process
 from conftest import cycle_graph, disjoint_union
 from mishit.cli import main
-from mishit.families import HammingSpec, build_shift_graph
+from mishit.families import HAMMING_MAX_M, HammingSpec, build_shift_graph
 from mishit.graph import MAX_VERTICES, Graph, save_graph
 
 
@@ -108,10 +109,40 @@ def test_hamming_export_above_m12_is_a_one_line_error(tmp_path, capsys, flag):
     assert not (tmp_path / "out.json").exists()
 
 
-def test_hamming_constraint_gate():
-    with pytest.raises(SystemExit):
-        main(["hamming", "--m", "6", "--t", "3"])
-    assert main(["hamming", "--m", "6", "--t", "3", "--force"]) == 0
+# K(m, r), the least size of a binary code of length m and covering radius r
+# (Cohen, Honkala, Litsyn & Lobstein, "Covering Codes", 1997); r = 0 needs every word
+LEAST_COVERING_CODE = {(2, 0): 4, (4, 0): 16, (4, 1): 4, (6, 0): 64, (6, 1): 12, (6, 2): 4}
+
+
+@pytest.mark.parametrize("m,t", [(m, t) for m in (2, 4, 6) for t in range(1, m // 2 + 1)])
+def test_hamming_passes_every_check_at_every_t(tmp_path, m, t):
+    # 4t^2 <= m is the code builders' rule, not the graph's: at every t the
+    # balls are the whole MIS family and h is the least covering code
+    out = tmp_path / "r.json"
+    assert main(["hamming", "--m", str(m), "--t", str(t), "--json", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["checks"]["MIS family is exactly the 2^m balls"] is True
+    assert all(payload["checks"].values())
+    assert payload["report"]["h_exact"] == LEAST_COVERING_CODE[m, m // 2 - t]
+
+
+def test_hamming_has_no_force_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["hamming", "--m", "6", "--t", "3", "--force"])
+    assert exc.value.code == 2
+    assert "--force" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m", [HAMMING_MAX_M + 1, HAMMING_MAX_M + 2])
+def test_hamming_above_the_m_cap_is_refused_before_any_work(capsys, monkeypatch, m):
+    # 2^m above the cap has too many digits to print; the spec refuses it first
+    monkeypatch.setattr(mishit.families, "kleitman_alpha", None)
+    with pytest.raises(SystemExit) as exc:
+        main(["hamming", "--m", str(m), "--t", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"mishit: error: m must be an even integer from 2 to 4096, got {m}\n"
 
 
 def test_hajnal_corpus(tmp_path):
@@ -377,6 +408,15 @@ def test_covering_code_has_no_force_flag(capsys):
         main(["covering-code", "--m", "6", "--t", "2", "--method", "hadamard", "--force"])
     assert exc.value.code == 2
     assert "--force" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method,message", [
+    ("hadamard", "m=6 is below the Hadamard prefix order 16"),
+    ("random", "prefix length 4t^2=16 exceeds m=6"),
+])
+def test_covering_code_prints_its_builders_refusal(capsys, method, message):
+    argv = ["covering-code", "--m", "6", "--t", "2", "--method", method, "--seed", "1"]
+    assert _assert_one_line_error(capsys, argv) == f"mishit: error: {message}\n"
 
 
 def test_covering_code_random_requires_seed(capsys):

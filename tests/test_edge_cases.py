@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import mishit.graph
@@ -51,23 +52,30 @@ def test_kernel_corona_of_empty_restriction():
     assert _solve_kernel_corona(Graph.complete(4), 0) == (0, 0, 0)
 
 
-def test_random_code_unverified_beyond_scan_range():
-    out = build_random_covering_code(HammingSpec(30, 1), trials=5, rng_seed=11)
-    assert out.code is not None
-    assert out.radius is None  # not verified
-    assert out.trials_used == 1
-    assert all(0 <= w < (1 << 30) for w in out.code.words)
+def test_random_code_refused_beyond_scan_range(monkeypatch):
+    # a trial is accepted by its scanned radius, so there is nothing to accept
+    # without the scan; refused before any prefix is drawn
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(ValueError, match="m <= 28"):
+        build_random_covering_code(HammingSpec(30, 1), trials=5, rng_seed=11)
 
 
-def test_cli_covering_code_unverified_flag(tmp_path):
+def test_cli_random_code_beyond_scan_range_is_refused(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", None)
     out = tmp_path / "r.json"
-    assert main([
-        "covering-code", "--m", "30", "--t", "1", "--method", "random",
-        "--trials", "2", "--seed", "9", "--json", str(out),
-    ]) == 0
-    payload = json.loads(out.read_text())
-    assert payload["report"]["covering_radius"] is None
-    assert payload["report"]["verified"] is False
+    code = tmp_path / "code.txt"
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "covering-code", "--m", "30", "--t", "1", "--method", "random",
+            "--trials", "2", "--seed", "9", "--json", str(out), "--out", str(code),
+        ])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "mishit: error: the random method scans every trial, which needs m <= 28, got m=30\n"
+    )
+    assert not out.exists() and not code.exists()
 
 
 def test_cli_hadamard_code_beyond_scan_range_is_unchecked(tmp_path):
@@ -75,7 +83,7 @@ def test_cli_hadamard_code_beyond_scan_range_is_unchecked(tmp_path):
     assert main(["covering-code", "--m", "30", "--t", "2", "--method", "hadamard", "--json", str(out)]) == 0
     assert json.loads(out.read_text())["report"] == {
         "m": 30, "t": 2, "method": "hadamard", "code_size": 64, "target_radius": 13,
-        "trials_used": None, "covering_radius": None, "verified": None,
+        "trials_used": None, "covering_radius": None,
     }
 
 

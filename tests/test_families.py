@@ -8,6 +8,7 @@ import pytest
 
 from conftest import oracle_mis_masks
 from mishit.families import (
+    HAMMING_MAX_M,
     HammingSpec,
     ShiftSpec,
     build_hamming_graph,
@@ -153,14 +154,12 @@ def test_avoiding_partition_sampled_k3():
 
 
 def test_hamming_spec_validation():
-    with pytest.raises(ValueError):
-        HammingSpec(5, 1)  # odd m
-    with pytest.raises(ValueError):
-        HammingSpec(4, 0)
-    with pytest.raises(ValueError):
-        HammingSpec(6, 3)  # 4t^2 = 36 > 6
-    spec = HammingSpec(6, 3, constrained=False)
+    for m, t in [(5, 1), (0, 1), (-2, 1), (HAMMING_MAX_M + 2, 1), (4, 0), (2, 2), (4, 3), (6, 4)]:
+        with pytest.raises(ValueError):
+            HammingSpec(m, t)  # odd, below 2 or above the cap; t outside 1..m/2
+    spec = HammingSpec(6, 3)  # 4t^2 = 36 > 6 is the code builders' rule, not the spec's
     assert spec.ball_radius == 0
+    assert HammingSpec(HAMMING_MAX_M, 1).n == 1 << HAMMING_MAX_M
     spec = HammingSpec(16, 2)
     assert spec.distance_floor == 12 and spec.ball_radius == 6
 
@@ -179,8 +178,9 @@ def test_hamming_alpha_and_kleitman():
 
 
 def test_kleitman_rejects_negative_radius():
+    # the spec refuses t > m/2, so a negative radius never reaches the sum
     with pytest.raises(ValueError):
-        kleitman_alpha(HammingSpec(4, 3, constrained=False))
+        kleitman_alpha(HammingSpec(4, 3))
 
 
 def test_kleitman_16_2_vs_pascal_oracle():

@@ -82,7 +82,7 @@ def _induced_builds():
     pytest.param(_random_builds, id="random_graph"),
     pytest.param(lambda: [build_shift_graph(k)[0] for k in (1, 2, 3)], id="shift"),
     pytest.param(
-        lambda: [build_hamming_graph(HammingSpec(m, t, constrained=False)) for m in (2, 4, 6, 8) for t in (1, 2)],
+        lambda: [build_hamming_graph(HammingSpec(m, t)) for m in (2, 4, 6, 8) for t in (1, 2) if t <= m // 2],
         id="hamming",
     ),
     pytest.param(_induced_builds, id="induced_subgraph"),

@@ -248,7 +248,7 @@ def test_hadamard_code_t1(m):
 
 def test_hadamard_rejects_short_words():
     with pytest.raises(ValueError):
-        build_hadamard_covering_code(HammingSpec(2, 1, constrained=False))
+        build_hadamard_covering_code(HammingSpec(2, 1))
 
 
 def test_random_code_4_1():
@@ -270,7 +270,7 @@ def test_random_code_zero_trials_fails():
 
 def test_random_code_rejects_long_prefix():
     with pytest.raises(ValueError):
-        build_random_covering_code(HammingSpec(4, 2, constrained=False), trials=1, rng_seed=1)
+        build_random_covering_code(HammingSpec(4, 2), trials=1, rng_seed=1)
 
 
 # --- bound values -----------------------------------------------------------
@@ -292,11 +292,11 @@ def test_kneser_lower_bound_values():
     assert discrepancy_lower_bound(12) == 4 < 24 == kneser_lower_bound(HammingSpec(576, 12))
 
 
-@pytest.mark.parametrize("m,t", [(m, t) for t in (1, 2, 3) for m in range(2, 38, 2) if 4 * t * t > m])
+@pytest.mark.parametrize("m,t", [(m, t) for t in (1, 2, 3) for m in range(2 * t, 38, 2) if 4 * t * t > m])
 def test_builders_refuse_prefixes_longer_than_m(m, t):
-    # the 4t^2 <= m constraint is the builders' own precondition, so lifting it
-    # in HammingSpec changes no covering-code result
-    spec = HammingSpec(m, t, constrained=False)
+    # the 4t^2 <= m constraint is the builders' own precondition; HammingSpec
+    # itself accepts every t <= m/2
+    spec = HammingSpec(m, t)
     with pytest.raises(ValueError):
         build_hadamard_covering_code(spec)
     with pytest.raises(ValueError):

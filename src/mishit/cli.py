@@ -146,7 +146,7 @@ def cmd_hamming(args) -> int:
         "n": spec.n,
         "kleitman_alpha": kle,
         "ball_radius": spec.ball_radius,
-        "discrepancy_lower_bound": hitting.discrepancy_lower_bound(args.t),
+        "discrepancy_lower_bound": hitting.discrepancy_lower_bound(spec),
         "kneser_lower_bound": hitting.kneser_lower_bound(spec),
     }
     checks: list[tuple[str, bool]] = []
@@ -236,7 +236,8 @@ def cmd_alpha_prime(args) -> int:
         estimate = process.alpha_prime_exact(g)  # refuses a component beyond the DP before alpha is solved
     a = alpha(g)
     # the ceiling applies for alpha/n in (1/4, 1/2); n = 0 is refused by the estimators
-    ceiling_applies = g.n > 0 and 0 < Fraction(a, g.n) - Fraction(1, 4) < Fraction(1, 4)
+    epsilon = Fraction(a, g.n) - Fraction(1, 4) if g.n else None
+    ceiling_applies = epsilon is not None and 0 < epsilon < Fraction(1, 4)
     if args.mode == "mc":
         # a verdict needs the interval of two or more samples: refused before any is drawn
         if args.samples == 1 and ceiling_applies:
@@ -250,9 +251,21 @@ def cmd_alpha_prime(args) -> int:
     }
     checks = [("alpha' at most alpha/n", float(estimate.mean) <= a / g.n + 1e-12)]
     if ceiling_applies:
-        bound_report = process.verify_alpha_prime_bound(g.n, a, estimate)
-        report["bound"] = bound_report.to_json_dict()
-        report["bound_holds_at_this_n"] = bound_report.holds
+        # the ceiling is proved as n grows, so a verdict at this n neither refutes nor proves it;
+        # an exact estimate is compared as a rational, a Monte Carlo one by its 95% interval's upper end
+        bound = process.alpha_prime_bound(epsilon)
+        holds = estimate.mean <= bound if estimate.exact else estimate.ci95[1] <= float(bound)
+        report["bound"] = {
+            "n": g.n,
+            "alpha": a,
+            "epsilon": str(epsilon),
+            "bound": str(bound),
+            "bound_float": float(bound),
+            "estimate": report["estimate"],
+            "holds": holds,
+            "statistical": not estimate.exact,
+        }
+        report["bound_holds_at_this_n"] = holds
     else:
         report["bound"] = None
         report["bound_note"] = f"alpha/n = {Fraction(a, g.n)} outside (1/4, 1/2); ceiling not applicable"
@@ -304,7 +317,12 @@ def cmd_process(args) -> int:
         "target_size": params.target_size,
         "threshold": str(params.threshold),
         "traces": args.traces,
-        "stats": stats.to_json_dict(),
+        "stats": {
+            "traces": len(traces),
+            "window": params.window,
+            "required_successes": params.required_successes,
+            **stats.to_json_dict(),
+        },
     }
     checks = [
         ("alpha decreases by 0 or 1 each step", step_ok),

@@ -70,14 +70,6 @@ class VertexSet:
             bits |= 1 << v
         return cls(n, bits)
 
-    @classmethod
-    def empty(cls, n: int) -> VertexSet:
-        return cls(n, 0)
-
-    @classmethod
-    def full(cls, n: int) -> VertexSet:
-        return cls(n, (1 << n) - 1)
-
     def members(self) -> tuple[int, ...]:
         return tuple(_iter_bits(self.bits))
 
@@ -163,9 +155,6 @@ class Graph:
     def complete(cls, n: int) -> Graph:
         full = (1 << n) - 1
         return cls(n, [full & ~(1 << v) for v in range(n)])
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
 
     def num_edges(self) -> int:
         return sum(r.bit_count() for r in self.adj) // 2

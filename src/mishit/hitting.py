@@ -214,33 +214,32 @@ def covering_radius(code: CoveringCode) -> tuple[int, int | None]:
     return radius, far_point
 
 
-def find_far_point(code: CoveringCode, t: int) -> int | None:
-    """A word at distance > m/2 - t from every codeword, or None.
+def find_far_point(code: CoveringCode) -> int | None:
+    """A word at distance > ``code.target_radius`` from every codeword, or None.
 
     Exhaustive, hence complete, with an early exit at the first far word;
     needs m <= 28.  It scans each chunk of words against every codeword in
     turn, independently of the distance transform in ``covering_radius``.
-    In the +/-1 encoding the far condition reads inner product < 2t against
-    every codeword, via inner product = m - 2 * distance.
+    With target radius m/2 - t, the far condition reads inner product < 2t
+    against every codeword in the +/-1 encoding, via inner product =
+    m - 2 * distance.
     """
     _check_scan_range(code)
     m = code.m
     arr = np.array(code.words, dtype=np.uint32)
-    # distance d > m/2 - t  <=>  2d > m - 2t, exact in integers
-    floor2 = m - 2 * t
     step = 1 << min(CHUNK_BITS, m)
     for start in range(0, 1 << m, step):
         space = np.arange(start, start + step, dtype=np.uint32)
         mind = np.full(space.shape, m + 1, dtype=np.uint8)
         for c in arr:
             np.minimum(mind, np.bitwise_count(space ^ c), out=mind)
-        far = np.nonzero(mind.astype(np.int32) * 2 > floor2)[0]
+        far = np.nonzero(mind > code.target_radius)[0]
         if far.size:
             return start + int(far[0])
     return None
 
 
-def discrepancy_lower_bound(t: int) -> int:
+def discrepancy_lower_bound(spec: HammingSpec) -> int:
     """Least code size T not excluded by the inner-product argument.
 
     A code of T words admits a +/-1 vector with all inner products at most
@@ -248,9 +247,7 @@ def discrepancy_lower_bound(t: int) -> int:
     from every codeword, so any covering code of radius m/2 - t must have
     T >= ceil(t^2/36).  Returned without any silent strengthening.
     """
-    if t < 1:
-        raise ValueError("t must be a positive integer")
-    return (t * t + 35) // 36
+    return (spec.t * spec.t + 35) // 36
 
 
 def kneser_lower_bound(spec: HammingSpec) -> int:
@@ -262,27 +259,24 @@ def sylvester_hadamard_rows(order: int) -> list[int]:
     """Rows of the Sylvester Hadamard matrix as binary words.
 
     Bit j of row i is the parity of popcount(i & j), i.e. entry -1 of the
-    +/-1 matrix maps to bit 1.
+    +/-1 matrix maps to bit 1.  Built by doubling, H_2k = [[H_k, H_k],
+    [H_k, -H_k]]: row r of order k gives row r | r << k and, k rows later,
+    row r | (r ^ mask) << k of order 2k, with mask the k one bits.
     """
     if order < 1 or order & (order - 1):
         raise ValueError("Sylvester order must be a power of two")
-    rows = []
-    for i in range(order):
-        w = 0
-        for j in range(order):
-            if (i & j).bit_count() & 1:
-                w |= 1 << j
-        rows.append(w)
+    rows = [0]
+    k = 1
+    while k < order:
+        mask = (1 << k) - 1
+        rows = [r | r << k for r in rows] + [r | (r ^ mask) << k for r in rows]
+        k <<= 1
     return rows
 
 
 def hadamard_prefix_order(t: int) -> int:
-    """Least power of two >= 4t^2."""
-    need = 4 * t * t
-    h0 = 1
-    while h0 < need:
-        h0 <<= 1
-    return h0
+    """Least power of two >= 4t^2, for t >= 1."""
+    return 1 << (4 * t * t - 1).bit_length()
 
 
 def build_hadamard_covering_code(spec: HammingSpec) -> CoveringCode:

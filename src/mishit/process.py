@@ -24,7 +24,7 @@ alpha stays at or above theta, the kernel of the current graph occupies at
 least an eps fraction of its vertices, so each step succeeds with
 probability at least eps; enough successes force the final alpha below
 theta.  That mechanism yields the bound alpha'(G) <= 1/4 + eps - eps^2/3,
-whose finite-n surrogate this module evaluates and reports.  The observed
+whose finite-n surrogate ``alpha_prime_bound`` evaluates.  The observed
 successes on those steps are tested against that rate by the exact lower
 binomial tail.
 
@@ -378,9 +378,6 @@ class ProcessStats:
     standard error, reported only.
     """
 
-    traces: int
-    window: int
-    required_successes: int
     success_counts: tuple[int, ...]
     mean_successes: float
     binomial_tail: float
@@ -434,9 +431,6 @@ def success_statistics(traces, params: ProcessParams) -> ProcessStats:
         stderr = None
         freq_ok = True
     return ProcessStats(
-        traces=len(traces),
-        window=params.window,
-        required_successes=req,
         success_counts=counts,
         mean_successes=sum(counts) / len(counts),
         binomial_tail=float(_binomial_tail_at_least(params.window, params.epsilon, req)),
@@ -462,65 +456,6 @@ def alpha_prime_bound(epsilon: Fraction) -> Fraction:
     if not 0 < epsilon < Fraction(1, 4):
         raise ValueError(f"epsilon must lie strictly in (0, 1/4), got {epsilon}")
     return Fraction(1, 4) + epsilon - epsilon * epsilon / 3
-
-
-@dataclass(frozen=True)
-class BoundCheckReport:
-    """alpha' against its ceiling for one graph.
-
-    ``holds`` refers to this finite n; the ceiling is proved in the limit of
-    many disjoint copies, so a failure here would not refute it and a pass
-    does not prove it.  ``statistical`` marks Monte Carlo verdicts (CI upper
-    end against the bound).
-    """
-
-    n: int
-    alpha: int
-    epsilon: Fraction
-    bound: Fraction
-    estimate: AlphaPrimeEstimate
-    holds: bool
-    statistical: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "alpha": self.alpha,
-            "epsilon": str(self.epsilon),
-            "bound": str(self.bound),
-            "bound_float": float(self.bound),
-            "estimate": self.estimate.to_json_dict(),
-            "holds": self.holds,
-            "statistical": self.statistical,
-        }
-
-
-def verify_alpha_prime_bound(n: int, alpha: int, estimate: AlphaPrimeEstimate) -> BoundCheckReport:
-    """Compare an alpha' estimate with 1/4 + eps - eps^2/3, eps = alpha/n - 1/4.
-
-    An exact estimate is compared as a rational; a Monte Carlo one by the
-    upper end of its 95% interval.  ``alpha_prime_bound`` raises unless eps
-    lies in (0, 1/4).
-    """
-    if n < 1:
-        raise ValueError("empty graph")
-    epsilon = Fraction(alpha, n) - Fraction(1, 4)
-    bound = alpha_prime_bound(epsilon)
-    if estimate.exact:
-        holds = estimate.mean <= bound
-    elif estimate.ci95 is None:
-        raise ValueError("Monte Carlo verdict needs at least 2 samples")
-    else:
-        holds = estimate.ci95[1] <= float(bound)
-    return BoundCheckReport(
-        n=n,
-        alpha=alpha,
-        epsilon=epsilon,
-        bound=bound,
-        estimate=estimate,
-        holds=holds,
-        statistical=not estimate.exact,
-    )
 
 
 def export_trace_jsonl(trace: ProcessTrace, path) -> None:

@@ -165,7 +165,7 @@ def test_criterion_6_discrepancy_mechanism():
         words = tuple(int(w) for w in rng.integers(0, 1 << m, size=size))
         code = CoveringCode(m, words, m // 2 - t)
         radius, _ = covering_radius(code)
-        far = find_far_point(code, t)
+        far = find_far_point(code)
         if radius <= m // 2 - t:
             ok &= far is None
         else:

@@ -350,6 +350,85 @@ def test_alpha_prime_exact_on_two_components(tmp_path):
     assert json.loads(out.read_text())["report"]["estimate"]["mean_fraction"] == "11831/40960"
 
 
+def _alpha_prime_run(tmp_path, capsys, graph, *argv):
+    """stdout and the JSON payload of one alpha-prime run on ``graph``, with the
+    graph path (a tmp path) left out of the payload's config."""
+    path, out = tmp_path / "graph.json", tmp_path / "r.json"
+    save_graph(graph, path)
+    capsys.readouterr()
+    assert main(["alpha-prime", "--graph", str(path), *argv, "--json", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    del payload["config"]["graph"]
+    return capsys.readouterr().out, payload
+
+
+G2_GRAPH = build_shift_graph(2)[0]
+
+
+@pytest.mark.parametrize("graph, argv, stdout_digest, json_digest", [
+    pytest.param(
+        disjoint_union(G2_GRAPH, cycle_graph(8)), ["--mode", "exact"],
+        "f7cbf3c1435a5db6362d621207f6ee051ff3b0383c3ab82be3ebe59da72028be", "20f9d127b1d2a789cf0b36498c32d3e39e05214bebf19b925b4df2ec3a9a8bd4", id="exact-g2-c8",
+    ),
+    pytest.param(
+        disjoint_union(G2_GRAPH, G2_GRAPH), ["--mode", "mc", "--samples", "3000", "--seed", "4"],
+        "c0544317476a40d8c0aade5cee0c50c391588bbf09075d42af96e50a36df25b9", "4ef1a057833eb6139e6a007e5f79f6afac6befcae39050433eb51ac59c3711e7", id="mc-g2x2",
+    ),
+    pytest.param(
+        Graph.complete(5), ["--mode", "exact"], "615c17a3c11bced16d48c4e1265362312f327f738b2408fd905b2df493669827", "fc4742393e927a3e6ed38ca1eff14948f660ee1d5fcb1adb256bbfb6166a9622", id="out-of-range-k5",
+    ),
+])
+def test_alpha_prime_bytes(tmp_path, capsys, graph, argv, stdout_digest, json_digest):
+    # sha256 digests as the report built from BoundCheckReport wrote them
+    printed, payload = _alpha_prime_run(tmp_path, capsys, graph, *argv)
+    assert hashlib.sha256(printed.encode()).hexdigest() == stdout_digest
+    assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == json_digest
+
+
+def test_alpha_prime_bound_on_g2_exact(tmp_path, capsys):
+    _, payload = _alpha_prime_run(tmp_path, capsys, G2_GRAPH, "--mode", "exact")
+    bound = payload["report"]["bound"]
+    assert (bound["epsilon"], bound["bound"]) == ("1/12", "143/432")
+    assert bound["estimate"]["mean_fraction"] == "6359/24576"
+    assert bound["holds"] and not bound["statistical"]
+    assert payload["report"]["bound_holds_at_this_n"]
+
+
+def test_alpha_prime_bound_on_g2_mc_is_statistical(tmp_path, capsys):
+    _, payload = _alpha_prime_run(tmp_path, capsys, G2_GRAPH, "--mode", "mc", "--samples", "4000", "--seed", "12")
+    bound = payload["report"]["bound"]
+    assert bound["statistical"]
+    assert bound["holds"]  # CI upper end is far below 143/432
+
+
+@pytest.mark.parametrize("upper, holds", [(0.33, True), (0.34, False)])
+def test_alpha_prime_mc_verdict_reads_the_upper_end_of_the_interval(tmp_path, capsys, monkeypatch, upper, holds):
+    # G_2's bound is 143/432 = 0.3310...; both intervals start below it
+    estimate = mishit.process.AlphaPrimeEstimate(mean=0.32, exact=False, samples=2, stderr=0.005, ci95=(0.31, upper))
+    monkeypatch.setattr(mishit.process, "alpha_prime_mc", lambda *args, **kwargs: estimate)
+    _, payload = _alpha_prime_run(tmp_path, capsys, G2_GRAPH, "--mode", "mc", "--samples", "2", "--seed", "1")
+    assert payload["report"]["bound"]["holds"] is holds
+    assert payload["report"]["bound_holds_at_this_n"] is holds
+
+
+@pytest.mark.parametrize("graph", [Graph.empty(6), Graph.complete(5)], ids=["edgeless", "k5"])
+def test_alpha_prime_bound_is_none_outside_its_range(tmp_path, capsys, graph):
+    # alpha/n = 1 and 1/5
+    printed, payload = _alpha_prime_run(tmp_path, capsys, graph, "--mode", "exact")
+    assert payload["report"]["bound"] is None
+    assert "bound_holds_at_this_n" not in payload["report"]
+    assert "ceiling not applicable" in printed
+
+
+def test_alpha_prime_double_copy_keeps_epsilon(tmp_path, capsys):
+    _, payload = _alpha_prime_run(
+        tmp_path, capsys, disjoint_union(G2_GRAPH, G2_GRAPH), "--mode", "mc", "--samples", "400", "--seed", "3"
+    )
+    bound = payload["report"]["bound"]
+    assert bound["alpha"] == 8
+    assert (bound["epsilon"], bound["bound"]) == ("1/12", "143/432")
+
+
 def test_process_epsilon_override(g2_file, tmp_path):
     out = tmp_path / "r.json"
     assert main([

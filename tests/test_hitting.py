@@ -149,7 +149,7 @@ def test_covering_radius_extremes():
     with pytest.raises(ValueError):
         covering_radius(CoveringCode(30, (0,), 2))
     with pytest.raises(ValueError):
-        find_far_point(CoveringCode(30, (0,), 14), 1)
+        find_far_point(CoveringCode(30, (0,), 14))
 
 
 def test_min_code_search():
@@ -191,7 +191,7 @@ def test_hamming_4_1_hitting_optimality_by_brute_force():
 
 def test_far_point_single_codeword():
     code = CoveringCode(6, (0b010101,), 2)
-    w = find_far_point(code, 1)
+    w = find_far_point(code)
     assert w is not None
     assert (w ^ 0b010101).bit_count() > 6 // 2 - 1
 
@@ -199,7 +199,7 @@ def test_far_point_single_codeword():
 def test_far_point_none_when_covered():
     spec = HammingSpec(8, 1)
     code = build_hadamard_covering_code(spec)
-    assert find_far_point(code, 1) is None
+    assert find_far_point(code) is None
 
 
 def test_far_point_iff_radius_exceeds_target():
@@ -210,7 +210,7 @@ def test_far_point_iff_radius_exceeds_target():
         size = int(rng.integers(1, 9))
         words = tuple(int(w) for w in rng.integers(0, 1 << m, size=size))
         code = CoveringCode(m, words, max(m // 2 - t, 0))
-        far = find_far_point(code, t)
+        far = find_far_point(code)
         radius, scan_far = covering_radius(code)
         assert scan_far == far
         if radius <= m // 2 - t:
@@ -230,10 +230,22 @@ def test_sylvester_rows():
         sylvester_hadamard_rows(3)
 
 
+@pytest.mark.parametrize("order", [1 << e for e in range(11)])
+def test_sylvester_rows_match_the_parity_definition(order):
+    # bit j of row i is the parity of popcount(i & j)
+    i = np.arange(order, dtype=np.uint32)
+    parity = np.bitwise_count(i[:, None] & i[None, :]) & 1
+    expected = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in parity]
+    assert sylvester_hadamard_rows(order) == expected
+
+
 def test_hadamard_prefix_order():
     assert hadamard_prefix_order(1) == 4
     assert hadamard_prefix_order(2) == 16
     assert hadamard_prefix_order(3) == 64
+    for t in range(1, 65):
+        h0 = hadamard_prefix_order(t)
+        assert h0 & (h0 - 1) == 0 and h0 // 2 < 4 * t * t <= h0
 
 
 @pytest.mark.parametrize("m", [8, 10, 12])
@@ -277,19 +289,17 @@ def test_random_code_rejects_long_prefix():
 
 
 def test_discrepancy_lower_bound_values():
-    assert discrepancy_lower_bound(1) == 1
-    assert discrepancy_lower_bound(6) == 1
-    assert discrepancy_lower_bound(12) == 4
-    assert discrepancy_lower_bound(60) == 100
-    with pytest.raises(ValueError):
-        discrepancy_lower_bound(0)
+    assert discrepancy_lower_bound(HammingSpec(2, 1)) == 1
+    assert discrepancy_lower_bound(HammingSpec(12, 6)) == 1
+    assert discrepancy_lower_bound(HammingSpec(24, 12)) == 4
+    assert discrepancy_lower_bound(HammingSpec(120, 60)) == 100
 
 
 def test_kneser_lower_bound_values():
     assert kneser_lower_bound(HammingSpec(4, 1)) == 2
     assert kneser_lower_bound(HammingSpec(16, 2)) == 4
     # at desk scale the Kneser bound can exceed the discrepancy one
-    assert discrepancy_lower_bound(12) == 4 < 24 == kneser_lower_bound(HammingSpec(576, 12))
+    assert discrepancy_lower_bound(HammingSpec(576, 12)) == 4 < 24 == kneser_lower_bound(HammingSpec(576, 12))
 
 
 @pytest.mark.parametrize("m,t", [(m, t) for t in (1, 2, 3) for m in range(2 * t, 38, 2) if 4 * t * t > m])

@@ -11,9 +11,10 @@ import pytest
 import mishit.parallel
 import mishit.process
 from conftest import cycle_graph, disjoint_union, hub_graph, oracle_is_independent, oracle_mis_masks, seeded_graphs
+from mishit.cli import main
 from mishit.families import build_shift_graph
 from mishit.graph import (
-    Graph, VertexSet, _components, _solve_kernel_corona, _subset_alpha_tables, alpha, alpha_induced, random_graph
+    Graph, VertexSet, _components, _solve_kernel_corona, _subset_alpha_tables, alpha, alpha_induced, random_graph, save_graph
 )
 from mishit.hajnal import _table_kernel_corona
 from mishit.parallel import parallel_map
@@ -552,3 +553,15 @@ def test_bound_values():
     for bad in (0, Fraction(1, 4), Fraction(-1, 8), Fraction(3, 4)):
         with pytest.raises(ValueError):
             alpha_prime_bound(bad)
+
+
+def test_verify_bound_rejects_mc_without_interval(tmp_path, capsys):
+    estimate = alpha_prime_mc(G2, 1, 1)
+    assert estimate.ci95 is None
+    # without an interval no verdict on the ceiling can be drawn: the command refuses it
+    path = tmp_path / "g2.json"
+    save_graph(G2, path)
+    with pytest.raises(SystemExit) as exc:
+        main(["alpha-prime", "--graph", str(path), "--mode", "mc", "--samples", "1", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--samples must be at least 2" in capsys.readouterr().err

@@ -5,11 +5,13 @@ A graph is stored as one Python-int adjacency row per vertex, so neighbourhood
 algebra (independence tests, candidate pruning, kernel intersections) is plain
 integer bit twiddling.  One clique search on the complement answers every
 question: a branch and bound with greedy-colouring upper bounds that yields
-each leaf clique reaching a floor the caller may raise.  alpha(G) raises the
-floor past each clique found; enumeration holds it at alpha and so visits
-every maximum independent set exactly once; a yes/no question takes the
-first clique at its floor, if any.  The search walks its own stack: nothing
-in the package recurses or touches the interpreter's recursion limit.
+each leaf clique reaching a floor the caller may raise.  Each colour class is
+one bitmask and the bound is the number of classes left, so a branch step is
+a few integer operations.  alpha(G) raises the floor past each clique found;
+enumeration holds it at alpha and so visits every maximum independent set
+exactly once; a yes/no question takes the first clique at its floor, if any.
+The search walks its own stack: nothing in the package recurses or touches
+the interpreter's recursion limit.
 
 Vertex order inside the solver is descending complement-degree with ties by
 index, which makes both the witness and the enumeration order reproducible.
@@ -224,25 +226,25 @@ def _map_back(mask: int, verts: tuple[int, ...]) -> int:
     return out
 
 
-def _color_order(P: int, rows: tuple[int, ...]) -> list[tuple[int, int]]:
+def _colour_classes(P: int, rows: tuple[int, ...]) -> list[int]:
     """Greedy-colour the candidate mask ``P`` against ``rows``.
 
-    Returns (vertex, colour) pairs with colours ascending; the colour of the
-    last vertex bounds the largest clique inside P.
+    Returns one mask per colour class, in colour order: each class takes the
+    lowest uncoloured vertex, then each later one adjacent to none already in
+    it.  The number of classes bounds the largest clique inside P.
     """
-    order = []
-    colour = 0
+    classes = []
     rest = P
     while rest:
-        colour += 1
+        cls = 0
         q = rest
         while q:
-            v = (q & -q).bit_length() - 1
-            bit = 1 << v
-            order.append((v, colour))
-            rest ^= bit
-            q &= ~(rows[v] | bit)
-    return order
+            bit = q & -q
+            cls |= bit
+            q &= ~(rows[bit.bit_length() - 1] | bit)
+        rest ^= cls
+        classes.append(cls)
+    return classes
 
 
 def _cliques(rows: tuple[int, ...], start: int, floor: list[int]) -> Iterator[int]:
@@ -256,22 +258,29 @@ def _cliques(rows: tuple[int, ...], start: int, floor: list[int]) -> Iterator[in
     maximum clique exactly once; ``next`` at any floor asks whether a clique
     of that size exists.  An explicit stack holds one frame per clique
     member, so no depth of search touches the interpreter's recursion limit.
+    Each frame branches on the highest vertex of its last colour class and
+    drops a class once it is empty, so the classes left bound the clique.
     """
     if not start and floor[0] <= 0:
         yield 0
-    # frame: [clique mask, candidates left, their (vertex, colour) pairs, highest colour last]
-    stack = [[0, start, _color_order(start, rows)]]
+    # frame: [clique mask, candidates left, their non-empty colour classes]
+    stack = [[0, start, _colour_classes(start, rows)]]
     while stack:
-        clique, cands, order = frame = stack[-1]
-        if not order or len(stack) - 1 + order[-1][1] < floor[0]:  # clique size + colour bound
+        clique, cands, classes = frame = stack[-1]
+        if not classes or len(stack) - 1 + len(classes) < floor[0]:  # clique size + colour bound
             stack.pop()
             continue
-        v = order.pop()[0]
+        last = classes[-1]
+        v = last.bit_length() - 1
         bit = 1 << v
+        if last == bit:
+            classes.pop()
+        else:
+            classes[-1] = last ^ bit
         frame[1] = cands ^ bit  # v's branch covers every clique through v
         P = cands & rows[v]
         if P:
-            stack.append([clique | bit, P, _color_order(P, rows)])
+            stack.append([clique | bit, P, _colour_classes(P, rows)])
         elif len(stack) >= floor[0]:  # the leaf clique has len(stack) members
             yield clique | bit
 

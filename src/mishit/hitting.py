@@ -3,9 +3,10 @@
 The exact solver is one depth-first search over vertex tuples in increasing
 order: ``_least_transversal`` returns the lexicographically least transversal
 within a budget, pruning with a greedy disjoint packing of the unhit sets as
-the lower bound.  The optimum is the least budget, counted up from 1, at
-which it finds one, and the set it finds is then the least optimal one, so
-results are reproducible across runs and platforms.
+the lower bound.  It does not branch on the last vertex: that is the least
+member of the AND of the sets still unhit.  The optimum is the least budget,
+counted up from 1, at which it finds one, and the set it finds is then the
+least optimal one, so results are reproducible across runs and platforms.
 
 For the Hamming family, hitting all radius-(m/2 - t) balls is the same as
 being a covering code of radius m/2 - t in Z_2^m.  The covering radius comes
@@ -30,7 +31,9 @@ refuse m below their prefix length, so 4t^2 <= m is checked there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import and_
 from typing import Sequence
 
 import numpy as np
@@ -71,14 +74,27 @@ def _least_transversal(masks: list[int], budget: int) -> int | None:
     set it alone hits.  A stack entry is a chosen prefix, the vertex just
     added, the sets unhit before it and the budget left.  Children are
     pushed in reverse, so the first transversal popped is the least.
+
+    The last vertex is not branched on: it must lie in every unhit set, so
+    with one vertex left the frame ANDs those sets and takes the least
+    member of the result, or is cut if there is none.  That is the child the
+    branching would have returned first: a vertex in every unhit set is at
+    most each set's largest member, so it is among the children, and they
+    pop in ascending order.
     """
     stack = [(0, 0, masks, 0, budget)]
     while stack:
         chosen, bit, parent, lo, left = stack.pop()
         # members below lo can no longer be chosen
-        unhit = sorted((s >> lo << lo for s in parent if not s & bit), key=int.bit_count)
+        unhit = [s >> lo << lo for s in parent if not s & bit]
         if not unhit:
             return chosen
+        if left == 1:
+            inter = reduce(and_, unhit)
+            if inter:
+                return chosen | inter & -inter
+            continue
+        unhit.sort(key=int.bit_count)
         if not unhit[0]:  # a set with no member left sorts first
             continue
         used = count = 0

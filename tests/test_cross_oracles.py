@@ -47,6 +47,34 @@ def test_hitting_solver_against_subset_scan():
         assert result.members() == min(all_optima)  # lexicographically least
 
 
+def least_irredundant_transversal(masks, n, budget):
+    """The least vertex tuple of at most ``budget`` members that hits every set,
+    each member hitting a set the earlier ones missed, by scanning tuples."""
+    for combo in sorted(c for size in range(1, budget + 1) for c in combinations(range(n), size)):
+        hit = 0  # indices of the sets hit so far, as bits
+        for v in combo:
+            new = sum(1 << i for i, m in enumerate(masks) if m >> v & 1) & ~hit
+            if not new:
+                break
+            hit |= new
+        else:
+            if hit == (1 << len(masks)) - 1:
+                return combo
+    return None
+
+
+def test_least_transversal_at_every_budget_against_tuple_scan():
+    # the search closes its last vertex by one AND instead of branching on
+    # it; below, at and above the optimum it must return what branching over
+    # every tuple in increasing order finds first
+    for n, masks in random_families(4242, 60):
+        opt, _ = brute_min_hitting_sets(masks, n)
+        for budget in range(max(opt - 1, 1), opt + 2):
+            found = mishit.hitting._least_transversal(masks, budget)
+            members = None if found is None else tuple(v for v in range(n) if found >> v & 1)
+            assert members == least_irredundant_transversal(masks, n, budget)
+
+
 STRUCTURED = [("shift", 2), ("shift", 3), ("shift", 4), ("hamming", 6)]
 
 

@@ -189,6 +189,19 @@ def test_witnesses_and_clique_order_are_pinned():
     assert digest.hexdigest() == "39808c789299ded2b19570d81fb37fa76cca5209b5f5c3a2e9843fff2e11040e"
 
 
+def test_clique_order_is_pinned_on_dense_complements():
+    # sha256 over every clique the search yields at floor alpha and the first
+    # 64 at alpha - 1 on the complements of the Hamming m = 6, t = 1 graph
+    # (64 vertices, 64 maximum cliques) and the k = 4 shift graph (56
+    # vertices, 70), as the search with (vertex, colour) pair lists yielded them
+    digest = hashlib.sha256()
+    for g in (build_hamming_graph(HammingSpec(6, 1)), build_shift_graph(4)[0]):
+        rows, full, a = g.complement_rows(), (1 << g.n) - 1, alpha(g)
+        digest.update(repr(list(_cliques(rows, full, [a]))).encode())
+        digest.update(repr(list(islice(_cliques(rows, full, [a - 1]), 64))).encode())
+    assert digest.hexdigest() == "a841fafcfec755f54de19d26a86e15a251b9067cbd863158593c82e05c04b271"
+
+
 def test_empty_start_yields_the_empty_clique_only_at_floor_zero():
     assert list(_cliques((0,), 0, [0])) == [0]
     assert list(_cliques((0,), 0, [1])) == []

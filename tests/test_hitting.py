@@ -62,6 +62,22 @@ def test_lexicographically_least_optimum():
     assert r.members() == (0, 2)
 
 
+@pytest.mark.parametrize(
+    "family, least",
+    [
+        ([[1, 2, 3], [2, 3]], (2,)),  # depth 1: 2 and 3 both close it
+        ([[0, 1], [2, 3, 4], [3, 4, 5]], (0, 3)),  # depth 2: 3 and 4 after 0
+        ([[0, 1], [2, 3], [4, 5, 6], [5, 6, 7]], (0, 2, 5)),  # depth 3: 5 and 6 after 0, 2
+        ([[0, 2], [1], [2]], (1, 2)),  # after 0 no vertex lies in both {1} and {2}
+    ],
+)
+def test_last_vertex_is_the_least_in_every_unhit_set(family, least):
+    sets = [vs(8, s) for s in family]
+    r = min_hitting_set(sets)
+    assert r.members() == least
+    _no_transversal_below(len(r), sets, 8)
+
+
 def test_per_set_witnesses():
     family = [vs(5, [0, 1]), vs(5, [1, 2]), vs(5, [3, 4])]
     r = min_hitting_set(family)

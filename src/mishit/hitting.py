@@ -12,8 +12,9 @@ For the Hamming family, hitting all radius-(m/2 - t) balls is the same as
 being a covering code of radius m/2 - t in Z_2^m.  The covering radius comes
 from a min-plus distance transform over the hypercube (Felzenszwalb &
 Huttenlocher, "Distance transforms of sampled functions", 2012), run on
-chunks of 2^20 words that share their high bits: m * 2^m byte relaxations
-plus |C| * 2^(m-20) seeds, in ~1.5 MiB for any m <= 28.  It gives every
+chunks of 2^19 words that share their high bits, each transposed once
+between its halves of bits: m * 2^m byte relaxations plus |C| * 2^(m-19)
+seeds, in 1 MiB for any m <= 28.  It gives every
 word's distance to the nearest codeword, so the radius and the least far
 point are two views of one pass.  ``find_far_point`` is the independent
 witness: a word-by-codeword scan with an early exit.  A word w is far from
@@ -42,7 +43,7 @@ from .families import HammingSpec
 from .graph import Graph, MisFamily, VertexSet, enumerate_mis
 
 SCAN_MAX_M = 28
-CHUNK_BITS = 20  # low bits per chunk of the word space: 1 MiB of uint8 distances
+CHUNK_BITS = 19  # low bits per chunk of the word space: 512 KiB of uint8 distances, and as much for its transpose
 
 
 class InfeasibleFamilyError(ValueError):
@@ -176,12 +177,18 @@ def _check_scan_range(code: CoveringCode) -> None:
         raise ValueError(f"exhaustive scan supports m <= {SCAN_MAX_M}, got m={code.m}")
 
 
-def _relax(lo: np.ndarray, hi: np.ndarray, buf: np.ndarray) -> None:
-    """One hypercube edge class: lo = min(lo, hi + 1), then hi = min(hi, lo + 1)."""
-    np.add(hi, 1, out=buf)
-    np.minimum(lo, buf, out=lo)
-    np.add(lo, 1, out=buf)
-    np.minimum(hi, buf, out=hi)
+def _relax(d: np.ndarray, bits: range, scratch: np.ndarray) -> None:
+    """Relax ``d`` along each bit in ``bits``, one hypercube edge class at a
+    time: lo = min(lo, hi + 1), then hi = min(hi, lo + 1), with ``scratch``
+    (at least half of ``d``) as the buffer."""
+    for j in bits:
+        halves = d.reshape(-1, 2, 1 << j)
+        lo, hi = halves[:, 0], halves[:, 1]
+        buf = scratch[: d.size // 2].reshape(-1, 1 << j)
+        np.add(hi, 1, out=buf)
+        np.minimum(lo, buf, out=lo)
+        np.add(lo, 1, out=buf)
+        np.minimum(hi, buf, out=hi)
 
 
 def covering_radius(code: CoveringCode) -> tuple[int, int | None]:
@@ -190,43 +197,42 @@ def covering_radius(code: CoveringCode) -> tuple[int, int | None]:
     The word space is cut into chunks of 2^L words (L = min(m, CHUNK_BITS))
     that share their high m - L bits p.  A chunk starts at m + 1, takes each
     codeword's high-bit distance popcount(c_high ^ p) at its low bits, and is
-    relaxed along each low bit in turn, after which it holds every word's
-    distance to the code.  The radius is the max over all chunks; the far
+    relaxed along each low bit, after which it holds every word's distance
+    to the code.  Relaxing along a bit is a 1-D transform along one axis of
+    the cube, and the cube distance is the sum over the axes, so the passes
+    give the same result in any order.  Each chunk uses that once: with
+    s = L // 2, it is relaxed along its bits s .. L-1, transposed as a
+    (2^(L-s), 2^s) matrix so that its bits 0 .. s-1 become the high bits
+    L-s .. L-1, and relaxed along those.  No bit is relaxed over rows shorter
+    than 2^(L//2) bytes.  The radius is the max over all chunks; the far
     point is the least word at distance > ``code.target_radius`` from every
-    codeword, or None.  The two are separate reductions of the same
-    distances, so "far point exists iff radius exceeds target" remains a
-    real check.
+    codeword, or None, read from the transposed chunk in word order.  The
+    two are separate reductions of the same distances, so "far point exists
+    iff radius exceeds target" remains a real check.
     """
     _check_scan_range(code)
     m = code.m
     low_bits = min(m, CHUNK_BITS)
+    split = low_bits // 2
     words = np.array(code.words, dtype=np.uint32)
     c_low = (words & np.uint32((1 << low_bits) - 1)).astype(np.intp)
     c_high = words >> np.uint32(low_bits)
     d = np.empty(1 << low_bits, dtype=np.uint8)
-    buf = np.empty(d.size // 2, dtype=np.uint8)
-    edges = []  # (lo, hi, scratch) views of the chunk, grouped by low bit
-    for j in range(low_bits):
-        if j < 4 <= low_bits:
-            # strided columns for the four lowest bits: inner rows of 1-8 bytes are slow
-            cols = d.reshape(-1, 16)
-            edges += [
-                (cols[:, c], cols[:, c | 1 << j], buf[: len(cols)]) for c in range(16) if not c >> j & 1
-            ]
-        else:
-            halves = d.reshape(-1, 2, 1 << j)
-            edges.append((halves[:, 0], halves[:, 1], buf.reshape(-1, 1 << j)))
+    t = np.empty_like(d)  # the chunk transposed; each array is the other's relaxation scratch
+    d_rows = d.reshape(1 << (low_bits - split), 1 << split)
+    t_rows = t.reshape(1 << split, 1 << (low_bits - split))
     radius = 0
     far_point = None
     for p in range(1 << (m - low_bits)):
         d.fill(m + 1)
         np.minimum.at(d, c_low, np.bitwise_count(c_high ^ np.uint32(p)))
-        for lo, hi, scratch in edges:
-            _relax(lo, hi, scratch)
-        top = int(d.max())
+        _relax(d, range(split, low_bits), t)
+        np.copyto(t_rows, d_rows.T)
+        _relax(t, range(low_bits - split, low_bits), d)
+        top = int(t.max())
         radius = max(radius, top)
         if far_point is None and top > code.target_radius:
-            far_point = p << low_bits | int(np.argmax(d > code.target_radius))
+            far_point = p << low_bits | int(np.argmax(t_rows.T > code.target_radius))
     return radius, far_point
 
 

@@ -466,6 +466,26 @@ def test_covering_code_random_seeded(tmp_path):
     )
 
 
+def test_multi_chunk_scan_artifacts(tmp_path):
+    # m = 22 and 24 scan 8 and 32 chunks of the word space; sha256 as the
+    # transform relaxing each chunk in word order, without a transpose, wrote them
+    r = tmp_path / "r.json"
+    code = tmp_path / "code.txt"
+    assert main(["covering-code", "--m", "22", "--t", "2", "--method", "random", "--trials", "5",
+                 "--seed", "1", "--json", str(r), "--out", str(code)]) == 0
+    assert hashlib.sha256(r.read_bytes()).hexdigest() == (
+        "c46f661b16f3271361528e59fc2969e0bf57f43966e2b709bdc636dbc89a57fc"
+    )
+    assert hashlib.sha256(code.read_bytes()).hexdigest() == (
+        "1f5de0ca539b07d1fc3e7bfc9e81beead9a0cb8346780bb39ee63e14b33da117"
+    )
+    h = tmp_path / "h.json"
+    assert main(["hamming", "--m", "24", "--t", "2", "--json", str(h)]) == 0
+    assert hashlib.sha256(h.read_bytes()).hexdigest() == (
+        "f24f09cc85fbdf86603f5007dc5da0933a5a4b042b3b1461aa5cae88889e9e62"
+    )
+
+
 def test_covering_code_random_failure_reports_and_writes_json(tmp_path, capsys):
     # one prefix per trial never covers Z_2^4 at radius 1
     out = tmp_path / "r.json"

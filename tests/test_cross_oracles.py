@@ -10,7 +10,13 @@ import mishit.hitting
 from mishit.families import HammingSpec, build_shift_graph, hamming_mis_family, shift_mis_family
 from mishit.graph import VertexSet, alpha, enumerate_mis, maximum_independent_set, random_graph
 from mishit.hajnal import kernel_corona
-from mishit.hitting import CoveringCode, build_hadamard_covering_code, covering_radius, min_hitting_set
+from mishit.hitting import (
+    CoveringCode,
+    build_hadamard_covering_code,
+    covering_radius,
+    find_far_point,
+    min_hitting_set,
+)
 from conftest import cycle_graph
 
 
@@ -137,11 +143,13 @@ def test_covering_radius_against_pure_python():
 
 
 def assert_scan_matches_brute_force(monkeypatch, code, radius=None):
-    """Compare one chunk per 2^20 words, and chunks of 8 words, with the word-by-word scan."""
+    """Compare one chunk per 2^19 words, and chunks of 8 and of 16 words (odd and
+    even chunk bits, so both ways the chunk splits around its transpose), with
+    the word-by-word scan."""
     expected = brute_scan(code.words, code.m, code.target_radius)
     if radius is not None:
         assert expected[0] == radius
-    for chunk_bits in (mishit.hitting.CHUNK_BITS, 3):
+    for chunk_bits in (mishit.hitting.CHUNK_BITS, 3, 4):
         monkeypatch.setattr(mishit.hitting, "CHUNK_BITS", chunk_bits)
         assert covering_radius(code) == expected, (code, chunk_bits)
 
@@ -178,7 +186,29 @@ def test_covering_radius_works_in_one_chunk_of_memory():
     finally:
         tracemalloc.stop()
     assert (radius, far) == (9, None)
-    assert peak < 4 << 20  # a 2^20-byte chunk and a half-chunk buffer, not arrays over all 2^22 words
+    assert peak < 2 << 20  # a 2^19-byte chunk and its transpose, not arrays over all 2^22 words
+
+
+def test_far_point_in_a_later_chunk_comes_back_in_word_order():
+    # Codewords below 2^L (L = CHUNK_BITS) put every word of the chunk with high
+    # bits p popcount(p) farther than its low half, so at target r0 + extra, with
+    # r0 the low code's radius, the least far word lies in chunk 2^(extra+1) - 1.
+    low = mishit.hitting.CHUNK_BITS
+    split = low // 2
+    rng = np.random.default_rng(1909)
+    for m, extra in ((20, 0), (22, 1)):
+        words = tuple(int(w) for w in rng.integers(0, 1 << low, size=12))
+        r0 = next(r for r in range(low + 1) if find_far_point(CoveringCode(low, words, r)) is None)
+        code = CoveringCode(m, words, r0 + extra)
+        far = find_far_point(code)
+        assert far >> low == (1 << extra + 1) - 1
+        word_low, word_high = far & (1 << split) - 1, far >> split & (1 << low - split) - 1
+        assert word_low << low - split | word_high != far & (1 << low) - 1  # its transposed index differs
+        assert covering_radius(code) == (r0 + m - low, far)
+        # a word and its complement: radius m/2, and at target m/2 - 1 the far point is the witness's
+        w = int(rng.integers(1 << low, 1 << m))
+        pair = CoveringCode(m, (w, w ^ (1 << m) - 1), m // 2 - 1)
+        assert covering_radius(pair) == (m // 2, find_far_point(pair))
 
 
 def test_cycle_alpha_known_values():

@@ -173,7 +173,7 @@ def cmd_hamming(args) -> int:
     if args.m >= h0:
         had = hitting.build_hadamard_covering_code(spec)
         report["hadamard_code_size"] = len(had)
-        if args.m <= hitting.SCAN_MAX_M:
+        if h0 <= hitting.SCAN_MAX_PREFIX:
             rad, _ = hitting.covering_radius(had)
             report["hadamard_radius"] = rad
             checks.append(("Hadamard code covers at radius m/2 - t", rad <= spec.ball_radius))
@@ -353,7 +353,8 @@ def cmd_covering_code(args) -> int:
     if args.method == "hadamard":
         code = hitting.build_hadamard_covering_code(spec)
         trials_used = None
-        scan = hitting.covering_radius(code) if args.m <= hitting.SCAN_MAX_M else None
+        h0 = hitting.hadamard_prefix_order(args.t)
+        scan = hitting.covering_radius(code) if h0 <= hitting.SCAN_MAX_PREFIX else None
     else:
         _require_seed(args)
         outcome = hitting.build_random_covering_code(

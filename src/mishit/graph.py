@@ -63,15 +63,6 @@ class VertexSet:
         if self.bits < 0 or self.bits >> self.n:
             raise ValueError(f"bits {self.bits:#x} not confined to 0..{self.n - 1}")
 
-    @classmethod
-    def from_members(cls, n: int, members: Iterable[int]) -> VertexSet:
-        bits = 0
-        for v in members:
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} out of range 0..{n - 1}")
-            bits |= 1 << v
-        return cls(n, bits)
-
     def members(self) -> tuple[int, ...]:
         return tuple(_iter_bits(self.bits))
 
@@ -160,9 +151,6 @@ class Graph:
 
     def num_edges(self) -> int:
         return sum(r.bit_count() for r in self.adj) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):

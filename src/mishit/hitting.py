@@ -9,15 +9,20 @@ counted up from 1, at which it finds one, and the set it finds is then the
 least optimal one, so results are reproducible across runs and platforms.
 
 For the Hamming family, hitting all radius-(m/2 - t) balls is the same as
-being a covering code of radius m/2 - t in Z_2^m.  The covering radius comes
-from a min-plus distance transform over the hypercube (Felzenszwalb &
-Huttenlocher, "Distance transforms of sampled functions", 2012), run on
-chunks of 2^19 words that share their high bits, each transposed once
-between its halves of bits: m * 2^m byte relaxations plus |C| * 2^(m-19)
-seeds, in 1 MiB for any m <= 28.  It gives every
-word's distance to the nearest codeword, so the radius and the least far
-point are two views of one pass.  ``find_far_point`` is the independent
-witness: a word-by-codeword scan with an early exit.  A word w is far from
+being a covering code of radius m/2 - t in Z_2^m.  Every code the CLI scans
+is the direct sum of a set P of p-bit prefixes and the repetition code
+{0^L, 1^L} (L = m - p), and the covering radius of a direct sum is the sum
+of the radii, here rho(P) + floor(L/2) (Graham & Sloane, "On the covering
+radius of codes", IEEE Trans. IT 31, 1985; Cohen, Honkala, Litsyn &
+Lobstein, "Covering Codes", 1997, ch. 3).  ``covering_radius`` finds the
+largest such suffix and scans only the 2^p prefix words, by a min-plus
+distance transform over the hypercube (Felzenszwalb & Huttenlocher,
+"Distance transforms of sampled functions", 2012): p * 2^p byte
+relaxations in one 2^p-byte array, so the radius is exact at any m for a
+prefix of at most SCAN_MAX_PREFIX bits.  The one distance array gives the
+radius and, by a closed form, the least far point.  ``find_far_point`` is
+the independent witness: a word-by-codeword scan of the whole code with an
+early exit.  A word w is far from
 the whole code (distance > m/2 - t everywhere) exactly when, in the +/-1
 encoding, its inner product with every codeword is below 2t, which is how
 the discrepancy bound forces code sizes of at least ceil(t^2/36).
@@ -42,8 +47,9 @@ import numpy as np
 from .families import HammingSpec
 from .graph import Graph, MisFamily, VertexSet, enumerate_mis
 
-SCAN_MAX_M = 28
-CHUNK_BITS = 19  # low bits per chunk of the word space: 512 KiB of uint8 distances, and as much for its transpose
+SCAN_MAX_PREFIX = 24  # longest prefix covering_radius scans: 2^24 bytes of distances
+SCAN_MAX_M = 28  # longest word find_far_point scans
+CHUNK_BITS = 19  # low bits per chunk of find_far_point's word space
 
 
 class InfeasibleFamilyError(ValueError):
@@ -170,70 +176,67 @@ class CoveringCode:
         return len(self.words)
 
 
-def _check_scan_range(code: CoveringCode) -> None:
+def _check_scan_range(code: CoveringCode, bits: int, limit: int) -> None:
     if not code.words:
         raise ValueError("empty code has no covering radius")
-    if code.m > SCAN_MAX_M:
-        raise ValueError(f"exhaustive scan supports m <= {SCAN_MAX_M}, got m={code.m}")
+    if bits > limit:
+        raise ValueError(f"exhaustive scan supports at most {limit} bits, got {bits}")
 
 
-def _relax(d: np.ndarray, bits: range, scratch: np.ndarray) -> None:
-    """Relax ``d`` along each bit in ``bits``, one hypercube edge class at a
-    time: lo = min(lo, hi + 1), then hi = min(hi, lo + 1), with ``scratch``
-    (at least half of ``d``) as the buffer."""
-    for j in bits:
-        halves = d.reshape(-1, 2, 1 << j)
-        lo, hi = halves[:, 0], halves[:, 1]
-        buf = scratch[: d.size // 2].reshape(-1, 1 << j)
-        np.add(hi, 1, out=buf)
-        np.minimum(lo, buf, out=lo)
-        np.add(lo, 1, out=buf)
-        np.minimum(hi, buf, out=hi)
+def _repetition_suffix(code: CoveringCode) -> int:
+    """The largest L such that every word's top L bits are all 0 or all 1 and
+    flipping them gives another codeword, or 0.  The code is then the direct
+    sum of its (m - L)-bit prefixes and the repetition code {0^L, 1^L}."""
+    m = code.m
+    full = (1 << m) - 1
+    words = set(code.words)
+    # a word's run of equal top bits bounds L; the flip test is not monotone in L
+    top = min((m - min(w.bit_length(), (w ^ full).bit_length()) for w in code.words), default=0)
+    for length in range(top, 0, -1):
+        flip = full ^ full >> length
+        if all(w ^ flip in words for w in code.words):
+            return length
+    return 0
 
 
 def covering_radius(code: CoveringCode) -> tuple[int, int | None]:
     """Exact covering radius and the least far point, from one distance transform.
 
-    The word space is cut into chunks of 2^L words (L = min(m, CHUNK_BITS))
-    that share their high m - L bits p.  A chunk starts at m + 1, takes each
-    codeword's high-bit distance popcount(c_high ^ p) at its low bits, and is
-    relaxed along each low bit, after which it holds every word's distance
-    to the code.  Relaxing along a bit is a 1-D transform along one axis of
-    the cube, and the cube distance is the sum over the axes, so the passes
-    give the same result in any order.  Each chunk uses that once: with
-    s = L // 2, it is relaxed along its bits s .. L-1, transposed as a
-    (2^(L-s), 2^s) matrix so that its bits 0 .. s-1 become the high bits
-    L-s .. L-1, and relaxed along those.  No bit is relaxed over rows shorter
-    than 2^(L//2) bytes.  The radius is the max over all chunks; the far
-    point is the least word at distance > ``code.target_radius`` from every
-    codeword, or None, read from the transposed chunk in word order.  The
-    two are separate reductions of the same distances, so "far point exists
-    iff radius exceeds target" remains a real check.
+    The code is split as the direct sum of a prefix set P of p bits and the
+    repetition code of its L = m - p top bits, with L from
+    ``_repetition_suffix`` (L = 0 scans the whole code).  A word (x, y) is
+    at distance d(x, P) + min(wt y, L - wt y) from the code, since both
+    suffixes go with every prefix, so the radius is rho(P) + floor(L/2).
+    d(x, P) comes from one array over the 2^p prefix words, set to 0 at P
+    and to p + 1 elsewhere, relaxed along each bit.
+
+    The far point is the least word at distance > ``code.target_radius``,
+    or None.  With c = max(0, target - rho(P) + 1), a suffix needs
+    min(wt y, L - wt y) >= c, so there is none if c > floor(L/2); otherwise
+    the least suffix is y = 2^c - 1 and x is the least prefix word at
+    distance > target - c from P.  The scan needs p <= SCAN_MAX_PREFIX.
     """
-    _check_scan_range(code)
     m = code.m
-    low_bits = min(m, CHUNK_BITS)
-    split = low_bits // 2
-    words = np.array(code.words, dtype=np.uint32)
-    c_low = (words & np.uint32((1 << low_bits) - 1)).astype(np.intp)
-    c_high = words >> np.uint32(low_bits)
-    d = np.empty(1 << low_bits, dtype=np.uint8)
-    t = np.empty_like(d)  # the chunk transposed; each array is the other's relaxation scratch
-    d_rows = d.reshape(1 << (low_bits - split), 1 << split)
-    t_rows = t.reshape(1 << split, 1 << (low_bits - split))
-    radius = 0
-    far_point = None
-    for p in range(1 << (m - low_bits)):
-        d.fill(m + 1)
-        np.minimum.at(d, c_low, np.bitwise_count(c_high ^ np.uint32(p)))
-        _relax(d, range(split, low_bits), t)
-        np.copyto(t_rows, d_rows.T)
-        _relax(t, range(low_bits - split, low_bits), d)
-        top = int(t.max())
-        radius = max(radius, top)
-        if far_point is None and top > code.target_radius:
-            far_point = p << low_bits | int(np.argmax(t_rows.T > code.target_radius))
-    return radius, far_point
+    rep = _repetition_suffix(code)
+    p = m - rep
+    _check_scan_range(code, p, SCAN_MAX_PREFIX)
+    d = np.full(1 << p, p + 1, dtype=np.uint8)
+    d[[w & (1 << p) - 1 for w in code.words]] = 0
+    buf = np.empty(d.size // 2, dtype=np.uint8)
+    for j in range(p):  # relax along bit j: lo = min(lo, hi + 1), then hi = min(hi, lo + 1)
+        halves = d.reshape(-1, 2, 1 << j)
+        lo, hi = halves[:, 0], halves[:, 1]
+        tmp = buf.reshape(-1, 1 << j)
+        np.add(hi, 1, out=tmp)
+        np.minimum(lo, tmp, out=lo)
+        np.add(lo, 1, out=tmp)
+        np.minimum(hi, tmp, out=hi)
+    rho = int(d.max())
+    c = max(0, code.target_radius - rho + 1)
+    if c > rep // 2:
+        return rho + rep // 2, None
+    x = int(np.argmax(d >= code.target_radius - c + 1))  # distance > target - c, which can be -1
+    return rho + rep // 2, x | ((1 << c) - 1) << p
 
 
 def find_far_point(code: CoveringCode) -> int | None:
@@ -246,7 +249,7 @@ def find_far_point(code: CoveringCode) -> int | None:
     against every codeword in the +/-1 encoding, via inner product =
     m - 2 * distance.
     """
-    _check_scan_range(code)
+    _check_scan_range(code, code.m, SCAN_MAX_M)
     m = code.m
     arr = np.array(code.words, dtype=np.uint32)
     step = 1 << min(CHUNK_BITS, m)
@@ -347,13 +350,16 @@ def build_random_covering_code(
     Each trial samples ``count`` prefixes (default 16t^2, matching the
     Hadamard code size), extends each with the all-zeros and the all-ones
     suffix, and accepts the first trial whose exhaustively scanned covering
-    radius is at most m/2 - t, so m is refused beyond the scan range.
+    radius is at most m/2 - t, so a prefix longer than SCAN_MAX_PREFIX bits
+    is refused.
     """
-    if spec.m > SCAN_MAX_M:
-        raise ValueError(f"the random method scans every trial, which needs m <= {SCAN_MAX_M}, got m={spec.m}")
     prefix_len = 4 * spec.t * spec.t
     if prefix_len > spec.m:
         raise ValueError(f"prefix length 4t^2={prefix_len} exceeds m={spec.m}")
+    if prefix_len > SCAN_MAX_PREFIX:
+        raise ValueError(
+            f"the random method scans every trial's prefix, which needs 4t^2 <= {SCAN_MAX_PREFIX}, got {prefix_len}"
+        )
     if count is None:
         count = 4 * prefix_len
     rng = np.random.default_rng(rng_seed)

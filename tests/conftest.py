@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from mishit.graph import Graph, random_graph
+from mishit.graph import Graph, VertexSet, random_graph
 
 
 def oracle_is_independent(g: Graph, bits: int) -> bool:
@@ -50,6 +50,14 @@ def seeded_graphs(count: int, seed: int, n_lo: int = 1, n_hi: int = 12):
         n = int(rng.integers(n_lo, n_hi + 1))
         p = float(rng.uniform(0.1, 0.9))
         yield random_graph(n, p, rng)
+
+
+def vertex_set(n: int, members) -> VertexSet:
+    """The VertexSet of ``members`` in {0..n-1}; a member out of range raises ValueError."""
+    bits = 0
+    for v in members:
+        bits |= 1 << int(v)
+    return VertexSet(n, bits)
 
 
 def cycle_graph(n: int) -> Graph:

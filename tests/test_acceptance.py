@@ -13,6 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
+from conftest import vertex_set
 from mishit.cli import main
 from mishit.families import (
     HammingSpec,
@@ -25,7 +26,6 @@ from mishit.families import (
     shift_mis_from_partition,
 )
 from mishit.graph import (
-    VertexSet,
     alpha,
     enumerate_mis,
     is_independent,
@@ -89,7 +89,7 @@ def test_criterion_2_hitting_lower_bound_mechanism():
     family2 = shift_mis_family(spec2)
     for size in (1, 2):
         for members in combinations(range(spec2.n), size):
-            h = VertexSet.from_members(spec2.n, members)
+            h = vertex_set(spec2.n, members)
             ok &= any(s.isdisjoint(h) for s in family2.sets)
     cyc2 = shift_cycle_hitting_set(spec2)
     ok &= all(not s.isdisjoint(cyc2) for s in family2.sets)
@@ -101,7 +101,7 @@ def test_criterion_2_hitting_lower_bound_mechanism():
     for _ in range(10_000):
         size = int(rng.integers(1, 4))
         members = rng.choice(spec3.n, size=size, replace=False)
-        h = VertexSet.from_members(spec3.n, (int(v) for v in members))
+        h = vertex_set(spec3.n, (int(v) for v in members))
         misses += any(s.isdisjoint(h) for s in family3.sets)
     ok &= misses == 10_000
     cyc3 = shift_cycle_hitting_set(spec3)

@@ -467,8 +467,8 @@ def test_covering_code_random_seeded(tmp_path):
 
 
 def test_multi_chunk_scan_artifacts(tmp_path):
-    # m = 22 and 24 scan 8 and 32 chunks of the word space; sha256 as the
-    # transform relaxing each chunk in word order, without a transpose, wrote them
+    # sha256 as the scan of the whole word space, 2^22 and 2^24 words in
+    # chunks, wrote them; the prefix scan must write the same bytes
     r = tmp_path / "r.json"
     code = tmp_path / "code.txt"
     assert main(["covering-code", "--m", "22", "--t", "2", "--method", "random", "--trials", "5",
@@ -484,6 +484,35 @@ def test_multi_chunk_scan_artifacts(tmp_path):
     assert hashlib.sha256(h.read_bytes()).hexdigest() == (
         "f24f09cc85fbdf86603f5007dc5da0933a5a4b042b3b1461aa5cae88889e9e62"
     )
+
+
+@pytest.mark.parametrize("m", [30, 4096])
+def test_covering_code_hadamard_radius_beyond_m28(tmp_path, m):
+    # at t = 2 only the 16-bit prefix is scanned: rho(P) = 6, plus (m - 16)/2
+    # from the repetition suffix, is the target m/2 - 2 at every m
+    out = tmp_path / "r.json"
+    assert main(["covering-code", "--m", str(m), "--t", "2", "--method", "hadamard", "--json", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert (payload["report"]["covering_radius"], payload["report"]["far_point"]) == (m // 2 - 2, None)
+    assert all(payload["checks"].values())
+
+
+def test_covering_code_random_beyond_m28(tmp_path):
+    out = tmp_path / "r.json"
+    argv = ["covering-code", "--m", "30", "--t", "2", "--method", "random", "--trials", "5", "--seed", "1"]
+    assert main(argv + ["--json", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["report"]["trials_used"] is not None
+    assert payload["report"]["covering_radius"] <= 13
+    assert all(payload["checks"].values())
+
+
+def test_hamming_reports_hadamard_radius_beyond_m28(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["hamming", "--m", "30", "--t", "2", "--json", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["report"]["hadamard_radius"] == 13
+    assert payload["checks"] == {"Hadamard code covers at radius m/2 - t": True}
 
 
 def test_covering_code_random_failure_reports_and_writes_json(tmp_path, capsys):

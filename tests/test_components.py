@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import disjoint_union, oracle_alpha, oracle_mis_masks
+from conftest import disjoint_union, oracle_alpha, oracle_mis_masks, vertex_set
 from mishit.graph import (
     FamilyTooLargeError,
     Graph,
@@ -157,7 +157,7 @@ def test_kernel_and_corona_on_unions():
 def test_induced_restrictions_of_unions():
     rng = np.random.default_rng(94)
     for g, _ in scrambled_unions(30, seed=95):
-        w = VertexSet.from_members(g.n, (int(v) for v in rng.choice(g.n, size=min(g.n, 14), replace=False)))
+        w = vertex_set(g.n, (int(v) for v in rng.choice(g.n, size=min(g.n, 14), replace=False)))
         sub, old = induced_subgraph(g, w)
         assert alpha_induced(g, w) == oracle_alpha(sub)
         a, kernel, corona = _solve_kernel_corona(g, w.bits)

@@ -14,8 +14,9 @@ from mishit.hitting import (
     CoveringCode,
     build_hadamard_covering_code,
     covering_radius,
-    find_far_point,
+    hadamard_prefix_order,
     min_hitting_set,
+    sylvester_hadamard_rows,
 )
 from conftest import cycle_graph
 
@@ -142,29 +143,25 @@ def test_covering_radius_against_pure_python():
         assert radius == brute_scan(code.words, m, m)[0]
 
 
-def assert_scan_matches_brute_force(monkeypatch, code, radius=None):
-    """Compare one chunk per 2^19 words, and chunks of 8 and of 16 words (odd and
-    even chunk bits, so both ways the chunk splits around its transpose), with
-    the word-by-word scan."""
+def assert_scan_matches_brute_force(code, radius=None):
+    """Compare ``covering_radius`` with the word-by-word scan."""
     expected = brute_scan(code.words, code.m, code.target_radius)
     if radius is not None:
         assert expected[0] == radius
-    for chunk_bits in (mishit.hitting.CHUNK_BITS, 3, 4):
-        monkeypatch.setattr(mishit.hitting, "CHUNK_BITS", chunk_bits)
-        assert covering_radius(code) == expected, (code, chunk_bits)
+    assert covering_radius(code) == expected, code
 
 
-def test_covering_radius_and_far_point_on_seeded_codes(monkeypatch):
+def test_covering_radius_and_far_point_on_seeded_codes():
     rng = np.random.default_rng(7170)
     for m in range(1, 15):
         for _ in range(4):
             size = int(rng.integers(1, 10))
             words = tuple(int(w) for w in rng.integers(0, 1 << m, size=size))
             code = CoveringCode(m, words, int(rng.integers(0, m + 1)))
-            assert_scan_matches_brute_force(monkeypatch, code)
+            assert_scan_matches_brute_force(code)
 
 
-def test_covering_radius_and_far_point_on_structured_codes(monkeypatch):
+def test_covering_radius_and_far_point_on_structured_codes():
     rng = np.random.default_rng(606)
     for m in range(1, 13):
         full = (1 << m) - 1
@@ -174,41 +171,70 @@ def test_covering_radius_and_far_point_on_structured_codes(monkeypatch):
             if m <= 8:  # the brute force is quadratic in the space here
                 cases.append((tuple(range(1 << m)), 0))
             for words, radius in cases:
-                assert_scan_matches_brute_force(monkeypatch, CoveringCode(m, words, target), radius)
+                assert_scan_matches_brute_force(CoveringCode(m, words, target), radius)
 
 
-def test_covering_radius_works_in_one_chunk_of_memory():
-    code = build_hadamard_covering_code(HammingSpec(22, 2))
+def suffixed(m, p, prefixes):
+    """Each p-bit prefix completed by the all-zeros and the all-ones m - p bits."""
+    ones = ((1 << m - p) - 1) << p
+    return tuple(w for x in prefixes for w in (x, x | ones))
+
+
+def assert_matches_whole_code_scan(m, words):
+    """``covering_radius`` against every word's distance to the whole code, by
+    one numpy pass per codeword, at every target 0..m."""
+    space = np.arange(1 << m, dtype=np.uint32)
+    dist = np.full(1 << m, m, dtype=np.uint8)
+    for c in words:
+        np.minimum(dist, np.bitwise_count(space ^ np.uint32(c)), out=dist)
+    for target in range(m + 1):
+        far = np.flatnonzero(dist > target)
+        expected = int(dist.max()), int(far[0]) if far.size else None
+        assert covering_radius(CoveringCode(m, words, target)) == expected, (m, words, target)
+
+
+@pytest.mark.parametrize("t,m", [(1, 4), (1, 9), (1, 16), (1, 22), (2, 16), (2, 19), (2, 22)])
+def test_covering_radius_of_suffixed_codes_at_every_target(t, m):
+    # the Hadamard prefixes and seeded prefix sets of 1, 3, 8 and 16t^2 words;
+    # odd m gives an odd repetition suffix
+    rng = np.random.default_rng(100 * t + m)
+    p = 4 * t * t
+    h0 = hadamard_prefix_order(t)
+    if h0 <= m:
+        rows = sylvester_hadamard_rows(h0)
+        assert_matches_whole_code_scan(m, suffixed(m, h0, rows + [r ^ (1 << h0) - 1 for r in rows]))
+    for count in (1, 3, 8, 16 * t * t):
+        if m <= 19 or count > 8:  # keep the whole-code passes at m = 22 few
+            assert_matches_whole_code_scan(m, suffixed(m, p, [int(x) for x in rng.integers(0, 1 << p, size=count)]))
+
+
+def test_covering_radius_of_odd_and_extreme_suffixes():
+    # every suffix length L from 0 to m, odd ones included: the CLI's codes all
+    # have even L, so only these tell floor(L/2) from ceil(L/2)
+    rng = np.random.default_rng(2718)
+    for m in range(1, 12):
+        for length in range(m + 1):
+            p = m - length
+            for count in (1, 3):
+                assert_matches_whole_code_scan(m, suffixed(m, p, [int(x) for x in rng.integers(0, 1 << p, size=count)]))
+    for m in (1, 2, 7, 14):  # L = m: {0^m, 1^m}, an empty prefix
+        assert_matches_whole_code_scan(m, (0, (1 << m) - 1))
+    for m in (5, 14):  # L = 0: a top bit set in some words and clear in others, no flip partner
+        words = (1 << m - 1, 3, 1 << m - 2 | 5)
+        assert_matches_whole_code_scan(m, words)
+
+
+def test_covering_radius_scans_the_prefix_in_bounded_memory():
+    # m = 4096 is legal for the spec; only the 16-bit prefix is held as an array
+    code = build_hadamard_covering_code(HammingSpec(4096, 2))
     tracemalloc.start()
     try:
         radius, far = covering_radius(code)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (radius, far) == (9, None)
-    assert peak < 2 << 20  # a 2^19-byte chunk and its transpose, not arrays over all 2^22 words
-
-
-def test_far_point_in_a_later_chunk_comes_back_in_word_order():
-    # Codewords below 2^L (L = CHUNK_BITS) put every word of the chunk with high
-    # bits p popcount(p) farther than its low half, so at target r0 + extra, with
-    # r0 the low code's radius, the least far word lies in chunk 2^(extra+1) - 1.
-    low = mishit.hitting.CHUNK_BITS
-    split = low // 2
-    rng = np.random.default_rng(1909)
-    for m, extra in ((20, 0), (22, 1)):
-        words = tuple(int(w) for w in rng.integers(0, 1 << low, size=12))
-        r0 = next(r for r in range(low + 1) if find_far_point(CoveringCode(low, words, r)) is None)
-        code = CoveringCode(m, words, r0 + extra)
-        far = find_far_point(code)
-        assert far >> low == (1 << extra + 1) - 1
-        word_low, word_high = far & (1 << split) - 1, far >> split & (1 << low - split) - 1
-        assert word_low << low - split | word_high != far & (1 << low) - 1  # its transposed index differs
-        assert covering_radius(code) == (r0 + m - low, far)
-        # a word and its complement: radius m/2, and at target m/2 - 1 the far point is the witness's
-        w = int(rng.integers(1 << low, 1 << m))
-        pair = CoveringCode(m, (w, w ^ (1 << m) - 1), m // 2 - 1)
-        assert covering_radius(pair) == (m // 2, find_far_point(pair))
+    assert (radius, far) == (2046, None)
+    assert peak < 256 << 10  # a 2^16-byte distance array and its half-size scratch, not 2^4096 words
 
 
 def test_cycle_alpha_known_values():

@@ -1,4 +1,4 @@
-"""Edge paths: degenerate graphs, beyond-scan-range codes, families above the cap."""
+"""Edge paths: degenerate graphs, codes with prefixes beyond the scan range, families above the cap."""
 
 import json
 
@@ -43,7 +43,7 @@ def test_family_above_the_cap_is_refused(tmp_path, capsys, monkeypatch):
 
 
 def test_duplicate_members_rejected_by_family_type():
-    s = VertexSet.from_members(3, [0])
+    s = VertexSet(3, 0b1)
     with pytest.raises(ValueError):
         MisFamily(alpha=1, sets=(s, s))
 
@@ -53,11 +53,11 @@ def test_kernel_corona_of_empty_restriction():
 
 
 def test_random_code_refused_beyond_scan_range(monkeypatch):
-    # a trial is accepted by its scanned radius, so there is nothing to accept
-    # without the scan; refused before any prefix is drawn
+    # a trial is accepted by its scanned radius, and at t = 3 the 36-bit
+    # prefix is too long to scan; refused before any prefix is drawn
     monkeypatch.setattr(np.random, "default_rng", None)
-    with pytest.raises(ValueError, match="m <= 28"):
-        build_random_covering_code(HammingSpec(30, 1), trials=5, rng_seed=11)
+    with pytest.raises(ValueError, match="4t\\^2 <= 24, got 36"):
+        build_random_covering_code(HammingSpec(36, 3), trials=5, rng_seed=11)
 
 
 def test_cli_random_code_beyond_scan_range_is_refused(tmp_path, capsys, monkeypatch):
@@ -66,23 +66,24 @@ def test_cli_random_code_beyond_scan_range_is_refused(tmp_path, capsys, monkeypa
     code = tmp_path / "code.txt"
     with pytest.raises(SystemExit) as exc:
         main([
-            "covering-code", "--m", "30", "--t", "1", "--method", "random",
+            "covering-code", "--m", "40", "--t", "3", "--method", "random",
             "--trials", "2", "--seed", "9", "--json", str(out), "--out", str(code),
         ])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "mishit: error: the random method scans every trial, which needs m <= 28, got m=30\n"
+        "mishit: error: the random method scans every trial's prefix, which needs 4t^2 <= 24, got 36\n"
     )
     assert not out.exists() and not code.exists()
 
 
 def test_cli_hadamard_code_beyond_scan_range_is_unchecked(tmp_path):
+    # at t = 3 the Hadamard prefix has 64 bits, too long to scan
     out = tmp_path / "r.json"
-    assert main(["covering-code", "--m", "30", "--t", "2", "--method", "hadamard", "--json", str(out)]) == 0
+    assert main(["covering-code", "--m", "64", "--t", "3", "--method", "hadamard", "--json", str(out)]) == 0
     assert json.loads(out.read_text())["report"] == {
-        "m": 30, "t": 2, "method": "hadamard", "code_size": 64, "target_radius": 13,
+        "m": 64, "t": 3, "method": "hadamard", "code_size": 128, "target_radius": 29,
         "trials_used": None, "covering_radius": None,
     }
 

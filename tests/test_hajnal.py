@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mishit.hajnal
-from conftest import hub_graph, oracle_mis_masks, seeded_graphs
+from conftest import hub_graph, oracle_mis_masks, seeded_graphs, vertex_set
 from mishit.families import build_shift_graph, shift_mis_family
 from mishit.cli import build_parser, main
 from mishit.graph import (
@@ -62,7 +62,7 @@ def test_shift_k2_kernel_and_corona():
 
 def test_kernel_within_restriction():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    a, kernel, corona = _solve_kernel_corona(g, VertexSet.from_members(4, [0, 1]).bits)
+    a, kernel, corona = _solve_kernel_corona(g, vertex_set(4, [0, 1]).bits)
     assert a == 1
     assert kernel == 0
     assert VertexSet(4, corona).members() == (0, 1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mishit.graph
-from conftest import run_fresh_python
+from conftest import run_fresh_python, vertex_set
 from mishit.families import HammingSpec, build_hamming_graph, build_shift_graph, hamming_mis_family, shift_mis_family
 from mishit.graph import FamilyTooLargeError, Graph, VertexSet
 from mishit.hitting import (
@@ -29,10 +29,6 @@ from mishit.hitting import (
 )
 
 
-def vs(n, members):
-    return VertexSet.from_members(n, members)
-
-
 # --- exact hitting sets ---------------------------------------------------
 
 
@@ -45,20 +41,20 @@ def _no_transversal_below(size, sets, n):
 
 
 def test_disjoint_singletons():
-    family = [vs(4, [1]), vs(4, [2])]
+    family = [vertex_set(4, [1]), vertex_set(4, [2])]
     r = min_hitting_set(family)
     assert len(r) == 2 and r.members() == (1, 2)
     _no_transversal_below(len(r), family, 4)  # optimal
 
 
 def test_common_element():
-    r = min_hitting_set([vs(4, [1, 2]), vs(4, [2, 3])])
+    r = min_hitting_set([vertex_set(4, [1, 2]), vertex_set(4, [2, 3])])
     assert len(r) == 1 and r.members() == (2,)
 
 
 def test_lexicographically_least_optimum():
     # optima are {0,2}, {0,3}, {1,2}, {1,3}
-    r = min_hitting_set([vs(4, [0, 1]), vs(4, [2, 3])])
+    r = min_hitting_set([vertex_set(4, [0, 1]), vertex_set(4, [2, 3])])
     assert r.members() == (0, 2)
 
 
@@ -72,14 +68,14 @@ def test_lexicographically_least_optimum():
     ],
 )
 def test_last_vertex_is_the_least_in_every_unhit_set(family, least):
-    sets = [vs(8, s) for s in family]
+    sets = [vertex_set(8, s) for s in family]
     r = min_hitting_set(sets)
     assert r.members() == least
     _no_transversal_below(len(r), sets, 8)
 
 
 def test_per_set_witnesses():
-    family = [vs(5, [0, 1]), vs(5, [1, 2]), vs(5, [3, 4])]
+    family = [vertex_set(5, [0, 1]), vertex_set(5, [1, 2]), vertex_set(5, [3, 4])]
     r = min_hitting_set(family)
     assert r.members() == (1, 3)
     for s in family:
@@ -88,7 +84,7 @@ def test_per_set_witnesses():
 
 def test_infeasible_on_empty_member():
     with pytest.raises(InfeasibleFamilyError):
-        min_hitting_set([vs(3, [0]), vs(3, [])])
+        min_hitting_set([vertex_set(3, [0]), vertex_set(3, [])])
     with pytest.raises(ValueError):
         min_hitting_set([])
 
@@ -113,7 +109,7 @@ def test_transversal_deeper_than_the_starting_recursion_limit():
 
 def test_universe_mismatch_rejected():
     with pytest.raises(ValueError):
-        min_hitting_set([vs(4, [0]), vs(5, [1])])
+        min_hitting_set([vertex_set(4, [0]), vertex_set(5, [1])])
 
 
 @pytest.mark.parametrize("k,expected", [(1, 2), (2, 3), (3, 4)])
@@ -184,14 +180,14 @@ def test_hitting_code_correspondence_4_1():
     code = CoveringCode(spec.m, h.members(), spec.ball_radius)
     radius, _ = covering_radius(code)
     assert radius <= spec.ball_radius
-    assert VertexSet.from_members(spec.n, code.words).bits == h.bits
+    assert vertex_set(spec.n, code.words).bits == h.bits
     # the two independent optimisation routes agree
     assert len(h) == len(min_covering_code_search(4, 1))
     # any set hits all balls iff its code has radius <= 1 (random sample)
     rng = np.random.default_rng(1)
     for _ in range(60):
         members = rng.choice(16, size=int(rng.integers(1, 9)), replace=False)
-        s = VertexSet.from_members(16, (int(v) for v in members))
+        s = vertex_set(16, (int(v) for v in members))
         hits_all = all(not b.isdisjoint(s) for b in family.sets)
         radius, _ = covering_radius(CoveringCode(spec.m, s.members(), spec.ball_radius))
         radius_ok = radius <= 1

@@ -375,9 +375,9 @@ def cmd_covering_code(args) -> int:
         report["covering_radius"] = radius
         checks.append(("covering radius within target", radius <= code.target_radius))
         report["far_point"] = far
-        checks.append(
-            ("far point exists iff radius exceeds target", (far is None) == (radius <= code.target_radius))
-        )
+        exists_iff = (far is None) == (radius <= code.target_radius)
+        far_is_far = far is None or all((far ^ w).bit_count() > code.target_radius for w in code.words)
+        checks.append(("far point exists iff radius exceeds target", exists_iff and far_is_far))
     if args.out:
         hitting.write_code(code, args.out)
     return _emit(args, report, checks)

@@ -5,16 +5,19 @@ A graph is stored as one Python-int adjacency row per vertex, so neighbourhood
 algebra (independence tests, candidate pruning, kernel intersections) is plain
 integer bit twiddling.  One clique search on the complement answers every
 question: a branch and bound with greedy-colouring upper bounds that yields
-each leaf clique reaching a floor the caller may raise.  Each colour class is
-one bitmask and the bound is the number of classes left, so a branch step is
-a few integer operations.  alpha(G) raises the floor past each clique found;
-enumeration holds it at alpha and so visits every maximum independent set
-exactly once; a yes/no question takes the first clique at its floor, if any.
-The search walks its own stack: nothing in the package recurses or touches
-the interpreter's recursion limit.
+each leaf clique reaching a floor the caller may raise.  It reads G's own
+rows: a colour class of the complement is a clique of G, grown along G's
+edges, and v's complement neighbours are the vertices off v's row.  Each
+class is one bitmask and the bound is the number of classes left, so a
+branch step is a few integer operations.  alpha(G) raises the floor past
+each clique found; enumeration holds it at alpha and so visits every maximum
+independent set exactly once; a yes/no question takes the first clique at
+its floor, if any.  The search walks its own stack: nothing in the package
+recurses or touches the interpreter's recursion limit.
 
-Vertex order inside the solver is descending complement-degree with ties by
-index, which makes both the witness and the enumeration order reproducible.
+Vertex order inside the solver is descending complement-degree (ascending
+degree in G) with ties by index, which makes both the witness and the
+enumeration order reproducible.
 
 A disjoint union is solved part by part: ``_components`` splits a vertex mask
 into its connected components, alpha is the sum of the component alphas and
@@ -113,12 +116,11 @@ class Graph:
     through ``from_edges``, which checks each edge.
     """
 
-    __slots__ = ("n", "adj", "_comp")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: Iterable[int]):
         self.n = n
         self.adj = tuple(adj)
-        self._comp = None
         if n < 0:
             raise ValueError("negative vertex count")
         if n > MAX_VERTICES:
@@ -157,13 +159,6 @@ class Graph:
             for v in _iter_bits(self.adj[u] >> (u + 1) << (u + 1)):
                 yield (u, v)
 
-    def complement_rows(self) -> tuple[int, ...]:
-        """Adjacency rows of the complement graph (cached)."""
-        if self._comp is None:
-            full = (1 << self.n) - 1
-            self._comp = tuple(full & ~(self.adj[v] | 1 << v) for v in range(self.n))
-        return self._comp
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
@@ -190,13 +185,14 @@ def _iter_bits(bits: int) -> Iterator[int]:
 
 
 def _relabel(rows: tuple[int, ...], start: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Restrict ``rows`` to ``start`` and relabel by descending degree, ties by index.
+    """Restrict G's ``rows`` to ``start`` and relabel by ascending degree
+    (descending complement-degree), ties by index.
 
     Returns (relabelled rows, new-index -> old-vertex map).  The fixed order
     makes witnesses and enumeration order reproducible and keeps the greedy
     colouring tight on irregular graphs.
     """
-    verts = sorted(_iter_bits(start), key=lambda v: (-(rows[v] & start).bit_count(), v))
+    verts = sorted(_iter_bits(start), key=lambda v: ((rows[v] & start).bit_count(), v))
     pos = {v: i for i, v in enumerate(verts)}
     out = []
     for v in verts:
@@ -215,11 +211,11 @@ def _map_back(mask: int, verts: tuple[int, ...]) -> int:
 
 
 def _colour_classes(P: int, rows: tuple[int, ...]) -> list[int]:
-    """Greedy-colour the candidate mask ``P`` against ``rows``.
+    """Greedy-colour the candidate mask ``P`` in the complement of G's ``rows``.
 
     Returns one mask per colour class, in colour order: each class takes the
-    lowest uncoloured vertex, then each later one adjacent to none already in
-    it.  The number of classes bounds the largest clique inside P.
+    lowest uncoloured vertex, then each later one G joins to all already in
+    it.  The number of classes bounds the largest complement clique inside P.
     """
     classes = []
     rest = P
@@ -229,14 +225,15 @@ def _colour_classes(P: int, rows: tuple[int, ...]) -> list[int]:
         while q:
             bit = q & -q
             cls |= bit
-            q &= ~(rows[bit.bit_length() - 1] | bit)
+            q &= rows[bit.bit_length() - 1]
         rest ^= cls
         classes.append(cls)
     return classes
 
 
 def _cliques(rows: tuple[int, ...], start: int, floor: list[int]) -> Iterator[int]:
-    """Yield each leaf clique mask within ``start`` of at least ``floor[0]`` vertices.
+    """Yield each leaf clique mask of the complement of G's ``rows`` within
+    ``start`` of at least ``floor[0]`` vertices: each an independent set of G.
 
     The colouring-bounded branch and bound of Tomita & Seki (MCQ, 2003): a
     branch is cut once its colour bound falls below the floor, so no branch
@@ -265,8 +262,8 @@ def _cliques(rows: tuple[int, ...], start: int, floor: list[int]) -> Iterator[in
             classes.pop()
         else:
             classes[-1] = last ^ bit
-        frame[1] = cands ^ bit  # v's branch covers every clique through v
-        P = cands & rows[v]
+        frame[1] = cands = cands ^ bit  # v's branch covers every clique through v
+        P = cands & ~rows[v]
         if P:
             stack.append([clique | bit, P, _colour_classes(P, rows)])
         elif len(stack) >= floor[0]:  # the leaf clique has len(stack) members
@@ -320,10 +317,10 @@ def _components(g: Graph, within_bits: int) -> list[int]:
 def _component_solves(
     g: Graph, within_bits: int
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int, int]]:
-    """Per connected component of the restriction: (relabelled complement
-    rows, new-index -> old-vertex map, alpha, relabelled witness mask)."""
+    """Per connected component of the restriction: (G's rows restricted to it
+    and relabelled, new-index -> old-vertex map, alpha, relabelled witness mask)."""
     for comp in _components(g, within_bits):
-        rows, verts = _relabel(g.complement_rows(), comp)
+        rows, verts = _relabel(g.adj, comp)
         size, mask = _max_clique(rows, (1 << len(verts)) - 1)
         yield rows, verts, size, mask
 
@@ -359,7 +356,8 @@ def _solve_kernel_corona(g: Graph, within_bits: int) -> tuple[int, int, int]:
             if ker & bit:
                 found = next(_cliques(rows, full & ~bit, [comp_size]), None)
             elif not cor & bit:
-                found = next((mask | bit for mask in _cliques(rows, rows[v], [comp_size - 1])), None)
+                cliques = _cliques(rows, full & ~(rows[v] | bit), [comp_size - 1])
+                found = next((mask | bit for mask in cliques), None)
             else:
                 continue
             if found is not None:

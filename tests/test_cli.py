@@ -497,6 +497,15 @@ def test_covering_code_hadamard_radius_beyond_m28(tmp_path, m):
     assert all(payload["checks"].values())
 
 
+def test_covering_code_far_point_check_fails_on_a_near_word(tmp_path, monkeypatch):
+    # a scan claiming a codeword is far: the radius and the far point agree
+    # with each other, so only the direct distance test can catch it
+    monkeypatch.setattr(mishit.hitting, "covering_radius", lambda code: (code.target_radius + 1, code.words[0]))
+    out = tmp_path / "r.json"
+    assert main(["covering-code", "--m", "10", "--t", "1", "--method", "hadamard", "--json", str(out)]) == 1
+    assert json.loads(out.read_text())["checks"]["far point exists iff radius exceeds target"] is False
+
+
 def test_covering_code_random_beyond_m28(tmp_path):
     out = tmp_path / "r.json"
     argv = ["covering-code", "--m", "30", "--t", "2", "--method", "random", "--trials", "5", "--seed", "1"]

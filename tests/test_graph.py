@@ -16,6 +16,7 @@ from mishit.graph import (
     Graph,
     VertexSet,
     _cliques,
+    _relabel,
     alpha,
     alpha_induced,
     enumerate_mis,
@@ -182,7 +183,7 @@ def test_witnesses_and_clique_order_are_pinned():
     # enumeration order are promised to be reproducible
     digest = hashlib.sha256()
     for g in seeded_graphs(300, seed=12, n_hi=16):
-        rows, full = g.complement_rows(), (1 << g.n) - 1
+        rows, full = g.adj, (1 << g.n) - 1
         digest.update(repr(maximum_independent_set(g).bits).encode())
         for floor in range(5):
             digest.update(repr(list(islice(_cliques(rows, full, [floor]), 64))).encode())
@@ -196,10 +197,24 @@ def test_clique_order_is_pinned_on_dense_complements():
     # vertices, 70), as the search with (vertex, colour) pair lists yielded them
     digest = hashlib.sha256()
     for g in (build_hamming_graph(HammingSpec(6, 1)), build_shift_graph(4)[0]):
-        rows, full, a = g.complement_rows(), (1 << g.n) - 1, alpha(g)
+        rows, full, a = g.adj, (1 << g.n) - 1, alpha(g)
         digest.update(repr(list(_cliques(rows, full, [a]))).encode())
         digest.update(repr(list(islice(_cliques(rows, full, [a - 1]), 64))).encode())
     assert digest.hexdigest() == "a841fafcfec755f54de19d26a86e15a251b9067cbd863158593c82e05c04b271"
+
+
+@pytest.mark.parametrize("percent", range(5, 100, 5))
+def test_relabel_orders_by_descending_complement_degree(percent):
+    # the search runs on the complement but reads G's rows: the order must be
+    # the complement's descending degree, ties by index, on sparse and dense G
+    rng = np.random.default_rng(percent)
+    for n in (1, 2, 7, 16, 30):
+        g = random_graph(n, percent / 100, rng)
+        full = (1 << n) - 1
+        comp_deg = [sum(1 for u in range(n) if u != v and not g.adj[v] >> u & 1) for v in range(n)]
+        rows, verts = _relabel(g.adj, full)
+        assert verts == tuple(sorted(range(n), key=lambda v: (-comp_deg[v], v)))
+        assert all(rows[i] >> j & 1 == g.adj[verts[i]] >> verts[j] & 1 for i in range(n) for j in range(n))
 
 
 def test_empty_start_yields_the_empty_clique_only_at_floor_zero():

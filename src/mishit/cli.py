@@ -55,11 +55,7 @@ _NON_CONFIG_KEYS = {"func", "json", "csv", "out", "trace_jsonl", "graph_out", "f
 
 def _emit(args, report: dict, checks: list[tuple[str, bool]], csv_spec=None) -> int:
     payload = {
-        "config": {
-            k: str(v) if isinstance(v, Fraction) else v
-            for k, v in vars(args).items()
-            if k not in _NON_CONFIG_KEYS
-        },
+        "config": {k: v for k, v in vars(args).items() if k not in _NON_CONFIG_KEYS},
         "report": report,
         "checks": {label: ok for label, ok in checks},
     }
@@ -408,8 +404,16 @@ def cmd_hitting_set(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad command lines with one ``mishit: error:`` line and exit 2,
+    no usage block; ``add_subparsers`` gives the subcommands this class too."""
+
+    def error(self, message):
+        self.exit(2, f"mishit: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mishit",
         description="hitting numbers of maximum-independent-set families",
     )

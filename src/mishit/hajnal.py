@@ -18,17 +18,17 @@ by direct edge-mask enumeration.  A random graph of at most
 ``TABLE_MAX_N`` vertices is answered from its subset table, not by
 searches: alpha is the table at the full set, v is in the kernel iff the
 table drops at the full set minus v, and in the corona iff 1 + its value at
-the full set minus N[v] is alpha.  Such graphs wait in groups by vertex
-count, and a group's tables are filled in one batched numpy pass once they
-reach 2^EXACT_MAX_N cells or the run ends; larger graphs go to
-``kernel_corona``.  The
-exhaustive corpus is one sweep per n over the vertex subsets of at least 3
-vertices by descending size, vectorised over all 2^C(n,2) graphs: a subset
-updates, in place, the graphs in which it is independent and whose alpha is
-unset or equal to its size.  The few graphs left unset have alpha <= 2, and
-one pass over their ids' edge bits settles them: their maximum independent
-sets are the non-adjacent pairs, or the single vertices of a complete
-graph.  The check keeps the per-n arrays, so the CSV export reuses that
+the full set minus N[v] is alpha.  A block of random graphs is drawn
+first, larger graphs going to ``kernel_corona`` at once and each small one
+kept as one row of at most 78 edge coins; then the graphs of each vertex
+count fill their tables in batched numpy passes of at most 2^EXACT_MAX_N
+cells.  The exhaustive corpus is one sweep per n over the vertex subsets of
+at least 3 vertices by descending size, vectorised over all 2^C(n,2) graphs:
+a subset updates, in place, the graphs in which it is independent and whose
+alpha is unset or equal to its size.  The few graphs left unset have
+alpha <= 2, and one pass over their ids' edge bits settles them: their
+maximum independent sets are the non-adjacent pairs, or the single vertices
+of a complete graph.  The check keeps the per-n arrays, so the CSV export reuses that
 sweep and writes its lines as fixed-width byte blocks, one width per id
 digit count, instead of formatting one line per graph.
 """
@@ -213,20 +213,16 @@ def _random_corpus_block(args: tuple[int, int, int, int]) -> list[tuple[str, int
     graphs ``start`` <= index < ``stop``, in index order.
 
     Graph ``index`` is G(n, p) drawn from ``default_rng([seed, index])``
-    with n uniform in 1..n_max and p uniform in [0.05, 0.95).  A graph of
-    more than ``TABLE_MAX_N`` vertices is answered by ``kernel_corona`` at
-    once.  A smaller one waits, as its edge coins, in a group of graphs on
-    as many vertices, answered by one batched table pass when the group's
-    tables reach 2^EXACT_MAX_N cells, and at the end of the block.
+    with n uniform in 1..n_max and p uniform in [0.05, 0.95).  The block is
+    drawn first: a graph of more than ``TABLE_MAX_N`` vertices is answered by
+    ``kernel_corona`` at once, and a smaller one keeps its edge coins as one
+    row of at most C(TABLE_MAX_N, 2) = 78.  Then the graphs of each vertex
+    count are answered by batched table passes of at most 2^EXACT_MAX_N
+    cells, or one graph.
     """
     seed, start, stop, n_max = args
     sizes = np.zeros((4, stop - start), dtype=np.int32)  # n, alpha, |kernel|, |corona| by position
-    groups = {}  # n -> [graphs waiting, their positions, their edge coins]
-
-    def flush(n: int) -> None:
-        waiting, positions, coins = groups.pop(n)
-        sizes[1:, positions[:waiting]] = _table_kernel_corona(n, coins[:waiting])
-
+    coins = np.empty((stop - start, TABLE_MAX_N * (TABLE_MAX_N - 1) // 2), dtype=bool)
     for pos, index in enumerate(range(start, stop)):
         rng = np.random.default_rng([seed, index])
         n = int(rng.integers(1, n_max + 1))
@@ -236,20 +232,14 @@ def _random_corpus_block(args: tuple[int, int, int, int]) -> list[tuple[str, int
         if n > TABLE_MAX_N:
             report = kernel_corona(random_graph(n, p, rng))
             sizes[1:, pos] = report.alpha, len(report.kernel), len(report.corona)
-            continue
-        group = groups.get(n)
-        if group is None:
-            # room for the graphs whose tables fill 2^EXACT_MAX_N cells, or for the rest of the block
-            cap = min(max(1, (1 << EXACT_MAX_N) >> n), stop - start - pos)
-            group = groups[n] = [0, np.empty(cap, dtype=np.int64), np.empty((cap, n * (n - 1) // 2), dtype=bool)]
-        waiting, positions, coins = group
-        positions[waiting] = pos
-        coins[waiting] = _edge_coins(n, p, rng)
-        group[0] = waiting = waiting + 1
-        if waiting == len(positions):
-            flush(n)
-    for n in list(groups):
-        flush(n)
+        else:
+            coins[pos, : n * (n - 1) // 2] = _edge_coins(n, p, rng)
+    for n in range(1, TABLE_MAX_N + 1):
+        positions = np.flatnonzero(sizes[0] == n)
+        step = max(1, (1 << EXACT_MAX_N) >> n)
+        for lo in range(0, len(positions), step):
+            batch = positions[lo : lo + step]
+            sizes[1:, batch] = _table_kernel_corona(n, coins[batch, : n * (n - 1) // 2])
     return [(f"seed{seed}:{start + pos}", *row) for pos, row in enumerate(zip(*sizes.tolist()))]
 
 

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -666,6 +669,24 @@ def test_empty_graph_is_a_one_line_error(tmp_path, capsys, argv):
     path = tmp_path / "empty.json"
     path.write_text('{"n": 0, "edges": []}')
     _assert_one_line_error(capsys, [*argv, "--graph", str(path)])
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["shift", "--k", "abc"], "--k"),
+    (["shift"], "--k"),
+    (["covering-code", "--m", "4", "--t", "1", "--method", "nope"], "--method"),
+    ([], "command"),
+], ids=["not-an-int", "missing-required", "bad-choice", "no-command"])
+def test_argparse_refusal_is_a_one_line_error(capsys, argv, flag):
+    # argparse's own error would print a usage block before its error line
+    assert flag in _assert_one_line_error(capsys, argv)
+
+
+def test_argparse_refusal_is_one_line_from_the_module_entry_point():
+    done = subprocess.run([sys.executable, "-m", "mishit.cli", "shift", "--k", "abc"], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "mishit: error: argument --k: invalid int value: 'abc'\n"
 
 
 def test_single_sample_verdict_is_a_one_line_error(g2_file, capsys, monkeypatch):

@@ -267,26 +267,57 @@ def _per_graph_corpus_rows(count, seed, n_max):
     return rows
 
 
-@pytest.mark.parametrize("table_cells_log2", [6, EXACT_MAX_N])
-def test_random_corpus_rows_match_the_per_graph_search(monkeypatch, table_cells_log2):
-    # groups flush at 2^6 cells: every graph of 6 or more vertices on its own,
-    # and a group of 2-vertex graphs every 16 of them, in the middle of the block
-    monkeypatch.setattr(mishit.hajnal, "EXACT_MAX_N", table_cells_log2)
-    passes = []  # n of every batched table pass
+def _capped_table_passes(monkeypatch):
+    """The n of every batched table pass from now on, each checked to hold
+    at most 2^EXACT_MAX_N table cells or a single graph."""
+    passes = []
     table_pass = mishit.hajnal._table_kernel_corona
 
-    def counted(n, coins):
+    def capped(n, coins):
+        assert len(coins) == 1 or len(coins) << n <= 1 << mishit.hajnal.EXACT_MAX_N, (n, len(coins))
         passes.append(n)
         return table_pass(n, coins)
 
-    monkeypatch.setattr(mishit.hajnal, "_table_kernel_corona", counted)
+    monkeypatch.setattr(mishit.hajnal, "_table_kernel_corona", capped)
+    return passes
+
+
+@pytest.mark.parametrize("table_cells_log2", [6, EXACT_MAX_N])
+def test_random_corpus_rows_match_the_per_graph_search(monkeypatch, table_cells_log2):
+    # passes hold 2^6 cells: every graph of 6 or more vertices takes one of its
+    # own, and the 2-vertex graphs go 16 to a pass once the block is drawn
+    monkeypatch.setattr(mishit.hajnal, "EXACT_MAX_N", table_cells_log2)
+    passes = _capped_table_passes(monkeypatch)
     check, rows = random_corpus_check(400, seed=5, n_max=16)
     assert rows == _per_graph_corpus_rows(400, seed=5, n_max=16)
     assert check.ok
     sizes = {n for _, n, *_ in rows}
     assert max(sizes) > TABLE_MAX_N and set(passes) == {n for n in sizes if n <= TABLE_MAX_N}
     if table_cells_log2 == 6:
-        assert passes.count(2) > 1  # a group flushed before the end of the block
+        assert passes.count(2) > 1  # the 2-vertex graphs took more than one pass
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_random_corpus_rows_match_the_per_graph_search_at_small_n_max(n_max):
+    # every vertex count above n_max has no graph and so no table pass
+    assert random_corpus_check(200, seed=5, n_max=n_max)[1] == _per_graph_corpus_rows(200, seed=5, n_max=n_max)
+
+
+def _rows_digest(rows):
+    return hashlib.sha256("".join(",".join(map(str, row)) + "\n" for row in rows).encode()).hexdigest()
+
+
+def test_random_corpus_rows_are_pinned_past_one_full_table_pass(monkeypatch):
+    # a 2^20-cell pass holds 128 graphs on 13 vertices, and this corpus has 227
+    passes = _capped_table_passes(monkeypatch)
+    check, rows = random_corpus_check(3000, seed=7)
+    assert check.ok and passes.count(13) == 2
+    # sha256 as the per-vertex-count groups flushed while the block was drawn wrote them
+    assert _rows_digest(rows) == "95cf3283f9b6d56a01786247a0d17ab7440a747a01ffa56104c11eab69770144"
+
+
+def test_random_corpus_rows_past_one_full_table_pass_are_the_same_for_two_workers():
+    assert random_corpus_check(3000, seed=7, workers=2)[1] == random_corpus_check(3000, seed=7)[1]
 
 
 def test_cli_default_n_max_reaches_past_the_table_cut():

@@ -8,7 +8,7 @@ import pytest
 import mishit.graph
 from conftest import run_fresh_python, vertex_set
 from mishit.families import HammingSpec, build_hamming_graph, build_shift_graph, hamming_mis_family, shift_mis_family
-from mishit.graph import FamilyTooLargeError, Graph, VertexSet
+from mishit.graph import FamilyTooLargeError, Graph
 from mishit.hitting import (
     CoveringCode,
     InfeasibleFamilyError,

@@ -77,7 +77,7 @@ def _require_seed(args) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-SHIFT_EXACT_MAX_K = 4
+SHIFT_EXACT_MAX_K = 5
 
 
 def cmd_shift(args) -> int:
@@ -93,7 +93,7 @@ def cmd_shift(args) -> int:
     a = family.alpha
     structural = families.shift_mis_family(spec)
     same_family = {s.bits for s in family.sets} == {s.bits for s in structural.sets}
-    hit = hitting.min_hitting_set(structural)
+    hit = hitting.min_hitting_set(structural, families.shift_roots(spec))
     h = len(hit)
     cycle = families.shift_cycle_hitting_set(spec)
     cycle_hits = all(not s.isdisjoint(cycle) for s in structural.sets)
@@ -153,7 +153,9 @@ def cmd_hamming(args) -> int:
         balls_match = {s.bits for s in family.sets} == {s.bits for s in balls.sets}
         report["mis_count"] = len(family)
         checks.append(("MIS family is exactly the 2^m balls", balls_match))
-        h = len(hitting.min_hitting_set(family))
+        # the balls' translations size h only when the family is known to be the balls
+        roots = families.HAMMING_ROOTS if balls_match else ()
+        h = len(hitting.min_hitting_set(family, roots))
         report["h_exact"] = h
         if spec.ball_radius == 0:
             code_size = spec.n  # radius 0 forces the whole space

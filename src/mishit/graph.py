@@ -10,10 +10,11 @@ rows: a colour class of the complement is a clique of G, grown along G's
 edges, and v's complement neighbours are the vertices off v's row.  Each
 class is one bitmask and the bound is the number of classes left, so a
 branch step is a few integer operations.  alpha(G) raises the floor past
-each clique found; enumeration holds it at alpha and so visits every maximum
-independent set exactly once; a yes/no question takes the first clique at
-its floor, if any.  The search walks its own stack: nothing in the package
-recurses or touches the interpreter's recursion limit.
+each clique found; enumeration holds it at the largest size found so far, so
+one search finds alpha and visits every maximum independent set exactly
+once; a yes/no question takes the first clique at its floor, if any.  The
+search walks its own stack: nothing in the package recurses or touches the
+interpreter's recursion limit.
 
 Vertex order inside the solver is descending complement-degree (ascending
 degree in G) with ties by index, which makes both the witness and the
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, compress, islice
+from itertools import combinations, compress
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -239,10 +240,11 @@ def _cliques(rows: tuple[int, ...], start: int, floor: list[int]) -> Iterator[in
     branch is cut once its colour bound falls below the floor, so no branch
     holding a clique of the floor's size is cut.  ``floor`` is a one-element
     list read at every cut, so the caller may raise it between yields.  Held
-    at the clique number of the restriction, it makes the search yield every
-    maximum clique exactly once; ``next`` at any floor asks whether a clique
-    of that size exists.  An explicit stack holds one frame per clique
-    member, so no depth of search touches the interpreter's recursion limit.
+    at or below the clique number of the restriction, as when it follows the
+    largest clique yielded so far, it makes the search yield every maximum
+    clique exactly once; ``next`` at any floor asks whether a clique of that
+    size exists.  An explicit stack holds one frame per clique member, so no
+    depth of search touches the interpreter's recursion limit.
     Each frame branches on the highest vertex of its last colour class and
     drops a class once it is empty, so the classes left bound the clique.
     """
@@ -314,13 +316,22 @@ def _components(g: Graph, within_bits: int) -> list[int]:
     return comps
 
 
+def _component_rows(g: Graph, within_bits: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Per connected component of the restriction: (G's rows restricted to it
+    and relabelled, new-index -> old-vertex map)."""
+    return [_relabel(g.adj, comp) for comp in _components(g, within_bits)]
+
+
 def _component_solves(
     g: Graph, within_bits: int
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int, int]]:
     """Per connected component of the restriction: (G's rows restricted to it
-    and relabelled, new-index -> old-vertex map, alpha, relabelled witness mask)."""
-    for comp in _components(g, within_bits):
-        rows, verts = _relabel(g.adj, comp)
+    and relabelled, new-index -> old-vertex map, alpha, relabelled witness mask).
+
+    The alpha solve is what the witness and kernel/corona questions start
+    from; ``enumerate_mis`` needs none, as its listing search finds alpha.
+    """
+    for rows, verts in _component_rows(g, within_bits):
         size, mask = _max_clique(rows, (1 << len(verts)) - 1)
         yield rows, verts, size, mask
 
@@ -418,23 +429,35 @@ def enumerate_mis(g: Graph) -> MisFamily:
     """Every maximum independent set of ``g``, sorted by member tuple so equal
     families compare equal.
 
-    Each connected component's sets are listed once and the family is their
-    product: one set from each component, ORed, since the parts are disjoint.
+    Each connected component's sets are listed by one clique search that
+    finds alpha on the way: its floor follows the largest set found so far,
+    so every set of the final size is yielded once, and the list restarts
+    whenever a larger set arrives.  The family is the product of the
+    component lists: one set from each, ORed, since the parts are disjoint.
     Raises FamilyTooLargeError once the product of the component counts
     exceeds ``DEFAULT_MIS_CAP``, before the product is built.
     """
     size = 0
     masks = [0]
-    for rows, verts, comp_size, _ in _component_solves(g, (1 << g.n) - 1):
-        # one set past the remaining headroom is enough to tell the cap is passed
-        cliques = _cliques(rows, (1 << len(verts)) - 1, [comp_size])
-        found = [_map_back(mask, verts) for mask in islice(cliques, DEFAULT_MIS_CAP // len(masks) + 1)]
-        if len(masks) * len(found) > DEFAULT_MIS_CAP:
+    for rows, verts in _component_rows(g, (1 << g.n) - 1):
+        headroom = DEFAULT_MIS_CAP // len(masks)
+        floor = [1]
+        best = 0
+        found = []
+        for mask in _cliques(rows, (1 << len(verts)) - 1, floor):
+            if mask.bit_count() > best:
+                best = floor[0] = mask.bit_count()
+                found = []
+            found.append(mask)
+            if len(found) > headroom:
+                floor[0] = best + 1  # too many of this size: only a larger set can save the family
+        if len(found) > headroom:
             raise FamilyTooLargeError(
                 f"more than {DEFAULT_MIS_CAP} maximum independent sets; use a structural family"
             )
+        found = [_map_back(c, verts) for c in found]
         masks = [m | c for m in masks for c in found]
-        size += comp_size
+        size += best
     sets = sorted((VertexSet(g.n, m) for m in masks), key=VertexSet.members)
     return MisFamily(alpha=size, sets=tuple(sets))
 

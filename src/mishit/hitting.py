@@ -4,9 +4,17 @@ The exact solver is one depth-first search over vertex tuples in increasing
 order: ``_least_transversal`` returns the lexicographically least transversal
 within a budget, pruning with a greedy disjoint packing of the unhit sets as
 the lower bound.  It does not branch on the last vertex: that is the least
-member of the AND of the sets still unhit.  The optimum is the least budget,
-counted up from 1, at which it finds one, and the set it finds is then the
-least optimal one, so results are reproducible across runs and platforms.
+member of the AND of the sets still unhit.  Run at the optimum h, the set
+it finds is the least optimal one, so results are reproducible across runs
+and platforms.  Proving that smaller budgets fail is most of the work, so
+a family that knows its symmetry passes *roots*, vertex sets one of which
+some minimum transversal contains: h is then the least budget at which a
+root extends to a transversal, each such test a search over the sets the
+root misses with the root's size taken off the budget, and the
+lexicographic search runs once, at h.  Forcing orbit representatives this
+way is orbital branching (Ostrowski, Linderoth, Rossi & Smriglio, Math.
+Program. 126, 2011).  Without roots the lexicographic search runs at
+budgets 1, 2, ... until it finds a set.
 
 For the Hamming family, hitting all radius-(m/2 - t) balls is the same as
 being a covering code of radius m/2 - t in Z_2^m.  Every code the CLI scans
@@ -123,18 +131,36 @@ def _least_transversal(masks: list[int], budget: int) -> int | None:
     return None
 
 
-def min_hitting_set(family) -> VertexSet:
+def _extends(masks: list[int], root: int, budget: int) -> bool:
+    """True iff ``root`` plus at most ``budget - |root|`` vertices hits every set."""
+    left = budget - root.bit_count()
+    return left >= 0 and _least_transversal([s for s in masks if not s & root], left) is not None
+
+
+def min_hitting_set(family, roots: Sequence[int] = ()) -> VertexSet:
     """Exact minimum-cardinality set meeting every family member.
 
     ``family`` is a MisFamily or a sequence of VertexSets over one universe.
-    The set is optimal for the given family: the search is run at budgets
-    1, 2, ... and has found no transversal within any smaller one.  Ties
-    among optima are broken toward the lexicographically least vertex tuple.
+    Budget 1 is tried first.  Past it, the optimum h is sized by the least
+    budget at which some root extends to a transversal, and the
+    lexicographic search then runs once at h; with no roots it runs at
+    budgets 2, 3, ... instead.  Either way no smaller budget admits a
+    transversal, and ties among optima are broken toward the
+    lexicographically least vertex tuple.
+
+    ``roots`` are vertex masks such that, when h >= 2, some minimum
+    transversal contains one of them; a family builder derives them from
+    its symmetry group (vertex 0 and the orbit representatives of its
+    stabiliser).  Invalid roots can only make h come out too large.
     """
     masks, n = _family_masks(family)
-    size = 1
-    while (best := _least_transversal(masks, size)) is None:
-        size += 1
+    best = _least_transversal(masks, 1)
+    if best is None:
+        size = 2
+        while roots and not any(_extends(masks, root, size) for root in roots):
+            size += 1
+        while (best := _least_transversal(masks, size)) is None:
+            size += 1
     return VertexSet(n, best)
 
 

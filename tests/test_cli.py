@@ -82,9 +82,28 @@ def test_shift_k4_passes_every_check(capsys):
     assert "[FAIL]" not in capsys.readouterr().out
 
 
+def test_shift_k5_passes_every_check(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["shift", "--k", "5", "--json", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert all(payload["checks"].values())
+    assert (payload["report"]["h"], payload["report"]["mis_count"]) == (6, 252)
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["shift", "--k", "4"], "da30c5ad91823829a5f360dd0ec24d82aebf3bffffe901aca0e67ec2c44ef7e8"),
+    (["hamming", "--m", "6", "--t", "2"], "76ec5481250ef5455377eafb533fcb6303005a4088152314bd64eb8e3ef3e5e2"),
+], ids=["shift-4", "hamming-6-2"])
+def test_exact_h_json_bytes(tmp_path, argv, digest):
+    # sha256 as the lexicographic search run at every budget from 1 to h wrote them
+    out = tmp_path / "r.json"
+    assert main(argv + ["--json", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_shift_rejects_bad_k(capsys):
     assert "--k" in _assert_one_line_error(capsys, ["shift", "--k", "0"])
-    assert "k 4" in _assert_one_line_error(capsys, ["shift", "--k", "7"])
+    assert "k 5" in _assert_one_line_error(capsys, ["shift", "--k", "7"])
 
 
 def test_hamming_4_1(tmp_path):

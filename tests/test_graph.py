@@ -177,6 +177,36 @@ def test_enumerate_cap(monkeypatch):
         enumerate_mis(Graph.complete(5))
 
 
+# One component, alpha = 3: the listing search meets five maximal sets of
+# size 2 before any of the three maximum sets.
+SMALL_SETS_FIRST = Graph.from_edges(8, [
+    (0, 2), (0, 3), (0, 7), (1, 2), (1, 4), (1, 5), (1, 7), (2, 5),
+    (2, 6), (2, 7), (3, 4), (3, 5), (4, 5), (5, 6), (6, 7),
+])
+
+
+def test_enumerate_cap_counts_only_maximum_sets(monkeypatch):
+    sizes = []  # sizes of the sets the listing search yields, in order
+    original = mishit.graph._cliques
+
+    def recording(rows, start, floor):
+        for mask in original(rows, start, floor):
+            sizes.append(mask.bit_count())
+            yield mask
+
+    monkeypatch.setattr(mishit.graph, "_cliques", recording)
+    monkeypatch.setattr(mishit.graph, "DEFAULT_MIS_CAP", 3)
+    family = enumerate_mis(SMALL_SETS_FIRST)
+    # more sets than the cap of one size below alpha came first, and are not counted against it
+    assert sizes.index(3) > 3 and set(sizes[:sizes.index(3)]) == {2}
+    assert family.alpha == 3
+    assert sorted(s.bits for s in family.sets) == oracle_mis_masks(SMALL_SETS_FIRST)
+    assert len(family) == 3
+    monkeypatch.setattr(mishit.graph, "DEFAULT_MIS_CAP", 2)  # the three maximum sets are still refused
+    with pytest.raises(FamilyTooLargeError, match="more than 2 maximum independent sets"):
+        enumerate_mis(SMALL_SETS_FIRST)
+
+
 def test_witnesses_and_clique_order_are_pinned():
     # sha256 over the witnesses and the first 64 cliques the search yields at
     # floors 0-4, as the recursive search produced them: witness and

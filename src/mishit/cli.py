@@ -93,7 +93,8 @@ def cmd_shift(args) -> int:
     a = family.alpha
     structural = families.shift_mis_family(spec)
     same_family = {s.bits for s in family.sets} == {s.bits for s in structural.sets}
-    hit = hitting.min_hitting_set(structural, families.shift_roots(spec))
+    # permutations of the ground set and the reversal (i, j) -> (j, i) move arc (1, 2) to every arc
+    hit = hitting.min_hitting_set(structural, transitive=True)
     h = len(hit)
     cycle = families.shift_cycle_hitting_set(spec)
     cycle_hits = all(not s.isdisjoint(cycle) for s in structural.sets)
@@ -153,9 +154,8 @@ def cmd_hamming(args) -> int:
         balls_match = {s.bits for s in family.sets} == {s.bits for s in balls.sets}
         report["mis_count"] = len(family)
         checks.append(("MIS family is exactly the 2^m balls", balls_match))
-        # the balls' translations size h only when the family is known to be the balls
-        roots = families.HAMMING_ROOTS if balls_match else ()
-        h = len(hitting.min_hitting_set(family, roots))
+        # the translations w -> w ^ x are automorphisms of the graph, so of its family too
+        h = len(hitting.min_hitting_set(family, transitive=True))
         report["h_exact"] = h
         if spec.ball_radius == 0:
             code_size = spec.n  # radius 0 forces the whole space

@@ -29,9 +29,6 @@ from .graph import Graph, MisFamily, VertexSet
 
 EXPLICIT_MAX_M = 12
 HAMMING_MAX_M = 4096  # 2^4096 has 1234 digits, under Python's 4300-digit str() limit
-# Some minimum transversal of the ball family holds word 0 (mask 1): the
-# translations w -> w ^ x map balls to balls and act transitively on the words.
-HAMMING_ROOTS = (1,)
 
 
 @dataclass(frozen=True)
@@ -123,29 +120,6 @@ def shift_cycle_hitting_set(spec: ShiftSpec) -> VertexSet:
         bits |= 1 << spec.pair_to_index(x, x + 1)
     bits |= 1 << spec.pair_to_index(k + 1, 1)
     return VertexSet(spec.n, bits)
-
-
-# Orbit representatives of the arcs other than (1, 2) under its stabiliser,
-# which permutes {3..2k} and reverses every arc while swapping 1 and 2:
-# (2, 1); (1, x) and (x, 2); (x, 1) and (2, x); (x, y), with x, y >= 3.
-SHIFT_STABILISER_REPS = ((2, 1), (1, 3), (3, 1), (3, 4))
-
-
-def shift_roots(spec: ShiftSpec) -> tuple[int, ...]:
-    """Vertex masks one of which, when h >= 2, some minimum transversal of
-    the partition family contains.
-
-    Permutations of the ground set and the reversal (i, j) -> (j, i) map
-    the family onto itself and act transitively on the arcs, so some
-    minimum transversal holds vertex 0 = (1, 2), and the stabiliser of
-    (1, 2) moves a second member onto one of ``SHIFT_STABILISER_REPS``.
-    """
-    root = 1 << spec.pair_to_index(1, 2)
-    return tuple(
-        root | 1 << spec.pair_to_index(i, j)
-        for i, j in SHIFT_STABILISER_REPS
-        if max(i, j) <= spec.ground_size
-    )
 
 
 def shift_avoiding_partition(spec: ShiftSpec, h: VertexSet) -> tuple[int, ...] | None:

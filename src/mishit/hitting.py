@@ -6,15 +6,11 @@ within a budget, pruning with a greedy disjoint packing of the unhit sets as
 the lower bound.  It does not branch on the last vertex: that is the least
 member of the AND of the sets still unhit.  Run at the optimum h, the set
 it finds is the least optimal one, so results are reproducible across runs
-and platforms.  Proving that smaller budgets fail is most of the work, so
-a family that knows its symmetry passes *roots*, vertex sets one of which
-some minimum transversal contains: h is then the least budget at which a
-root extends to a transversal, each such test a search over the sets the
-root misses with the root's size taken off the budget, and the
-lexicographic search runs once, at h.  Forcing orbit representatives this
-way is orbital branching (Ostrowski, Linderoth, Rossi & Smriglio, Math.
-Program. 126, 2011).  Without roots the lexicographic search runs at
-budgets 1, 2, ... until it finds a set.
+and platforms.  ``min_hitting_set`` runs it at budgets 1, 2, ... until it
+finds a set.  On a family whose automorphisms move vertex 0 to every
+vertex, such as the shift and Hamming families, some minimum transversal
+holds vertex 0, and then so does the least one: the search takes vertex 0
+and runs on the sets it misses alone, from budget 0.
 
 For the Hamming family, hitting all radius-(m/2 - t) balls is the same as
 being a covering code of radius m/2 - t in Z_2^m.  Every code the CLI scans
@@ -131,37 +127,35 @@ def _least_transversal(masks: list[int], budget: int) -> int | None:
     return None
 
 
-def _extends(masks: list[int], root: int, budget: int) -> bool:
-    """True iff ``root`` plus at most ``budget - |root|`` vertices hits every set."""
-    left = budget - root.bit_count()
-    return left >= 0 and _least_transversal([s for s in masks if not s & root], left) is not None
-
-
-def min_hitting_set(family, roots: Sequence[int] = ()) -> VertexSet:
+def min_hitting_set(family, transitive: bool = False) -> VertexSet:
     """Exact minimum-cardinality set meeting every family member.
 
     ``family`` is a MisFamily or a sequence of VertexSets over one universe.
-    Budget 1 is tried first.  Past it, the optimum h is sized by the least
-    budget at which some root extends to a transversal, and the
-    lexicographic search then runs once at h; with no roots it runs at
-    budgets 2, 3, ... instead.  Either way no smaller budget admits a
-    transversal, and ties among optima are broken toward the
-    lexicographically least vertex tuple.
+    The lexicographic search runs at budgets 1, 2, ... and its first set is
+    returned, so no smaller budget admits a transversal, and ties among
+    optima are broken toward the lexicographically least vertex tuple.
 
-    ``roots`` are vertex masks such that, when h >= 2, some minimum
-    transversal contains one of them; a family builder derives them from
-    its symmetry group (vertex 0 and the orbit representatives of its
-    stabiliser).  Invalid roots can only make h come out too large.
+    ``transitive`` says that some minimum transversal holds vertex 0, as on
+    a family whose automorphisms move vertex 0 to every vertex.  The search
+    then takes vertex 0, runs on the sets it misses at budgets 0, 1, ...,
+    and returns vertex 0 with the first set found.  That is the same set.
+    Let h be the optimum.  Vertex 0 is the least vertex, so the least
+    minimum transversal T holds it too.  A transversal R of the sets 0
+    misses gives the transversal R + {0}, so R has at least h - 1 vertices,
+    and T - {0} is one with h - 1.  The search therefore stops at budget
+    h - 1 and returns the least such R of h - 1 vertices, so R <= T - {0}.
+    R + {0} is a minimum transversal, so T <= R + {0}, and as both begin
+    with 0, T - {0} <= R.  If no minimum transversal holds 0, the set
+    returned still hits every member, so a wrong flag makes h too large,
+    never too small.
     """
     masks, n = _family_masks(family)
-    best = _least_transversal(masks, 1)
-    if best is None:
-        size = 2
-        while roots and not any(_extends(masks, root, size) for root in roots):
-            size += 1
-        while (best := _least_transversal(masks, size)) is None:
-            size += 1
-    return VertexSet(n, best)
+    lead = int(transitive)  # vertex 0's bit, or no vertex
+    budget = 1 - lead
+    rest = [s for s in masks if not s & lead]
+    while (found := _least_transversal(rest, budget)) is None:
+        budget += 1
+    return VertexSet(n, lead | found)
 
 
 def h_of_graph(g: Graph) -> VertexSet:

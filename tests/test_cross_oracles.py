@@ -57,7 +57,7 @@ def test_hitting_solver_against_subset_scan():
 def least_irredundant_transversal(masks, n, budget):
     """The least vertex tuple of at most ``budget`` members that hits every set,
     each member hitting a set the earlier ones missed, by scanning tuples."""
-    for combo in sorted(c for size in range(1, budget + 1) for c in combinations(range(n), size)):
+    for combo in sorted(c for size in range(budget + 1) for c in combinations(range(n), size)):
         hit = 0  # indices of the sets hit so far, as bits
         for v in combo:
             new = sum(1 << i for i, m in enumerate(masks) if m >> v & 1) & ~hit
@@ -73,10 +73,11 @@ def least_irredundant_transversal(masks, n, budget):
 def test_least_transversal_at_every_budget_against_tuple_scan():
     # the search closes its last vertex by one AND instead of branching on
     # it; below, at and above the optimum it must return what branching over
-    # every tuple in increasing order finds first
-    for n, masks in random_families(4242, 60):
+    # every tuple in increasing order finds first; a search led by vertex 0
+    # starts at budget 0, on a family that may be empty
+    for n, masks in [(4, []), *random_families(4242, 60)]:
         opt, _ = brute_min_hitting_sets(masks, n)
-        for budget in range(max(opt - 1, 1), opt + 2):
+        for budget in (0, *range(max(opt - 1, 1), opt + 2)):
             found = mishit.hitting._least_transversal(masks, budget)
             members = None if found is None else tuple(v for v in range(n) if found >> v & 1)
             assert members == least_irredundant_transversal(masks, n, budget)
@@ -95,14 +96,17 @@ def structured_family(kind, size):
 def test_hitting_set_does_not_depend_on_family_order():
     # the packing bound looks at the sets in the order given; the optimum and
     # its lexicographically least representative must not
+    # on the vertex-transitive structured families, neither must the search led by vertex 0
     rng = np.random.default_rng(1729)
-    families = [structured_family(*spec) for spec in STRUCTURED]
-    families += [[VertexSet(n, m) for m in masks] for n, masks in random_families(31337, 100)]
-    for sets in families:
+    families = [(structured_family(*spec), True) for spec in STRUCTURED]
+    families += [([VertexSet(n, m) for m in masks], False) for n, masks in random_families(31337, 100)]
+    for sets, transitive in families:
         expected = min_hitting_set(sets)
         for _ in range(3):
             shuffled = [sets[i] for i in rng.permutation(len(sets))]
             assert min_hitting_set(shuffled) == expected
+            if transitive:
+                assert min_hitting_set(shuffled, transitive=True) == expected
 
 
 def milp_min_transversal_size(masks, n):

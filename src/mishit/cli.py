@@ -71,6 +71,8 @@ def _emit(args, report: dict, checks: list[tuple[str, bool]], csv_spec=None) -> 
 def _require_seed(args) -> None:
     if args.seed is None:
         raise ValueError("this command is stochastic: an explicit --seed is required")
+    if args.seed < 0:  # numpy's seeding takes non-negative integers only
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +193,9 @@ def cmd_hamming(args) -> int:
 def cmd_hajnal_corpus(args) -> int:
     if not 0 <= args.max_n <= hajnal.EXHAUSTIVE_MAX_N:
         raise ValueError(f"--max-n must be between 0 and {hajnal.EXHAUSTIVE_MAX_N}, got {args.max_n}")
-    if args.random < 0:
-        raise ValueError(f"--random must be at least 0, got {args.random}")
+    # graph index i seeds its generator with one 32-bit word, so i < 2^32
+    if not 0 <= args.random <= 1 << 32:
+        raise ValueError(f"--random must be between 0 and 2^32 = {1 << 32}, got {args.random}")
     if not 1 <= args.n_max <= MAX_VERTICES:  # a larger n would cost O(n^2) edge draws before Graph refuses it
         raise ValueError(f"--n-max must be between 1 and {MAX_VERTICES}, got {args.n_max}")
     if args.random > 0:
@@ -227,10 +230,10 @@ def cmd_hajnal_corpus(args) -> int:
 def cmd_alpha_prime(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    g = load_graph(args.graph)
     if args.mode == "mc":
         _require_seed(args)
-    else:
+    g = load_graph(args.graph)
+    if args.mode == "exact":
         estimate = process.alpha_prime_exact(g)  # refuses a component beyond the DP before alpha is solved
     a = alpha(g)
     # the ceiling applies for alpha/n in (1/4, 1/2); n = 0 is refused by the estimators

@@ -22,8 +22,15 @@ the full set minus N[v] is alpha.  A block of random graphs is drawn
 first, larger graphs going to ``kernel_corona`` at once and each small one
 kept as one row of at most 78 edge coins; then the graphs of each vertex
 count fill their tables in batched numpy passes of at most 2^EXACT_MAX_N
-cells.  The exhaustive corpus is one sweep per n over the vertex subsets of
-at least 3 vertices by descending size, vectorised over all 2^C(n,2) graphs:
+cells.  Graph i of seed s is drawn from the stream of
+``default_rng([s, i])``, but no such generator is built: the state it would
+start in is a fixed function of (s, i), numpy's SeedSequence hash and PCG64
+seeding, both kept stable by NEP 19, so a chunk of indices gets its states
+in one pass of uint32 lanes and one reused Generator takes them in turn.
+Every draw, and so every row, is the same as from ``default_rng``.
+
+The exhaustive corpus is one sweep per n over the vertex subsets of at
+least 3 vertices by descending size, vectorised over all 2^C(n,2) graphs:
 a subset updates, in place, the graphs in which it is independent and whose
 alpha is unset or equal to its size.  The few graphs left unset have
 alpha <= 2, and one pass over their ids' edge bits settles them: their
@@ -208,13 +215,93 @@ def _table_kernel_corona(n: int, coins: np.ndarray) -> tuple[np.ndarray, np.ndar
     return alpha, kernel, corona
 
 
+# numpy's SeedSequence hash and PCG64 seeding, which NEP 19 keeps stable
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mixing entropy into the pool
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generating state from the pool
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+SEED_CHUNK = 1024  # generator states computed per numpy pass
+
+
+def _hash_constants(init: int, mult: int) -> Iterator[tuple[int, int]]:
+    """SeedSequence's hash constant before and after each of its updates;
+    they do not depend on the data, so every lane shares them."""
+    while True:
+        after = init * mult & 0xFFFFFFFF
+        yield init, after
+        init = after
+
+
+def _hashmix(value: np.ndarray, consts: Iterator[tuple[int, int]]) -> np.ndarray:
+    before, after = next(consts)
+    value = (value ^ before) * after  # uint32 lanes wrap mod 2^32
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ result >> 16
+
+
+def _corpus_generators(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
+    """One generator for each index in [start, stop), in index order, in
+    exactly the state of ``np.random.default_rng([seed, index])``.
+
+    The same Generator is yielded each time, its PCG64 state set anew, so a
+    caller draws from it before asking for the next.  The entropy of
+    [seed, index] is the seed's 32-bit words, low word first, then the
+    index's single word.  SeedSequence hashes it into a pool of four words
+    and draws four uint64 from the pool; both steps are fixed uint32
+    arithmetic, run here for a chunk of indices at once, one numpy lane per
+    index.  PCG64 then takes seed = s0 << 64 | s1 and
+    inc = (s2 << 64 | s3) << 1 | 1, and steps its 128-bit LCG twice, from 0
+    with inc and again after adding seed.
+    """
+    if seed < 0 or start < 0 or stop > 1 << 32:
+        raise ValueError(f"corpus generators need seed >= 0 and 0 <= index < 2^32, got {seed}, [{start}, {stop})")
+    seed_words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    rng = np.random.Generator(np.random.PCG64())
+    for lo in range(start, stop, SEED_CHUNK):
+        index = np.arange(lo, min(stop, lo + SEED_CHUNK), dtype=np.uint32)
+        entropy = [np.full_like(index, word) for word in seed_words] + [index]
+        consts = _hash_constants(_INIT_A, _MULT_A)
+        pool = [_hashmix(entropy[i] if i < len(entropy) else np.zeros_like(index), consts) for i in range(_POOL_SIZE)]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+        for word in entropy[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+        consts = _hash_constants(_INIT_B, _MULT_B)
+        w = [_hashmix(pool[i % _POOL_SIZE], consts).astype(np.uint64) for i in range(2 * _POOL_SIZE)]
+        # generate_state(4, uint64): s_i = w[2i+1] << 32 | w[2i]
+        s = [(w[2 * i + 1] << 32 | w[2 * i]).tolist() for i in range(4)]
+        for s0, s1, s2, s3 in zip(*s):
+            inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+            state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+            rng.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
+
+
 def _random_corpus_block(args: tuple[int, int, int, int]) -> list[tuple[str, int, int, int, int]]:
     """The CSV rows (graph id, n, alpha, |kernel|, |corona|) of the random
     graphs ``start`` <= index < ``stop``, in index order.
 
     Graph ``index`` is G(n, p) drawn from ``default_rng([seed, index])``
-    with n uniform in 1..n_max and p uniform in [0.05, 0.95).  The block is
-    drawn first: a graph of more than ``TABLE_MAX_N`` vertices is answered by
+    with n uniform in 1..n_max and p uniform in [0.05, 0.95).  Those
+    generators are not built one by one: ``_corpus_generators`` computes
+    their states a chunk of indices at a time and sets them on one reused
+    Generator, so each graph sees the same stream, and each row the same
+    values, as from its own ``default_rng``.  The block is drawn first: a
+    graph of more than ``TABLE_MAX_N`` vertices is answered by
     ``kernel_corona`` at once, and a smaller one keeps its edge coins as one
     row of at most C(TABLE_MAX_N, 2) = 78.  Then the graphs of each vertex
     count are answered by batched table passes of at most 2^EXACT_MAX_N
@@ -223,8 +310,7 @@ def _random_corpus_block(args: tuple[int, int, int, int]) -> list[tuple[str, int
     seed, start, stop, n_max = args
     sizes = np.zeros((4, stop - start), dtype=np.int32)  # n, alpha, |kernel|, |corona| by position
     coins = np.empty((stop - start, TABLE_MAX_N * (TABLE_MAX_N - 1) // 2), dtype=bool)
-    for pos, index in enumerate(range(start, stop)):
-        rng = np.random.default_rng([seed, index])
+    for pos, rng in enumerate(_corpus_generators(seed, start, stop)):
         n = int(rng.integers(1, n_max + 1))
         # what rng.uniform(0.05, 0.95) draws, without its per-call overhead
         p = 0.05 + (0.95 - 0.05) * rng.random()

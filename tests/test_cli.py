@@ -733,14 +733,41 @@ def test_single_sample_is_valid_outside_the_ceiling(tmp_path, capsys):
     ("--max-n", ["--max-n", "-1"]),
     ("--max-n", ["--max-n", "8"]),
     ("--random", ["--random", "-5", "--seed", "1"]),
+    ("--random", ["--random", str((1 << 32) + 1), "--seed", "1"]),
     ("--n-max", ["--random", "2", "--n-max", "0", "--seed", "1"]),
     ("--n-max", ["--random", "2", "--n-max", "-3", "--seed", "1"]),
     ("--n-max", ["--random", "3", "--n-max", str(MAX_VERTICES + 1), "--seed", "1"]),
-], ids=["max-n-negative", "max-n-above-7", "random-negative", "n-max-zero", "n-max-negative",
-        "n-max-above-vertex-cap"])
+], ids=["max-n-negative", "max-n-above-7", "random-negative", "random-above-2^32", "n-max-zero",
+        "n-max-negative", "n-max-above-vertex-cap"])
 def test_hajnal_corpus_bad_flag_is_a_one_line_error(capsys, monkeypatch, flag, argv):
     monkeypatch.setattr(mishit.hajnal, "random_corpus_check", None)  # refused before any graph is drawn
     assert flag in _assert_one_line_error(capsys, ["hajnal-corpus", *argv])
+
+
+def test_hajnal_corpus_takes_2_to_the_32_random_graphs(monkeypatch, capsys):
+    # the last index, 2^32 - 1, still seeds with one word, so the count is not refused
+    def no_draws(count, **kwargs):
+        return mishit.hajnal.CorpusCheck(checked=count, violations=0), []
+
+    monkeypatch.setattr(mishit.hajnal, "random_corpus_check", no_draws)
+    assert main(["hajnal-corpus", "--max-n", "0", "--random", str(1 << 32), "--seed", "1"]) == 0
+    assert f"random_checked: {1 << 32}" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("command, worker", [
+    (["hajnal-corpus", "--max-n", "3", "--random", "5"], (mishit.hajnal, "random_corpus_check")),
+    (["process", "--traces", "5"], (mishit.process, "run_deletion_traces")),
+    (["alpha-prime", "--mode", "mc"], (mishit.process, "alpha_prime_mc")),
+    (["covering-code", "--m", "4", "--t", "1", "--method", "random"], (mishit.hitting, "build_random_covering_code")),
+], ids=["hajnal-corpus", "process", "alpha-prime", "covering-code"])
+def test_negative_seed_is_a_one_line_error(g2_file, capsys, monkeypatch, command, worker):
+    # refused before any graph is loaded or built, or any draw made
+    monkeypatch.setattr(*worker, None)
+    monkeypatch.setattr(mishit.cli, "load_graph", None)
+    monkeypatch.setattr(mishit.hajnal, "exhaustive_corpus_check", None)
+    graph = [] if command[0] in ("hajnal-corpus", "covering-code") else ["--graph", g2_file]
+    err = _assert_one_line_error(capsys, [*command, *graph, "--seed", "-3"])
+    assert "--seed must be at least 0, got -3" in err
 
 
 def test_every_readme_command_line_parses():

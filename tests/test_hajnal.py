@@ -267,6 +267,34 @@ def _per_graph_corpus_rows(count, seed, n_max):
     return rows
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**96 + 5],
+                         ids=["0", "1", "2^32-1", "2^32", "2^64+1", "2^96+5"])
+def test_corpus_generators_are_in_the_state_of_default_rng(seed):
+    # 1, 2, 3 and 4 seed words: the index word then pads, fills or overflows
+    # the four-word pool; 1000..2100 crosses a chunk boundary from inside one
+    assert mishit.hajnal.SEED_CHUNK == 1024
+    for start, stop in [(1000, 2100), (2**32 - 1, 2**32)]:
+        states = [rng.bit_generator.state for rng in mishit.hajnal._corpus_generators(seed, start, stop)]
+        assert states == [np.random.default_rng([seed, i]).bit_generator.state for i in range(start, stop)]
+
+
+@pytest.mark.parametrize("seed, start, stop", [(-1, 0, 5), (3, -1, 5), (3, 2**32 - 1, 2**32 + 1)])
+def test_corpus_generators_refuse_a_seed_or_index_beyond_one_word_per_index(seed, start, stop):
+    with pytest.raises(ValueError, match="2\\^32"):
+        next(mishit.hajnal._corpus_generators(seed, start, stop))
+
+
+def test_random_corpus_makes_no_default_rng_call(monkeypatch):
+    expected = _per_graph_corpus_rows(60, seed=3, n_max=16)
+    monkeypatch.setattr(np.random, "default_rng", None)
+    assert random_corpus_check(60, seed=3, n_max=16)[1] == expected
+
+
+def test_random_corpus_rows_match_the_per_graph_search_at_a_seed_past_2_to_the_64():
+    rows = random_corpus_check(400, seed=2**70 + 3, n_max=16)[1]
+    assert rows == _per_graph_corpus_rows(400, seed=2**70 + 3, n_max=16)
+
+
 def _capped_table_passes(monkeypatch):
     """The n of every batched table pass from now on, each checked to hold
     at most 2^EXACT_MAX_N table cells or a single graph."""

@@ -29,15 +29,19 @@ seeding, both kept stable by NEP 19, so a chunk of indices gets its states
 in one pass of uint32 lanes and one reused Generator takes them in turn.
 Every draw, and so every row, is the same as from ``default_rng``.
 
-The exhaustive corpus is one sweep per n over the vertex subsets of at
-least 3 vertices by descending size, vectorised over all 2^C(n,2) graphs:
-a subset updates, in place, the graphs in which it is independent and whose
-alpha is unset or equal to its size.  The few graphs left unset have
-alpha <= 2, and one pass over their ids' edge bits settles them: their
-maximum independent sets are the non-adjacent pairs, or the single vertices
-of a complete graph.  The check keeps the per-n arrays, so the CSV export reuses that
-sweep and writes its lines as fixed-width byte blocks, one width per id
-digit count, instead of formatting one line per graph.
+The exhaustive corpus grows one vertex at a time.  Graph id g on n
+vertices is H << (n - 1) | N, with N the neighbourhood of vertex 0 and H the
+graph on vertices 1..n-1, so the alpha, kernel and corona of every subset of
+every graph on m vertices come from the tables on m - 1: a set holding
+vertex 0 takes the better of leaving it out and putting it in, the kernel
+being the AND and the corona the OR over the branches that reach alpha.
+The last vertex needs H's tables only at the full set and at the full set
+minus N, which over all N is H's table row in reverse.  It is the recurrence
+alpha(W) = max(alpha(W - v), 1 + alpha(W - N[v])) on whole tables and no
+clique search, so the corpus stays an independent check of the solver.
+The check keeps the per-n arrays, so the CSV export reuses them and writes
+its lines as fixed-width byte blocks, one width per id digit count, instead
+of formatting one line per graph.
 """
 
 from __future__ import annotations
@@ -54,7 +58,10 @@ from .parallel import parallel_map
 
 EXHAUSTIVE_MAX_N = 7
 # random-corpus graphs up to this many vertices are answered from batched
-# subset tables, larger ones by the clique search, which is faster from 14 on
+# subset tables, larger ones by the clique search, which is faster from 14 on:
+# the ~720 graphs on 14 vertices among 10^4 drawn at n_max 14 (seeds 1, 2, 7)
+# take 0.050-0.089 s in 2^20-cell table passes and 0.057-0.067 s searched
+# (2-core shared host, 3 runs each)
 TABLE_MAX_N = 13
 
 
@@ -79,60 +86,81 @@ def kernel_corona(g: Graph) -> KernelReport:
 # ---------------------------------------------------------------------------
 
 
+def _add_vertex_0(out, into):
+    """Merge vertex 0's two branches at a set W that holds it.
+
+    ``out`` is (alpha, kernel, corona) of G[W - 0], ``into`` that of
+    G[W - N[0]] with vertex 0 added, all masks already in G's labels.
+    alpha is the larger of the two; the kernel is the AND, and the corona
+    the OR, over the branches that reach it.
+    """
+    t = np.maximum(out[0], into[0])
+    out_max = np.negative((out[0] == t).view(np.uint8))  # 0xFF where "out" reaches alpha
+    in_max = np.negative((into[0] == t).view(np.uint8))
+    return t, (out[1] | ~out_max) & (into[1] | ~in_max), (out[2] & out_max) | (into[2] & in_max)
+
+
+def _kernel_corona_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """alpha(G[W]) and the kernel and corona masks of G[W], for every subset
+    W of every graph G on m labelled vertices: three (2^C(m, 2), 2^m) uint8
+    arrays, row g graph id g, column W's bits.
+
+    Graph id g on m vertices is H << (m - 1) | N, N the neighbourhood of
+    vertex 0 (the edges (0, j) are id bits 0..m-2) and H the id of the graph
+    on vertices 1..m-1, so the tables grow one vertex at a time from the one
+    graph on no vertices.  A set W = W' << 1 | b takes H's values at W' when
+    b = 0; when b = 1 vertex 0 is either left out, H's values at W', or put
+    in, 1 + alpha and vertex 0 added to both masks at W' & ~N.  The sets
+    W' & ~N form one (N, W') index shared by every H, so each step is one
+    ``np.take``.
+    """
+    t = k = r = np.zeros((1, 1), dtype=np.uint8)
+    for _ in range(m):
+        graphs, cells = t.shape
+        w = np.arange(cells)
+        rest = w & ~w[:, None]  # rest[N, W'] = W' & ~N
+        out = t[:, None, :], k[:, None, :] << 1, r[:, None, :] << 1
+        into = np.take(t, rest, axis=1) + 1, np.take(k, rest, axis=1) << 1 | 1, np.take(r, rest, axis=1) << 1 | 1
+        grown = []
+        for a, b in zip(out, _add_vertex_0(out, into)):
+            table = np.empty((graphs, cells, cells, 2), dtype=np.uint8)
+            table[..., 0] = a
+            table[..., 1] = b
+            grown.append(table.reshape(graphs * cells, 2 * cells))
+        t, k, r = grown
+    return t, k, r
+
+
+STATS_CHUNK_ROWS = 1 << 12  # graphs on n - 1 vertices per pass of the last step
+
+
 def all_graphs_kernel_stats(n: int) -> dict[str, np.ndarray]:
     """alpha, kernel and corona sizes for every graph on n labelled vertices.
 
     Graph id g encodes edge e = (i, j) as bit e in the order of ascending
-    (i, j).  One sweep over the vertex subsets of at least 3 vertices by
-    descending size k: the graphs in which subset s is independent are those
-    with a 0 at every edge bit inside s, a strided view of the id-indexed
-    arrays seen with one axis per edge bit, and each of them whose alpha is
-    unset or equal to k takes s as a maximum independent set.  The graphs
-    still unset after k = 3 have alpha <= 2 (the complements of the
-    triangle-free graphs), and one pass over the edge bits of their ids
-    settles them: their maximum independent sets are the pairs whose edge
-    bit is 0, or, if there is none, the single vertices.  Independent of the
-    branch-and-bound solver, so it doubles as an oracle.
+    (i, j), so g = H << (n - 1) | N with N the neighbourhood of vertex 0 and
+    H a graph on n - 1 vertices.  The last vertex added, vertex 0, needs
+    H's tables (``_kernel_corona_tables``) only at the full set F' and at
+    F' & ~N = F' ^ N, which over N = 0, 1, ... are H's columns in reverse
+    order: a view, not a gather.  It runs over the graphs H in chunks of
+    ``STATS_CHUNK_ROWS``, writing alpha and the two popcounts straight into
+    the output.  The tables come from the two-branch recurrence on vertex
+    0 alone, independent of the branch-and-bound solver, so this doubles as
+    an oracle for it.
     """
     if not 1 <= n <= EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive enumeration supports 1 <= n <= {EXHAUSTIVE_MAX_N}")
-    edges = [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
-    full = (1 << n) - 1
-    alpha = np.zeros(1 << len(edges), dtype=np.uint8)  # 0 while unset
-    kernel = np.full(alpha.shape, full, dtype=np.uint8)
-    corona = np.zeros(alpha.shape, dtype=np.uint8)
-    # ids are row-major over the axes, so the last axis holds edge bit 0
-    shape = (2,) * len(edges)
-    views = alpha.reshape(shape), kernel.reshape(shape), corona.reshape(shape)
-    for s in sorted((s for s in range(1, full + 1) if s.bit_count() >= 3), key=lambda s: -s.bit_count()):
-        k = s.bit_count()
-        # the Ellipsis keeps a 0-d view when s spans every edge
-        index = tuple(0 if s & both == both else slice(None) for both in reversed(edges)) + (Ellipsis,)
-        a, ker, cor = (v[index] for v in views)
-        # 0xFF where s is a maximum independent set: every alpha already set
-        # is at least k, so a <= k means a is unset or k, and max sets it to k
-        m = np.negative((a <= k).view(np.uint8))
-        np.maximum(a, k, out=a)
-        ker &= ~m | s
-        cor |= m & s
-    ids = np.flatnonzero(alpha == 0).astype(np.uint32)
-    pair_and = np.full(ids.shape, full, dtype=np.uint8)
-    pair_or = np.zeros(ids.shape, dtype=np.uint8)
-    for e, both in enumerate(edges):
-        m = np.negative((ids >> e & 1 == 0).view(np.uint8))  # 0xFF where pair e is independent
-        pair_and &= ~m | both
-        pair_or |= m & both
-    # no independent pair: the graph is complete, and its maximum independent
-    # sets are the single vertices, which meet only when n = 1
-    complete = pair_or == 0
-    alpha[ids] = np.where(complete, 1, 2)
-    kernel[ids] = np.where(complete, full if n == 1 else 0, pair_and)
-    corona[ids] = np.where(complete, full, pair_or)
-    return {
-        "alpha": alpha,
-        "kernel_size": np.bitwise_count(kernel),
-        "corona_size": np.bitwise_count(corona),
-    }
+    t, k, r = _kernel_corona_tables(n - 1)
+    graphs, cells = t.shape
+    alpha, kernel_size, corona_size = (np.empty((graphs, cells), dtype=np.uint8) for _ in range(3))
+    for lo in range(0, graphs, STATS_CHUNK_ROWS):
+        rows = slice(lo, lo + STATS_CHUNK_ROWS)
+        out = t[rows, -1:], k[rows, -1:] << 1, r[rows, -1:] << 1
+        into = t[rows, ::-1] + 1, k[rows, ::-1] << 1 | 1, r[rows, ::-1] << 1 | 1
+        alpha[rows], kernel, corona = _add_vertex_0(out, into)
+        np.bitwise_count(kernel, out=kernel_size[rows])
+        np.bitwise_count(corona, out=corona_size[rows])
+    return {"alpha": alpha.reshape(-1), "kernel_size": kernel_size.reshape(-1), "corona_size": corona_size.reshape(-1)}
 
 
 @dataclass(frozen=True)

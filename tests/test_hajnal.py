@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,19 @@ from conftest import hub_graph, oracle_mis_masks, seeded_graphs, vertex_set
 from mishit.families import build_shift_graph, shift_mis_family
 from mishit.cli import build_parser, main
 from mishit.graph import (
-    DEFAULT_MIS_CAP, EXACT_MAX_N, Graph, VertexSet, _solve_kernel_corona, enumerate_mis, random_graph
+    DEFAULT_MIS_CAP,
+    EXACT_MAX_N,
+    Graph,
+    VertexSet,
+    _solve_kernel_corona,
+    _subset_alpha_tables,
+    enumerate_mis,
+    induced_subgraph,
+    random_graph,
 )
 from mishit.hajnal import (
     TABLE_MAX_N,
+    _kernel_corona_tables,
     all_graphs_kernel_stats,
     exhaustive_corpus_check,
     exhaustive_corpus_rows,
@@ -97,14 +107,15 @@ def _graph_of_id(n, gid):
 def test_vectorised_stats_match_solver_on_samples():
     # every graph on n <= 5 vertices (1099 graphs), then seeded samples at n = 7:
     # 200 uniform ids, which almost never have alpha <= 2, and 200 of the
-    # alpha <= 2 graphs, which the sweep settles by their edge bits
+    # alpha <= 2 graphs; last, 200 uniform ids at n = 6
     cases = [(n, gid) for n in range(1, 6) for gid in range(1 << n * (n - 1) // 2)]
-    stats = {n: all_graphs_kernel_stats(n) for n in (1, 2, 3, 4, 5, 7)}
+    stats = {n: all_graphs_kernel_stats(n) for n in (1, 2, 3, 4, 5, 6, 7)}
     rng = np.random.default_rng(8)
     cases += [(7, int(gid)) for gid in rng.integers(0, 1 << 21, size=200)]
     dense = np.flatnonzero(stats[7]["alpha"] <= 2)
     cases += [(7, int(gid)) for gid in rng.choice(dense, size=200, replace=False)]
     cases.append((7, (1 << 21) - 1))  # K_7, the one graph with alpha 1
+    cases += [(6, int(gid)) for gid in np.random.default_rng(6).integers(0, 1 << 15, size=200)]
     for n, gid in cases:
         g = _graph_of_id(n, gid)
         r = kernel_corona(g)
@@ -116,6 +127,51 @@ def test_vectorised_stats_match_solver_on_samples():
         got = tuple(int(stats[n][key][gid]) for key in ("alpha", "kernel_size", "corona_size"))
         assert got == (r.alpha, len(r.kernel), len(r.corona)), (n, gid)
         assert got == (masks[0].bit_count(), kernel.bit_count(), corona.bit_count()), (n, gid)
+
+
+def _adjacency_of_ids(m, ids):
+    return np.array([_graph_of_id(m, gid).adj for gid in ids], dtype=np.int64).reshape(len(ids), m)
+
+
+def test_vertex_0_alpha_tables_match_the_subset_alpha_tables():
+    # two DPs written apart: one adds vertex 0 to every graph at once, the
+    # other grows each graph's table along its highest vertex
+    for m in range(6):
+        ids = range(1 << m * (m - 1) // 2)
+        t, _, _ = _kernel_corona_tables(m)
+        assert t.dtype == np.uint8 and t.shape == (len(ids), 1 << m)
+        assert np.array_equal(t, _subset_alpha_tables(_adjacency_of_ids(m, ids))), m
+    ids = [int(gid) for gid in np.random.default_rng(66).integers(0, 1 << 15, size=300)]
+    t, _, _ = _kernel_corona_tables(6)
+    assert np.array_equal(t[ids], _subset_alpha_tables(_adjacency_of_ids(6, ids)))
+
+
+def test_vertex_0_kernel_and_corona_tables_match_brute_force_on_every_subset():
+    for m in range(5):
+        t, k, r = _kernel_corona_tables(m)
+        for gid in range(1 << m * (m - 1) // 2):
+            g = _graph_of_id(m, gid)
+            for w in range(1 << m):
+                sub, old = induced_subgraph(g, VertexSet(m, w))
+                masks = [sum(1 << old[i] for i in range(sub.n) if s >> i & 1) for s in oracle_mis_masks(sub)]
+                kernel = corona = masks[0]
+                for s in masks:
+                    kernel &= s
+                    corona |= s
+                assert (t[gid, w], k[gid, w], r[gid, w]) == (masks[0].bit_count(), kernel, corona), (m, gid, w)
+
+
+def test_exhaustive_stats_at_n7_stay_in_one_chunk_of_memory():
+    # the last vertex runs over the 2^15 graphs on 6 vertices in row chunks;
+    # in one piece its temporaries alone take about 24 MiB
+    all_graphs_kernel_stats(7)  # numpy's lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        all_graphs_kernel_stats(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18 << 20
 
 
 def test_exhaustive_corpus_small():

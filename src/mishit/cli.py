@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import families, hajnal, hitting, process
-from .graph import MAX_VERTICES, FamilyTooLargeError, alpha, enumerate_mis, is_independent, load_graph, save_graph
+from .graph import EXACT_MAX_N, FamilyTooLargeError, alpha, enumerate_mis, is_independent, load_graph, save_graph
 
 
 def _write_family_json(path: str, family) -> None:
@@ -196,8 +196,8 @@ def cmd_hajnal_corpus(args) -> int:
     # graph index i seeds its generator with one 32-bit word, so i < 2^32
     if not 0 <= args.random <= 1 << 32:
         raise ValueError(f"--random must be between 0 and 2^32 = {1 << 32}, got {args.random}")
-    if not 1 <= args.n_max <= MAX_VERTICES:  # a larger n would cost O(n^2) edge draws before Graph refuses it
-        raise ValueError(f"--n-max must be between 1 and {MAX_VERTICES}, got {args.n_max}")
+    if not 1 <= args.n_max <= EXACT_MAX_N:  # every random graph is answered from its subset table
+        raise ValueError(f"--n-max must be between 1 and {EXACT_MAX_N}, got {args.n_max}")
     if args.random > 0:
         _require_seed(args)
     exhaustive = hajnal.exhaustive_corpus_check(args.max_n)
@@ -455,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hajnal-corpus", help="kernel+corona inequality over graph corpora")
     p.add_argument("--max-n", type=int, default=7, dest="max_n")
     p.add_argument("--random", type=int, default=0, help="additional seeded random graphs")
-    p.add_argument("--n-max", type=int, default=14, dest="n_max")
+    p.add_argument("--n-max", type=int, default=14, dest="n_max",
+                   help=f"random graphs have 1 to n-max vertices, n-max from 1 to {EXACT_MAX_N} (default %(default)s)")
     add_common(p, seed=True, workers=True, csv_opt=True)
     p.set_defaults(func=cmd_hajnal_corpus)
 

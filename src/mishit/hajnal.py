@@ -13,16 +13,15 @@ and every such set narrows the kernel and widens the corona, so each vertex
 costs at most one search (``graph._solve_kernel_corona``).
 
 The theorem itself is checked empirically on two corpora: seeded random
-graphs (up to 14 vertices by default), and every graph on up to 7 vertices
-by direct edge-mask enumeration.  A random graph of at most
-``TABLE_MAX_N`` vertices is answered from its subset table, not by
-searches: alpha is the table at the full set, v is in the kernel iff the
-table drops at the full set minus v, and in the corona iff 1 + its value at
-the full set minus N[v] is alpha.  A block of random graphs is drawn
-first, larger graphs going to ``kernel_corona`` at once and each small one
-kept as one row of at most 78 edge coins; then the graphs of each vertex
-count fill their tables in batched numpy passes of at most 2^EXACT_MAX_N
-cells.  Graph i of seed s is drawn from the stream of
+graphs of at most ``EXACT_MAX_N`` vertices, and every graph on up to 7
+vertices by direct edge-mask enumeration.  Neither runs a clique search, so
+both are independent checks of the solver.  A random graph is answered from
+its subset table: alpha is the table at the full set, v is in the kernel iff
+the table drops at the full set minus v, and in the corona iff 1 + its value
+at the full set minus N[v] is alpha.  A block of random graphs is drawn
+first, each kept as one row of C(n_max, 2) edge coins; then the graphs of
+each vertex count fill their tables in batched numpy passes of at most
+2^EXACT_MAX_N cells.  Graph i of seed s is drawn from the stream of
 ``default_rng([s, i])``, but no such generator is built: the state it would
 start in is a fixed function of (s, i), numpy's SeedSequence hash and PCG64
 seeding, both kept stable by NEP 19, so a chunk of indices gets its states
@@ -37,9 +36,8 @@ vertex 0 takes the better of leaving it out and putting it in, the kernel
 being the AND and the corona the OR over the branches that reach alpha.
 The last vertex needs H's tables only at the full set and at the full set
 minus N, which over all N is H's table row in reverse.  It is the recurrence
-alpha(W) = max(alpha(W - v), 1 + alpha(W - N[v])) on whole tables and no
-clique search, so the corpus stays an independent check of the solver.
-The check keeps the per-n arrays, so the CSV export reuses them and writes
+alpha(W) = max(alpha(W - v), 1 + alpha(W - N[v])) on whole tables.  The
+check keeps the per-n arrays, so the CSV export reuses them and writes
 its lines as fixed-width byte blocks, one width per id digit count, instead
 of formatting one line per graph.
 """
@@ -51,18 +49,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .graph import (
-    EXACT_MAX_N, Graph, VertexSet, _edge_coins, _solve_kernel_corona, _subset_alpha_tables, random_graph
-)
+from .graph import EXACT_MAX_N, Graph, VertexSet, _edge_coins, _solve_kernel_corona, _subset_alpha_tables
 from .parallel import parallel_map
 
 EXHAUSTIVE_MAX_N = 7
-# random-corpus graphs up to this many vertices are answered from batched
-# subset tables, larger ones by the clique search, which is faster from 14 on:
-# the ~720 graphs on 14 vertices among 10^4 drawn at n_max 14 (seeds 1, 2, 7)
-# take 0.050-0.089 s in 2^20-cell table passes and 0.057-0.067 s searched
-# (2-core shared host, 3 runs each)
-TABLE_MAX_N = 13
 
 
 @dataclass(frozen=True)
@@ -328,27 +318,21 @@ def _random_corpus_block(args: tuple[int, int, int, int]) -> list[tuple[str, int
     generators are not built one by one: ``_corpus_generators`` computes
     their states a chunk of indices at a time and sets them on one reused
     Generator, so each graph sees the same stream, and each row the same
-    values, as from its own ``default_rng``.  The block is drawn first: a
-    graph of more than ``TABLE_MAX_N`` vertices is answered by
-    ``kernel_corona`` at once, and a smaller one keeps its edge coins as one
-    row of at most C(TABLE_MAX_N, 2) = 78.  Then the graphs of each vertex
-    count are answered by batched table passes of at most 2^EXACT_MAX_N
-    cells, or one graph.
+    values, as from its own ``default_rng``.  The block is drawn first,
+    each graph keeping its edge coins as one row C(n_max, 2) wide; then the
+    graphs of each vertex count are answered by batched table passes of at
+    most 2^EXACT_MAX_N cells, or one graph.
     """
     seed, start, stop, n_max = args
     sizes = np.zeros((4, stop - start), dtype=np.int32)  # n, alpha, |kernel|, |corona| by position
-    coins = np.empty((stop - start, TABLE_MAX_N * (TABLE_MAX_N - 1) // 2), dtype=bool)
+    coins = np.empty((stop - start, n_max * (n_max - 1) // 2), dtype=bool)
     for pos, rng in enumerate(_corpus_generators(seed, start, stop)):
         n = int(rng.integers(1, n_max + 1))
         # what rng.uniform(0.05, 0.95) draws, without its per-call overhead
         p = 0.05 + (0.95 - 0.05) * rng.random()
         sizes[0, pos] = n
-        if n > TABLE_MAX_N:
-            report = kernel_corona(random_graph(n, p, rng))
-            sizes[1:, pos] = report.alpha, len(report.kernel), len(report.corona)
-        else:
-            coins[pos, : n * (n - 1) // 2] = _edge_coins(n, p, rng)
-    for n in range(1, TABLE_MAX_N + 1):
+        coins[pos, : n * (n - 1) // 2] = _edge_coins(n, p, rng)
+    for n in range(1, n_max + 1):
         positions = np.flatnonzero(sizes[0] == n)
         step = max(1, (1 << EXACT_MAX_N) >> n)
         for lo in range(0, len(positions), step):
@@ -360,12 +344,13 @@ def _random_corpus_block(args: tuple[int, int, int, int]) -> list[tuple[str, int
 def random_corpus_check(
     count: int,
     seed: int,
-    n_max: int = 14,
+    n_max: int,
     workers: int = 1,
 ) -> tuple[CorpusCheck, list[tuple[str, int, int, int, int]]]:
-    """Hajnal inequality on ``count`` seeded random graphs; returns their CSV
-    rows (graph id, n, alpha, |kernel|, |corona|) too, and counts the
-    violations, kernel + corona < 2*alpha, from those rows.
+    """Hajnal inequality on ``count`` seeded random graphs of 1 to ``n_max``
+    <= ``EXACT_MAX_N`` vertices, each answered from its subset table; returns
+    their CSV rows (graph id, n, alpha, |kernel|, |corona|) too, and counts
+    the violations, kernel + corona < 2*alpha, from those rows.
 
     Graph ``index`` depends only on (seed, index), and the rows come back in
     index order, so the outcome is the same for any worker count; the index

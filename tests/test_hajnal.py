@@ -8,10 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mishit.graph
 import mishit.hajnal
 from conftest import hub_graph, oracle_mis_masks, seeded_graphs, vertex_set
 from mishit.families import build_shift_graph, shift_mis_family
-from mishit.cli import build_parser, main
+from mishit.cli import main
 from mishit.graph import (
     DEFAULT_MIS_CAP,
     EXACT_MAX_N,
@@ -24,7 +25,6 @@ from mishit.graph import (
     random_graph,
 )
 from mishit.hajnal import (
-    TABLE_MAX_N,
     _kernel_corona_tables,
     all_graphs_kernel_stats,
     exhaustive_corpus_check,
@@ -303,7 +303,7 @@ def test_exhaustive_rows_match_csv_writer_at_every_id_width_change(monkeypatch, 
 
 
 def test_random_corpus_clean_and_deterministic():
-    # n_max above TABLE_MAX_N, so both the tables and the search answer graphs
+    # graphs up to 16 vertices, each answered from its subset table
     check1, rows1 = random_corpus_check(120, seed=99, n_max=16)
     check2, rows2 = random_corpus_check(120, seed=99, n_max=16, workers=2)
     assert check1.ok
@@ -321,6 +321,20 @@ def _per_graph_corpus_rows(count, seed, n_max):
         r = kernel_corona(random_graph(n, p, rng))
         rows.append((f"seed{seed}:{index}", n, r.alpha, len(r.kernel), len(r.corona)))
     return rows
+
+
+@pytest.mark.parametrize("n_max, count", [(16, 300), (EXACT_MAX_N, 40)])
+def test_random_corpus_runs_no_clique_search(monkeypatch, n_max, count):
+    # the per-graph rows come from the clique search; the corpus must match
+    # them from its subset tables alone, at every vertex count
+    expected = _per_graph_corpus_rows(count, seed=5, n_max=n_max)
+
+    def no_search(*args):
+        raise AssertionError("the random corpus ran a clique search")
+
+    monkeypatch.setattr(mishit.graph, "_cliques", no_search)
+    rows = random_corpus_check(count, seed=5, n_max=n_max)[1]
+    assert rows == expected and max(n for _, n, *_ in rows) == n_max
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**96 + 5],
@@ -376,7 +390,7 @@ def test_random_corpus_rows_match_the_per_graph_search(monkeypatch, table_cells_
     assert rows == _per_graph_corpus_rows(400, seed=5, n_max=16)
     assert check.ok
     sizes = {n for _, n, *_ in rows}
-    assert max(sizes) > TABLE_MAX_N and set(passes) == {n for n in sizes if n <= TABLE_MAX_N}
+    assert max(sizes) == 16 and set(passes) == sizes  # every vertex count takes a table pass
     if table_cells_log2 == 6:
         assert passes.count(2) > 1  # the 2-vertex graphs took more than one pass
 
@@ -394,18 +408,15 @@ def _rows_digest(rows):
 def test_random_corpus_rows_are_pinned_past_one_full_table_pass(monkeypatch):
     # a 2^20-cell pass holds 128 graphs on 13 vertices, and this corpus has 227
     passes = _capped_table_passes(monkeypatch)
-    check, rows = random_corpus_check(3000, seed=7)
+    check, rows = random_corpus_check(3000, seed=7, n_max=14)
     assert check.ok and passes.count(13) == 2
     # sha256 as the per-vertex-count groups flushed while the block was drawn wrote them
     assert _rows_digest(rows) == "95cf3283f9b6d56a01786247a0d17ab7440a747a01ffa56104c11eab69770144"
 
 
 def test_random_corpus_rows_past_one_full_table_pass_are_the_same_for_two_workers():
-    assert random_corpus_check(3000, seed=7, workers=2)[1] == random_corpus_check(3000, seed=7)[1]
-
-
-def test_cli_default_n_max_reaches_past_the_table_cut():
-    assert build_parser().parse_args(["hajnal-corpus"]).n_max > TABLE_MAX_N
+    two_workers = random_corpus_check(3000, seed=7, n_max=14, workers=2)[1]
+    assert two_workers == random_corpus_check(3000, seed=7, n_max=14)[1]
 
 
 def test_exhaustive_rejects_large_n():

@@ -92,7 +92,8 @@ def test_shift_k5_passes_every_check(tmp_path):
 
 @pytest.mark.parametrize("argv, digest", [
     (["shift", "--k", "4"], "da30c5ad91823829a5f360dd0ec24d82aebf3bffffe901aca0e67ec2c44ef7e8"),
-], ids=["shift-4"])
+    (["hamming", "--m", "6", "--t", "2"], "76ec5481250ef5455377eafb533fcb6303005a4088152314bd64eb8e3ef3e5e2"),
+], ids=["shift-4", "hamming-6-2"])
 def test_exact_h_json_bytes(tmp_path, argv, digest):
     # sha256 as the lexicographic search run at every budget from 1 to h wrote them
     out = tmp_path / "r.json"
@@ -133,9 +134,6 @@ def test_hamming_export_above_m12_is_a_one_line_error(tmp_path, capsys, flag):
 # K(m, r), the least size of a binary code of length m and covering radius r
 # (Cohen, Honkala, Litsyn & Lobstein, "Covering Codes", 1997); r = 0 needs every word
 LEAST_COVERING_CODE = {(2, 0): 4, (4, 0): 16, (4, 1): 4, (6, 0): 64, (6, 1): 12, (6, 2): 4}
-# --json sha256 as the lexicographic search run at every budget from 1 to h
-# wrote it; pinned here, where the slowest case runs once, not in its own test
-HAMMING_JSON = {(6, 2): "76ec5481250ef5455377eafb533fcb6303005a4088152314bd64eb8e3ef3e5e2"}
 
 
 @pytest.mark.parametrize("m,t", [(m, t) for m in (2, 4, 6) for t in range(1, m // 2 + 1)])
@@ -144,8 +142,6 @@ def test_hamming_passes_every_check_at_every_t(tmp_path, m, t):
     # balls are the whole MIS family and h is the least covering code
     out = tmp_path / "r.json"
     assert main(["hamming", "--m", str(m), "--t", str(t), "--json", str(out)]) == 0
-    if (m, t) in HAMMING_JSON:
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == HAMMING_JSON[m, t]
     payload = json.loads(out.read_text())
     assert payload["checks"]["MIS family is exactly the 2^m balls"] is True
     assert all(payload["checks"].values())

@@ -15,18 +15,21 @@ costs at most one search (``graph._solve_kernel_corona``).
 The theorem itself is checked empirically on two corpora: seeded random
 graphs of at most ``EXACT_MAX_N`` vertices, and every graph on up to 7
 vertices by direct edge-mask enumeration.  Neither runs a clique search, so
-both are independent checks of the solver.  A random graph is answered from
-its subset table: alpha is the table at the full set, v is in the kernel iff
-the table drops at the full set minus v, and in the corona iff 1 + its value
-at the full set minus N[v] is alpha.  A block of random graphs is drawn
-first, each kept as one row of C(n_max, 2) edge coins; then the graphs of
-each vertex count fill their tables in batched numpy passes of at most
-2^EXACT_MAX_N cells.  Graph i of seed s is drawn from the stream of
-``default_rng([s, i])``, but no such generator is built: the state it would
-start in is a fixed function of (s, i), numpy's SeedSequence hash and PCG64
-seeding, both kept stable by NEP 19, so a chunk of indices gets its states
-in one pass of uint32 lanes and one reused Generator takes them in turn.
-Every draw, and so every row, is the same as from ``default_rng``.
+both are independent checks of the solver.  A random graph needs alpha of
+2n + 1 induced subgraphs: on its full vertex set F, on F - v (v is in the
+kernel iff alpha drops) and on F - N[v] (v is in the corona iff 1 + alpha
+there is alpha).  Its top few vertices are split off and a subset table is
+filled over the rest alone; alpha of a set W is then the largest |S| plus
+the table at (W ∩ low) - N(S), over the independent sets S of top vertices
+within W.  A block of random graphs is drawn first, each kept as one row of
+C(n_max, 2) edge coins; then the graphs of each vertex count are answered in
+batched numpy passes of at most 2^EXACT_MAX_N / 2^n graphs.  Graph i of
+seed s is drawn from the stream of ``default_rng([s, i])``, but no such
+generator is built: the state it would start in is a fixed function of
+(s, i), numpy's SeedSequence hash and PCG64 seeding, both kept stable by
+NEP 19, so a chunk of indices gets its states in one pass of uint32 lanes
+and one reused Generator takes them in turn.  Every draw, and so every row,
+is the same as from ``default_rng``.
 
 The exhaustive corpus grows one vertex at a time.  Graph id g on n
 vertices is H << (n - 1) | N, with N the neighbourhood of vertex 0 and H the
@@ -215,21 +218,51 @@ def _table_kernel_corona(n: int, coins: np.ndarray) -> tuple[np.ndarray, np.ndar
     """alpha, |kernel| and |corona| of each graph on n vertices whose edge
     coins, C(n, 2) in ascending pair order, form one row of ``coins``.
 
-    One batched subset-table pass answers all of them: with T a graph's
-    table and F its full vertex set, alpha = T[F], v is in the kernel iff
-    T[F - v] < alpha, and in the corona iff 1 + T[F - N[v]] = alpha.
+    With F a graph's full vertex set, alpha = alpha(F), v is in the kernel
+    iff alpha(F - v) < alpha, and in the corona iff 1 + alpha(F - N[v]) =
+    alpha: 2n + 1 query sets W per graph.  They are answered without a whole
+    2^n-cell table.  The top j vertices n - j..n - 1 are split off, and one
+    batched subset-table pass (``_subset_alpha_tables``) fills T over the
+    low n - j alone; then alpha(W) is the largest |S| + T[(W ∩ low) - N(S)]
+    over the independent sets S within W ∩ top.  The loop runs over the 2^j
+    sets S in ascending order, each taking N(S) ∩ low and its independence
+    from S minus its lowest vertex, and folds one gather of every graph's
+    2n + 1 cells into a running max.  j is the largest with
+    (2n + 1) 2^j <= 2^(n - j), so the gathers cost no more than the table:
+    0 up to n = 5, where T is the whole table, 4 at n = 14, 7 at n = 20.
     """
     u, v = np.triu_indices(n, 1)  # the pairs in ascending order
     weights = np.zeros((len(u), n), dtype=np.int64)
     weights[np.arange(len(u)), u] = 1 << v
     weights[np.arange(len(u)), v] = 1 << u
     adj = coins @ weights
-    tables = _subset_alpha_tables(adj)
+    top = 0
+    while (2 * n + 1) << (top + 1) <= 1 << (n - top - 1):
+        top += 1
+    low = n - top
+    low_mask = (1 << low) - 1
+    flat = _subset_alpha_tables(adj[:, :low] & low_mask).reshape(-1)
     full = (1 << n) - 1
     bits = 1 << np.arange(n, dtype=np.int64)
-    alpha = tables[:, full]
-    kernel = (tables[:, full ^ bits] < alpha[:, None]).sum(axis=1)
-    corona = (np.take_along_axis(tables, full & ~(adj | bits), axis=1) + 1 == alpha[:, None]).sum(axis=1)
+    queries = np.hstack([np.full((len(adj), 1), full), np.broadcast_to(full ^ bits, adj.shape), full & ~(adj | bits)])
+    # W ∩ low as flat indices into the batch's tables, and W ∩ top as bits of the top vertices
+    at = np.arange(len(adj), dtype=np.int64)[:, None] << low | queries & low_mask
+    above = queries >> low
+    best = flat[at]  # S empty
+    hood = np.zeros((1 << top, len(adj)), dtype=np.int64)  # N(S) ∩ low, by S
+    independent = np.ones((1 << top, len(adj)), dtype=bool)
+    for s in range(1, 1 << top):
+        rest = s & (s - 1)
+        rows = adj[:, low + (s ^ rest).bit_length() - 1]  # S's lowest vertex
+        hood[s] = hood[rest] | rows & low_mask
+        independent[s] = independent[rest] & (rows >> low & rest == 0)
+        # the base bits of ``at`` lie above low, where ~hood has every bit set
+        value = flat[at & ~hood[s, :, None]] + s.bit_count()
+        value *= independent[s, :, None] & (above & s == s)
+        np.maximum(best, value, out=best)
+    alpha = best[:, 0]
+    kernel = (best[:, 1 : n + 1] < alpha[:, None]).sum(axis=1)
+    corona = (best[:, n + 1 :] + 1 == alpha[:, None]).sum(axis=1)
     return alpha, kernel, corona
 
 
@@ -320,8 +353,9 @@ def _random_corpus_block(args: tuple[int, int, int, int]) -> list[tuple[str, int
     Generator, so each graph sees the same stream, and each row the same
     values, as from its own ``default_rng``.  The block is drawn first,
     each graph keeping its edge coins as one row C(n_max, 2) wide; then the
-    graphs of each vertex count are answered by batched table passes of at
-    most 2^EXACT_MAX_N cells, or one graph.
+    graphs on n vertices are answered by ``_table_kernel_corona`` in passes
+    of 2^EXACT_MAX_N / 2^n graphs, or one graph, each pass filling its
+    tables over all but the top few vertices.
     """
     seed, start, stop, n_max = args
     sizes = np.zeros((4, stop - start), dtype=np.int32)  # n, alpha, |kernel|, |corona| by position
@@ -348,9 +382,10 @@ def random_corpus_check(
     workers: int = 1,
 ) -> tuple[CorpusCheck, list[tuple[str, int, int, int, int]]]:
     """Hajnal inequality on ``count`` seeded random graphs of 1 to ``n_max``
-    <= ``EXACT_MAX_N`` vertices, each answered from its subset table; returns
-    their CSV rows (graph id, n, alpha, |kernel|, |corona|) too, and counts
-    the violations, kernel + corona < 2*alpha, from those rows.
+    <= ``EXACT_MAX_N`` vertices, each answered from subset tables with no
+    clique search; returns their CSV rows (graph id, n, alpha, |kernel|,
+    |corona|) too, and counts the violations, kernel + corona < 2*alpha,
+    from those rows.
 
     Graph ``index`` depends only on (seed, index), and the rows come back in
     index order, so the outcome is the same for any worker count; the index

@@ -210,6 +210,19 @@ def test_hajnal_corpus_artifact_bytes_at_max_n7(tmp_path):
     )
 
 
+def test_hajnal_corpus_csv_bytes_at_a_seed_past_2_to_the_64_up_to_20_vertices(tmp_path):
+    csv_out = tmp_path / "rows.csv"
+    assert main([
+        "hajnal-corpus", "--max-n", "3", "--random", "5000", "--seed", str(2**70 + 3), "--n-max", "20",
+        "--csv", str(csv_out),
+    ]) == 0
+    # sha256 as the whole 2^n-cell subset table of every random graph wrote it
+    # (md5 45bdbb8f9f1866358d85084fd39fe7e7)
+    assert hashlib.sha256(csv_out.read_bytes()).hexdigest() == (
+        "10f071da57130a00bb6769d905a5c3ffc4f00dc558aac350f6ff5dc15d78d124"
+    )
+
+
 def test_hajnal_corpus_random_requires_seed(capsys):
     assert "--seed" in _assert_one_line_error(capsys, ["hajnal-corpus", "--max-n", "3", "--random", "5"])
 

@@ -419,6 +419,72 @@ def test_random_corpus_rows_past_one_full_table_pass_are_the_same_for_two_worker
     assert two_workers == random_corpus_check(3000, seed=7, n_max=14)[1]
 
 
+def _whole_table_kernel_corona(n, adj):
+    """alpha, |kernel| and |corona| of each graph read off its whole 2^n-cell
+    subset table at F, F - v and F - N[v]."""
+    tables = _subset_alpha_tables(adj)
+    full = (1 << n) - 1
+    bits = 1 << np.arange(n, dtype=np.int64)
+    alpha = tables[:, full]
+    kernel = (tables[:, full ^ bits] < alpha[:, None]).sum(axis=1)
+    corona = (np.take_along_axis(tables, full & ~(adj | bits), axis=1) + 1 == alpha[:, None]).sum(axis=1)
+    return [tuple(row) for row in zip(alpha.tolist(), kernel.tolist(), corona.tolist())]
+
+
+def _adjacency_of_coins(n, coins):
+    u, v = np.triu_indices(n, 1)
+    adj = np.zeros((len(coins), n), dtype=np.int64)
+    for e in range(len(u)):
+        adj[:, u[e]] |= coins[:, e].astype(np.int64) << v[e]
+        adj[:, v[e]] |= coins[:, e].astype(np.int64) << u[e]
+    return adj
+
+
+def _split_table_rows(n, coins):
+    return list(zip(*(a.tolist() for a in mishit.hajnal._table_kernel_corona(n, coins))))
+
+
+# the vertex counts where the number of top vertices split off grows: 1 at
+# n = 6, 2 at 9, 3 at 11, 4 at 13, 5 at 15, 6 at 18, 7 at 20
+@pytest.mark.parametrize("n", [6, 9, 11, 13, 15, 18, 20])
+def test_split_table_pass_matches_the_whole_table(n):
+    rng = np.random.default_rng(n)
+    graphs = (1 << 22) >> n
+    p = rng.uniform(0.05, 0.95, size=(graphs, 1))
+    coins = rng.random((graphs, n * (n - 1) // 2)) < p
+    assert _split_table_rows(n, coins) == _whole_table_kernel_corona(n, _adjacency_of_coins(n, coins))
+    # closed forms with edges among the top vertices: K_n, the edgeless graph
+    # and the star centred on vertex n - 1, whose leaves are its one
+    # maximum independent set
+    u, v = np.triu_indices(n, 1)
+    shapes = np.array([np.ones_like(u, dtype=bool), np.zeros_like(u, dtype=bool), v == n - 1])
+    assert _split_table_rows(n, shapes) == [(1, 0, n), (n, n, n), (n - 1, n - 1, n - 1)]
+
+
+def test_random_corpus_table_passes_fill_only_the_low_vertices(monkeypatch):
+    # a pass over graphs on n vertices fills 2^(n - j) cells per graph, j the
+    # top vertices split off: 0 up to n = 5, then 1, 2, 3, 4 from n = 6, 9, 11, 13
+    passes = []  # [n, cells per graph of each table filled]
+    table_pass, fill = mishit.hajnal._table_kernel_corona, mishit.hajnal._subset_alpha_tables
+
+    def recording_pass(n, coins):
+        passes.append([n])
+        return table_pass(n, coins)
+
+    def recording_fill(adj):
+        tables = fill(adj)
+        passes[-1].append(tables.shape[1])
+        return tables
+
+    monkeypatch.setattr(mishit.hajnal, "_table_kernel_corona", recording_pass)
+    monkeypatch.setattr(mishit.hajnal, "_subset_alpha_tables", recording_fill)
+    random_corpus_check(3000, seed=7, n_max=14)
+    top = {n: 0 if n <= 5 else 1 if n <= 8 else 2 if n <= 10 else 3 if n <= 12 else 4 for n in range(1, 15)}
+    assert {n for n, *_ in passes} == set(top)
+    assert all(filled == [1 << n - top[n]] for n, *filled in passes)
+    assert passes[-1] == [14, 1 << 10]  # not the whole 2^14
+
+
 def test_exhaustive_rejects_large_n():
     with pytest.raises(ValueError):
         all_graphs_kernel_stats(8)

@@ -172,18 +172,16 @@ class HammingSpec:
 
 
 def build_hamming_graph(spec: HammingSpec) -> Graph:
-    """Cayley graph of Z_2^m: u ~ v iff popcount(u ^ v) >= m - 2t + 1."""
+    """Cayley graph of Z_2^m: u ~ v iff popcount(u ^ v) >= m - 2t + 1 >= 1, so no loops."""
     if spec.m > EXPLICIT_MAX_M:
         raise ValueError(f"explicit adjacency needs m <= {EXPLICIT_MAX_M}, got m={spec.m}")
     n = spec.n
     words = np.arange(n, dtype=np.uint32)
     rows = []
-    nbytes = (n + 7) // 8
     for u in range(n):
         far = np.bitwise_count(words ^ np.uint32(u)) > spec.distance_floor
-        far[u] = False
         packed = np.packbits(far, bitorder="little").tobytes()
-        rows.append(int.from_bytes(packed[:nbytes], "little"))
+        rows.append(int.from_bytes(packed, "little"))
     return Graph(n, rows)
 
 

@@ -23,7 +23,7 @@ filled over the rest alone; alpha of a set W is then the largest |S| plus
 the table at (W ∩ low) - N(S), over the independent sets S of top vertices
 within W.  A block of random graphs is drawn first, each kept as one row of
 C(n_max, 2) edge coins; then the graphs of each vertex count are answered in
-batched numpy passes of at most 2^EXACT_MAX_N / 2^n graphs.  Graph i of
+batched numpy passes of 2^EXACT_MAX_N / 2^(n - j) graphs.  Graph i of
 seed s is drawn from the stream of ``default_rng([s, i])``, but no such
 generator is built: the state it would start in is a fixed function of
 (s, i), numpy's SeedSequence hash and PCG64 seeding, both kept stable by
@@ -214,56 +214,61 @@ def exhaustive_corpus_rows(check: CorpusCheck) -> Iterator[str]:
                 yield block.tobytes().decode("ascii")
 
 
-def _table_kernel_corona(n: int, coins: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """alpha, |kernel| and |corona| of each graph on n vertices whose edge
-    coins, C(n, 2) in ascending pair order, form one row of ``coins``.
+def _table_kernel_corona(n: int, coins: np.ndarray) -> np.ndarray:
+    """Rows alpha, |kernel| and |corona|, column b for graph b on n vertices,
+    whose C(n, 2) edge coins in ascending pair order are row b of ``coins``.
 
     With F a graph's full vertex set, alpha = alpha(F), v is in the kernel
     iff alpha(F - v) < alpha, and in the corona iff 1 + alpha(F - N[v]) =
     alpha: 2n + 1 query sets W per graph.  They are answered without a whole
-    2^n-cell table.  The top j vertices n - j..n - 1 are split off, and one
-    batched subset-table pass (``_subset_alpha_tables``) fills T over the
-    low n - j alone; then alpha(W) is the largest |S| + T[(W ∩ low) - N(S)]
-    over the independent sets S within W ∩ top.  The loop runs over the 2^j
-    sets S in ascending order, each taking N(S) ∩ low and its independence
-    from S minus its lowest vertex, and folds one gather of every graph's
-    2n + 1 cells into a running max.  j is the largest with
-    (2n + 1) 2^j <= 2^(n - j), so the gathers cost no more than the table:
-    0 up to n = 5, where T is the whole table, 4 at n = 14, 7 at n = 20.
+    2^n-cell table.  The top j vertices n - j..n - 1 are split off, and
+    batched subset-table passes (``_subset_alpha_tables``) fill T over the
+    low n - j alone, 2^EXACT_MAX_N cells or one graph at a time; then
+    alpha(W) is the largest |S| + T[(W ∩ low) - N(S)] over the independent
+    sets S within W ∩ top.  The loop runs over the 2^j sets S in ascending
+    order, each taking N(S) ∩ low and its independence from S minus its
+    lowest vertex, and folds one gather of every graph's 2n + 1 cells into
+    a running max.  j is the largest with (2n + 1) 2^j <= 2^(n - j), so the
+    gathers cost no more than the table: 0 up to n = 5, where T is the whole
+    table, 4 at n = 14, 7 at n = 20, where a pass takes 128 graphs.
     """
     u, v = np.triu_indices(n, 1)  # the pairs in ascending order
     weights = np.zeros((len(u), n), dtype=np.int64)
     weights[np.arange(len(u)), u] = 1 << v
     weights[np.arange(len(u)), v] = 1 << u
-    adj = coins @ weights
     top = 0
     while (2 * n + 1) << (top + 1) <= 1 << (n - top - 1):
         top += 1
     low = n - top
     low_mask = (1 << low) - 1
-    flat = _subset_alpha_tables(adj[:, :low] & low_mask).reshape(-1)
     full = (1 << n) - 1
     bits = 1 << np.arange(n, dtype=np.int64)
-    queries = np.hstack([np.full((len(adj), 1), full), np.broadcast_to(full ^ bits, adj.shape), full & ~(adj | bits)])
-    # W ∩ low as flat indices into the batch's tables, and W ∩ top as bits of the top vertices
-    at = np.arange(len(adj), dtype=np.int64)[:, None] << low | queries & low_mask
-    above = queries >> low
-    best = flat[at]  # S empty
-    hood = np.zeros((1 << top, len(adj)), dtype=np.int64)  # N(S) ∩ low, by S
-    independent = np.ones((1 << top, len(adj)), dtype=bool)
-    for s in range(1, 1 << top):
-        rest = s & (s - 1)
-        rows = adj[:, low + (s ^ rest).bit_length() - 1]  # S's lowest vertex
-        hood[s] = hood[rest] | rows & low_mask
-        independent[s] = independent[rest] & (rows >> low & rest == 0)
-        # the base bits of ``at`` lie above low, where ~hood has every bit set
-        value = flat[at & ~hood[s, :, None]] + s.bit_count()
-        value *= independent[s, :, None] & (above & s == s)
-        np.maximum(best, value, out=best)
-    alpha = best[:, 0]
-    kernel = (best[:, 1 : n + 1] < alpha[:, None]).sum(axis=1)
-    corona = (best[:, n + 1 :] + 1 == alpha[:, None]).sum(axis=1)
-    return alpha, kernel, corona
+    step = max(1, (1 << EXACT_MAX_N) >> low)
+    sizes = np.empty((3, len(coins)), dtype=np.int64)
+    for lo in range(0, len(coins), step):
+        adj = coins[lo : lo + step] @ weights
+        flat = _subset_alpha_tables(adj[:, :low] & low_mask).reshape(-1)
+        queries = np.hstack([np.full((len(adj), 1), full), np.broadcast_to(full ^ bits, adj.shape), full & ~(adj | bits)])
+        # W ∩ low as flat indices into the pass's tables, and W ∩ top as bits of the top vertices
+        at = np.arange(len(adj), dtype=np.int64)[:, None] << low | queries & low_mask
+        above = queries >> low
+        best = flat[at]  # S empty
+        hood = np.zeros((1 << top, len(adj)), dtype=np.int64)  # N(S) ∩ low, by S
+        independent = np.ones((1 << top, len(adj)), dtype=bool)
+        for s in range(1, 1 << top):
+            rest = s & (s - 1)
+            rows = adj[:, low + (s ^ rest).bit_length() - 1]  # S's lowest vertex
+            hood[s] = hood[rest] | rows & low_mask
+            independent[s] = independent[rest] & (rows >> low & rest == 0)
+            # the base bits of ``at`` lie above low, where ~hood has every bit set
+            value = flat[at & ~hood[s, :, None]] + s.bit_count()
+            value *= independent[s, :, None] & (above & s == s)
+            np.maximum(best, value, out=best)
+        alpha = best[:, 0]
+        kernel = (best[:, 1 : n + 1] < alpha[:, None]).sum(axis=1)
+        corona = (best[:, n + 1 :] + 1 == alpha[:, None]).sum(axis=1)
+        sizes[:, lo : lo + step] = alpha, kernel, corona
+    return sizes
 
 
 # numpy's SeedSequence hash and PCG64 seeding, which NEP 19 keeps stable
@@ -353,9 +358,8 @@ def _random_corpus_block(args: tuple[int, int, int, int]) -> list[tuple[str, int
     Generator, so each graph sees the same stream, and each row the same
     values, as from its own ``default_rng``.  The block is drawn first,
     each graph keeping its edge coins as one row C(n_max, 2) wide; then the
-    graphs on n vertices are answered by ``_table_kernel_corona`` in passes
-    of 2^EXACT_MAX_N / 2^n graphs, or one graph, each pass filling its
-    tables over all but the top few vertices.
+    graphs on each vertex count drawn are answered by one
+    ``_table_kernel_corona`` call, which sizes its own passes.
     """
     seed, start, stop, n_max = args
     sizes = np.zeros((4, stop - start), dtype=np.int32)  # n, alpha, |kernel|, |corona| by position
@@ -366,12 +370,9 @@ def _random_corpus_block(args: tuple[int, int, int, int]) -> list[tuple[str, int
         p = 0.05 + (0.95 - 0.05) * rng.random()
         sizes[0, pos] = n
         coins[pos, : n * (n - 1) // 2] = _edge_coins(n, p, rng)
-    for n in range(1, n_max + 1):
-        positions = np.flatnonzero(sizes[0] == n)
-        step = max(1, (1 << EXACT_MAX_N) >> n)
-        for lo in range(0, len(positions), step):
-            batch = positions[lo : lo + step]
-            sizes[1:, batch] = _table_kernel_corona(n, coins[batch, : n * (n - 1) // 2])
+    for n in np.unique(sizes[0]).tolist():
+        drawn = sizes[0] == n
+        sizes[1:, drawn] = _table_kernel_corona(n, coins[drawn, : n * (n - 1) // 2])
     return [(f"seed{seed}:{start + pos}", *row) for pos, row in enumerate(zip(*sizes.tolist()))]
 
 

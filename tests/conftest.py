@@ -2,7 +2,9 @@
 
 These deliberately avoid the package's branch-and-bound path: independence is
 checked pair by pair against the adjacency rows, and alpha by scanning all
-2^n subsets.  Keep n small wherever they are used.
+2^n subsets.  Keep n small wherever they are used.  The ``cli_json``
+fixture is not an oracle: it shares one CLI run between the tests that pin
+that run's output.
 """
 
 from __future__ import annotations
@@ -12,7 +14,10 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+from mishit import hitting
+from mishit.cli import main
 from mishit.graph import Graph, VertexSet, random_graph
 
 
@@ -97,3 +102,32 @@ def run_fresh_python(script: str) -> str:
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+@pytest.fixture(scope="session")
+def cli_json(tmp_path_factory):
+    """``cli_json(*argv)`` runs ``main([*argv, "--json", path])`` once per
+    argv in the session and returns its exit code, the JSON bytes and the
+    (set, keyword arguments) of each ``hitting.min_hitting_set`` call.  The
+    tests that pin one run's output share it: ``hamming --m 6 --t 2`` alone
+    takes seconds."""
+    runs = {}
+
+    def run(*argv):
+        if argv not in runs:
+            out = tmp_path_factory.mktemp("cli") / "r.json"
+            hits = []
+            search = hitting.min_hitting_set
+
+            def recording(family, **kwargs):
+                hit = search(family, **kwargs)
+                hits.append((hit, kwargs))
+                return hit
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(hitting, "min_hitting_set", recording)
+                code = main([*argv, "--json", str(out)])
+            runs[argv] = code, out.read_bytes(), hits
+        return runs[argv]
+
+    return run

@@ -94,11 +94,11 @@ def test_shift_k5_passes_every_check(tmp_path):
     (["shift", "--k", "4"], "da30c5ad91823829a5f360dd0ec24d82aebf3bffffe901aca0e67ec2c44ef7e8"),
     (["hamming", "--m", "6", "--t", "2"], "76ec5481250ef5455377eafb533fcb6303005a4088152314bd64eb8e3ef3e5e2"),
 ], ids=["shift-4", "hamming-6-2"])
-def test_exact_h_json_bytes(tmp_path, argv, digest):
+def test_exact_h_json_bytes(cli_json, argv, digest):
     # sha256 as the lexicographic search run at every budget from 1 to h wrote them
-    out = tmp_path / "r.json"
-    assert main(argv + ["--json", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    code, raw, _ = cli_json(*argv)
+    assert code == 0
+    assert hashlib.sha256(raw).hexdigest() == digest
 
 
 def test_shift_rejects_bad_k(capsys):
@@ -137,12 +137,12 @@ LEAST_COVERING_CODE = {(2, 0): 4, (4, 0): 16, (4, 1): 4, (6, 0): 64, (6, 1): 12,
 
 
 @pytest.mark.parametrize("m,t", [(m, t) for m in (2, 4, 6) for t in range(1, m // 2 + 1)])
-def test_hamming_passes_every_check_at_every_t(tmp_path, m, t):
+def test_hamming_passes_every_check_at_every_t(cli_json, m, t):
     # 4t^2 <= m is the code builders' rule, not the graph's: at every t the
     # balls are the whole MIS family and h is the least covering code
-    out = tmp_path / "r.json"
-    assert main(["hamming", "--m", str(m), "--t", str(t), "--json", str(out)]) == 0
-    payload = json.loads(out.read_text())
+    code, raw, _ = cli_json("hamming", "--m", str(m), "--t", str(t))
+    assert code == 0
+    payload = json.loads(raw)
     assert payload["checks"]["MIS family is exactly the 2^m balls"] is True
     assert all(payload["checks"].values())
     assert payload["report"]["h_exact"] == LEAST_COVERING_CODE[m, m // 2 - t]

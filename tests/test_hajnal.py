@@ -366,24 +366,33 @@ def test_random_corpus_rows_match_the_per_graph_search_at_a_seed_past_2_to_the_6
 
 
 def _capped_table_passes(monkeypatch):
-    """The n of every batched table pass from now on, each checked to hold
-    at most 2^EXACT_MAX_N table cells or a single graph."""
-    passes = []
-    table_pass = mishit.hajnal._table_kernel_corona
+    """The graphs of every batched table fill from now on, keyed by vertex
+    count: one ``_table_kernel_corona`` call per count, each fill of
+    ``_subset_alpha_tables`` checked to hold at most 2^EXACT_MAX_N cells or
+    a single graph."""
+    passes = {}
+    table_pass, fill = mishit.hajnal._table_kernel_corona, mishit.hajnal._subset_alpha_tables
 
-    def capped(n, coins):
-        assert len(coins) == 1 or len(coins) << n <= 1 << mishit.hajnal.EXACT_MAX_N, (n, len(coins))
-        passes.append(n)
+    def keyed(n, coins):
+        assert n not in passes, n  # every graph on n vertices in one call
+        passes[n] = []
         return table_pass(n, coins)
 
-    monkeypatch.setattr(mishit.hajnal, "_table_kernel_corona", capped)
+    def capped(adj):
+        graphs, low = adj.shape
+        assert graphs == 1 or graphs << low <= 1 << mishit.hajnal.EXACT_MAX_N, (low, graphs)
+        passes[next(reversed(passes))].append(graphs)  # the count whose call is running
+        return fill(adj)
+
+    monkeypatch.setattr(mishit.hajnal, "_table_kernel_corona", keyed)
+    monkeypatch.setattr(mishit.hajnal, "_subset_alpha_tables", capped)
     return passes
 
 
 @pytest.mark.parametrize("table_cells_log2", [6, EXACT_MAX_N])
 def test_random_corpus_rows_match_the_per_graph_search(monkeypatch, table_cells_log2):
-    # passes hold 2^6 cells: every graph of 6 or more vertices takes one of its
-    # own, and the 2-vertex graphs go 16 to a pass once the block is drawn
+    # passes hold 2^6 cells: every graph whose low table spans 6 or more
+    # vertices takes one of its own, and the 2-vertex graphs go 16 to a pass
     monkeypatch.setattr(mishit.hajnal, "EXACT_MAX_N", table_cells_log2)
     passes = _capped_table_passes(monkeypatch)
     check, rows = random_corpus_check(400, seed=5, n_max=16)
@@ -391,8 +400,23 @@ def test_random_corpus_rows_match_the_per_graph_search(monkeypatch, table_cells_
     assert check.ok
     sizes = {n for _, n, *_ in rows}
     assert max(sizes) == 16 and set(passes) == sizes  # every vertex count takes a table pass
+    assert all(sum(filled) == sum(n == size for _, size, *_ in rows) for n, filled in passes.items())
     if table_cells_log2 == 6:
-        assert passes.count(2) > 1  # the 2-vertex graphs took more than one pass
+        assert len(passes[2]) > 1  # the 2-vertex graphs took more than one pass
+
+
+def test_random_corpus_fills_whole_passes_by_the_low_vertices(monkeypatch):
+    # a 20-vertex graph fills a table over its low 13 vertices, so a 2^20-cell
+    # pass holds 2^20 >> 13 = 128 of them, and this corpus has more
+    passes = _capped_table_passes(monkeypatch)
+    rows = random_corpus_check(3000, seed=3, n_max=20)[1]
+    on_20 = sum(n == 20 for _, n, *_ in rows)
+    assert on_20 > 128 and passes[20] == [128, on_20 - 128]
+    # a vertex count with no drawn graph makes no call, so no table fill
+    passes.clear()
+    rows = random_corpus_check(12, seed=3, n_max=20)[1]
+    sizes = {n for _, n, *_ in rows}
+    assert len(sizes) < 20 and set(passes) == sizes and all(passes.values())
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3])
@@ -406,10 +430,12 @@ def _rows_digest(rows):
 
 
 def test_random_corpus_rows_are_pinned_past_one_full_table_pass(monkeypatch):
-    # a 2^20-cell pass holds 128 graphs on 13 vertices, and this corpus has 227
+    # a 13-vertex graph fills a table over its low 9 vertices, so a 2^16-cell
+    # pass holds 2^16 >> 9 = 128 of them, and this corpus has 227
+    monkeypatch.setattr(mishit.hajnal, "EXACT_MAX_N", 16)
     passes = _capped_table_passes(monkeypatch)
     check, rows = random_corpus_check(3000, seed=7, n_max=14)
-    assert check.ok and passes.count(13) == 2
+    assert check.ok and passes[13] == [128, 99]
     # sha256 as the per-vertex-count groups flushed while the block was drawn wrote them
     assert _rows_digest(rows) == "95cf3283f9b6d56a01786247a0d17ab7440a747a01ffa56104c11eab69770144"
 

@@ -193,7 +193,7 @@ def cmd_hamming(args) -> int:
 def cmd_hajnal_corpus(args) -> int:
     if not 0 <= args.max_n <= hajnal.EXHAUSTIVE_MAX_N:
         raise ValueError(f"--max-n must be between 0 and {hajnal.EXHAUSTIVE_MAX_N}, got {args.max_n}")
-    # graph index i seeds its generator with one 32-bit word, so i < 2^32
+    # a cap on outside input: every row is held in memory, so no count near it could finish
     if not 0 <= args.random <= 1 << 32:
         raise ValueError(f"--random must be between 0 and 2^32 = {1 << 32}, got {args.random}")
     if not 1 <= args.n_max <= EXACT_MAX_N:  # every random graph is answered from its subset table

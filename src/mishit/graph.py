@@ -477,17 +477,13 @@ def induced_subgraph(g: Graph, w: VertexSet) -> tuple[Graph, tuple[int, ...]]:
     return Graph(len(old), rows), old
 
 
-def _edge_coins(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """The edges of G(n, p) as one bool per pair (u, v), u < v, in ascending
-    order: the doubles and the generator state after them are those of
-    n(n-1)/2 scalar draws."""
-    return rng.random(n * (n - 1) // 2) < p
-
-
 def random_graph(n: int, p: float, seed) -> Graph:
-    """Erdos-Renyi G(n, p) from a numpy seed or Generator; deterministic."""
+    """Erdos-Renyi G(n, p) from a numpy seed or Generator; deterministic.
+
+    One coin per pair (u, v), u < v, in ascending order: the doubles and the
+    generator state after them are those of n(n-1)/2 scalar draws."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    coins = _edge_coins(n, p, rng).tolist()
+    coins = (rng.random(n * (n - 1) // 2) < p).tolist()
     rows = [0] * n
     for u, v in compress(combinations(range(n), 2), coins):
         rows[u] |= 1 << v

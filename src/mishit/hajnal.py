@@ -23,13 +23,12 @@ filled over the rest alone; alpha of a set W is then the largest |S| plus
 the table at (W ∩ low) - N(S), over the independent sets S of top vertices
 within W.  A block of random graphs is drawn first, each kept as one row of
 C(n_max, 2) edge coins; then the graphs of each vertex count are answered in
-batched numpy passes of 2^EXACT_MAX_N / 2^(n - j) graphs.  Graph i of
-seed s is drawn from the stream of ``default_rng([s, i])``, but no such
-generator is built: the state it would start in is a fixed function of
-(s, i), numpy's SeedSequence hash and PCG64 seeding, both kept stable by
-NEP 19, so a chunk of indices gets its states in one pass of uint32 lanes
-and one reused Generator takes them in turn.  Every draw, and so every row,
-is the same as from ``default_rng``.
+batched numpy passes of 2^EXACT_MAX_N / 2^(n - j) graphs.  The graphs are
+drawn in chunks of ``DRAW_CHUNK``, chunk c of seed s from
+``default_rng([s, c])``: every vertex count, every p and every edge coin of
+the chunk as one array each, so no generator is built, and no draw made,
+per graph.  A chunk is always drawn whole, so graph i depends only on
+(s, n_max, i).
 
 The exhaustive corpus grows one vertex at a time.  Graph id g on n
 vertices is H << (n - 1) | N, with N the neighbourhood of vertex 0 and H the
@@ -52,7 +51,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graph import EXACT_MAX_N, Graph, VertexSet, _edge_coins, _solve_kernel_corona, _subset_alpha_tables
+from .graph import EXACT_MAX_N, Graph, VertexSet, _solve_kernel_corona, _subset_alpha_tables
 from .parallel import parallel_map
 
 EXHAUSTIVE_MAX_N = 7
@@ -271,105 +270,34 @@ def _table_kernel_corona(n: int, coins: np.ndarray) -> np.ndarray:
     return sizes
 
 
-# numpy's SeedSequence hash and PCG64 seeding, which NEP 19 keeps stable
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mixing entropy into the pool
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generating state from the pool
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-SEED_CHUNK = 1024  # generator states computed per numpy pass
-
-
-def _hash_constants(init: int, mult: int) -> Iterator[tuple[int, int]]:
-    """SeedSequence's hash constant before and after each of its updates;
-    they do not depend on the data, so every lane shares them."""
-    while True:
-        after = init * mult & 0xFFFFFFFF
-        yield init, after
-        init = after
-
-
-def _hashmix(value: np.ndarray, consts: Iterator[tuple[int, int]]) -> np.ndarray:
-    before, after = next(consts)
-    value = (value ^ before) * after  # uint32 lanes wrap mod 2^32
-    return value ^ value >> 16
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return result ^ result >> 16
-
-
-def _corpus_generators(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
-    """One generator for each index in [start, stop), in index order, in
-    exactly the state of ``np.random.default_rng([seed, index])``.
-
-    The same Generator is yielded each time, its PCG64 state set anew, so a
-    caller draws from it before asking for the next.  The entropy of
-    [seed, index] is the seed's 32-bit words, low word first, then the
-    index's single word.  SeedSequence hashes it into a pool of four words
-    and draws four uint64 from the pool; both steps are fixed uint32
-    arithmetic, run here for a chunk of indices at once, one numpy lane per
-    index.  PCG64 then takes seed = s0 << 64 | s1 and
-    inc = (s2 << 64 | s3) << 1 | 1, and steps its 128-bit LCG twice, from 0
-    with inc and again after adding seed.
-    """
-    if seed < 0 or start < 0 or stop > 1 << 32:
-        raise ValueError(f"corpus generators need seed >= 0 and 0 <= index < 2^32, got {seed}, [{start}, {stop})")
-    seed_words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
-    rng = np.random.Generator(np.random.PCG64())
-    for lo in range(start, stop, SEED_CHUNK):
-        index = np.arange(lo, min(stop, lo + SEED_CHUNK), dtype=np.uint32)
-        entropy = [np.full_like(index, word) for word in seed_words] + [index]
-        consts = _hash_constants(_INIT_A, _MULT_A)
-        pool = [_hashmix(entropy[i] if i < len(entropy) else np.zeros_like(index), consts) for i in range(_POOL_SIZE)]
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
-        for word in entropy[_POOL_SIZE:]:
-            for dst in range(_POOL_SIZE):
-                pool[dst] = _mix(pool[dst], _hashmix(word, consts))
-        consts = _hash_constants(_INIT_B, _MULT_B)
-        w = [_hashmix(pool[i % _POOL_SIZE], consts).astype(np.uint64) for i in range(2 * _POOL_SIZE)]
-        # generate_state(4, uint64): s_i = w[2i+1] << 32 | w[2i]
-        s = [(w[2 * i + 1] << 32 | w[2 * i]).tolist() for i in range(4)]
-        for s0, s1, s2, s3 in zip(*s):
-            inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
-            state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
-            rng.bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield rng
+DRAW_CHUNK = 1024  # graphs per generator of the random corpus; part of its stream
 
 
 def _random_corpus_block(args: tuple[int, int, int, int]) -> list[tuple[str, int, int, int, int]]:
     """The CSV rows (graph id, n, alpha, |kernel|, |corona|) of the random
     graphs ``start`` <= index < ``stop``, in index order.
 
-    Graph ``index`` is G(n, p) drawn from ``default_rng([seed, index])``
-    with n uniform in 1..n_max and p uniform in [0.05, 0.95).  Those
-    generators are not built one by one: ``_corpus_generators`` computes
-    their states a chunk of indices at a time and sets them on one reused
-    Generator, so each graph sees the same stream, and each row the same
-    values, as from its own ``default_rng``.  The block is drawn first,
-    each graph keeping its edge coins as one row C(n_max, 2) wide; then the
-    graphs on each vertex count drawn are answered by one
-    ``_table_kernel_corona`` call, which sizes its own passes.
+    Graph i is G(n, p) with n uniform in 1..n_max and p uniform in
+    [0.05, 0.95), drawn as graph k = i mod ``DRAW_CHUNK`` of chunk
+    c = i // ``DRAW_CHUNK``.  Chunk c draws from ``default_rng([seed, c])``
+    its ``DRAW_CHUNK`` vertex counts, then its p values, then a
+    (``DRAW_CHUNK``, C(n_max, 2)) array of doubles, compared with p row by
+    row; graph k's edges are the first C(n, 2) coins of row k, in ascending
+    pair order.  A chunk is always drawn whole, so graph i depends only on
+    (seed, n_max, i), and the block keeps its own slice of each chunk it
+    overlaps.  Then the graphs on each vertex count drawn are answered by
+    one ``_table_kernel_corona`` call, which sizes its own passes.
     """
     seed, start, stop, n_max = args
     sizes = np.zeros((4, stop - start), dtype=np.int32)  # n, alpha, |kernel|, |corona| by position
     coins = np.empty((stop - start, n_max * (n_max - 1) // 2), dtype=bool)
-    for pos, rng in enumerate(_corpus_generators(seed, start, stop)):
-        n = int(rng.integers(1, n_max + 1))
-        # what rng.uniform(0.05, 0.95) draws, without its per-call overhead
-        p = 0.05 + (0.95 - 0.05) * rng.random()
-        sizes[0, pos] = n
-        coins[pos, : n * (n - 1) // 2] = _edge_coins(n, p, rng)
+    for c in range(start // DRAW_CHUNK, -(-stop // DRAW_CHUNK)):
+        rng = np.random.default_rng([seed, c])
+        lo, hi = max(start, c * DRAW_CHUNK), min(stop, (c + 1) * DRAW_CHUNK)
+        keep = slice(lo - c * DRAW_CHUNK, hi - c * DRAW_CHUNK)  # the block's graphs, by place in the chunk
+        sizes[0, lo - start : hi - start] = rng.integers(1, n_max + 1, size=DRAW_CHUNK)[keep]
+        p = rng.uniform(0.05, 0.95, size=DRAW_CHUNK)[keep, None]
+        np.less(rng.random((DRAW_CHUNK, coins.shape[1]))[keep], p, out=coins[lo - start : hi - start])
     for n in np.unique(sizes[0]).tolist():
         drawn = sizes[0] == n
         sizes[1:, drawn] = _table_kernel_corona(n, coins[drawn, : n * (n - 1) // 2])
@@ -388,9 +316,9 @@ def random_corpus_check(
     |corona|) too, and counts the violations, kernel + corona < 2*alpha,
     from those rows.
 
-    Graph ``index`` depends only on (seed, index), and the rows come back in
-    index order, so the outcome is the same for any worker count; the index
-    range is cut into one contiguous block per worker.
+    Graph ``index`` depends only on (seed, n_max, index), and the rows come
+    back in index order, so the outcome is the same for any worker count; the
+    index range is cut into one contiguous block per worker.
     """
     parts = max(1, min(workers, count))
     bounds = [count * i // parts for i in range(parts + 1)]

@@ -189,9 +189,10 @@ def test_hajnal_corpus_csv_bytes(tmp_path):
     assert main(base + ["--workers", "1", "--csv", str(one)]) == 0
     assert main(base + ["--workers", "2", "--csv", str(two)]) == 0
     assert one.read_bytes() == two.read_bytes()
-    # sha256 of this file as the earlier csv.writer-only export wrote it
+    # sha256 of this file with its random rows as csv.writer writes the
+    # per-graph clique-search rows of the chunked draw
     assert hashlib.sha256(one.read_bytes()).hexdigest() == (
-        "c9fe83c6e8041df88d09e465f2fbf10c169af207d8d271c5ed5212c2251147fe"
+        "304c569f5d01ca5abc91ea3c955cf8d7838db884e8076a928312fdaf44bcf56a"
     )
 
 
@@ -201,12 +202,14 @@ def test_hajnal_corpus_artifact_bytes_at_max_n7(tmp_path):
         "hajnal-corpus", "--max-n", "7", "--random", "200", "--seed", "3", "--workers", "1",
         "--json", str(out), "--csv", str(csv_out),
     ]) == 0
-    # sha256 digests as the per-line formatting writer and per-pair edge draws wrote them
+    # sha256 digests: the JSON as the per-line formatting writer wrote it, the
+    # CSV with its random rows as the per-graph clique search answers the
+    # chunked draw
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "20e5d157e0b0a673d32b674bec50b0880a3768aa72dfee80c1ca447b04b8584c"
     )
     assert hashlib.sha256(csv_out.read_bytes()).hexdigest() == (
-        "8b0db61c665758e3f4260e7380ae27d56a525f3377c016e36c96750e031b5855"
+        "095e5da15cb5539f056bef3fa5d7273c967567105db656062a874831233b360f"
     )
 
 
@@ -216,10 +219,10 @@ def test_hajnal_corpus_csv_bytes_at_a_seed_past_2_to_the_64_up_to_20_vertices(tm
         "hajnal-corpus", "--max-n", "3", "--random", "5000", "--seed", str(2**70 + 3), "--n-max", "20",
         "--csv", str(csv_out),
     ]) == 0
-    # sha256 as the whole 2^n-cell subset table of every random graph wrote it
-    # (md5 45bdbb8f9f1866358d85084fd39fe7e7)
+    # sha256 with the random rows as the per-graph clique search answers the
+    # chunked draw (md5 35639c55e133485b429cda7dc9d6c1b7)
     assert hashlib.sha256(csv_out.read_bytes()).hexdigest() == (
-        "10f071da57130a00bb6769d905a5c3ffc4f00dc558aac350f6ff5dc15d78d124"
+        "5070f88d5acacaaa36396046e586b932f788fc3f592de078fd90632ee48290ca"
     )
 
 
@@ -767,7 +770,6 @@ def test_hajnal_corpus_takes_n_max_up_to_the_table_cap(capsys):
 
 
 def test_hajnal_corpus_takes_2_to_the_32_random_graphs(monkeypatch, capsys):
-    # the last index, 2^32 - 1, still seeds with one word, so the count is not refused
     def no_draws(count, **kwargs):
         return mishit.hajnal.CorpusCheck(checked=count, violations=0), []
 

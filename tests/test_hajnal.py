@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import tracemalloc
+from itertools import combinations, compress
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from mishit.graph import (
     _subset_alpha_tables,
     enumerate_mis,
     induced_subgraph,
-    random_graph,
 )
 from mishit.hajnal import (
     _kernel_corona_tables,
@@ -311,15 +311,22 @@ def test_random_corpus_clean_and_deterministic():
 
 
 def _per_graph_corpus_rows(count, seed, n_max):
-    """The random corpus one graph at a time: each drawn as a Graph and
-    answered by the clique search."""
+    """The random corpus one graph at a time: chunk c of 1024 graphs drawn
+    whole from default_rng([seed, c]) (the vertex counts, then the p values,
+    then one row of C(n_max, 2) coins per graph), and each graph built as a
+    Graph from the first C(n, 2) coins of its row, in ascending pair order,
+    and answered by the clique search."""
+    chunk = 1024
     rows = []
-    for index in range(count):
-        rng = np.random.default_rng([seed, index])
-        n = int(rng.integers(1, n_max + 1))
-        p = float(rng.uniform(0.05, 0.95))
-        r = kernel_corona(random_graph(n, p, rng))
-        rows.append((f"seed{seed}:{index}", n, r.alpha, len(r.kernel), len(r.corona)))
+    for c in range(-(-count // chunk)):
+        rng = np.random.default_rng([seed, c])
+        ns = rng.integers(1, n_max + 1, size=chunk)
+        ps = 0.05 + (0.95 - 0.05) * rng.random(chunk)
+        coins = rng.random((chunk, n_max * (n_max - 1) // 2)) < ps[:, None]
+        for k in range(min(chunk, count - c * chunk)):
+            n = int(ns[k])
+            r = kernel_corona(Graph.from_edges(n, compress(combinations(range(n), 2), coins[k].tolist())))
+            rows.append((f"seed{seed}:{c * chunk + k}", n, r.alpha, len(r.kernel), len(r.corona)))
     return rows
 
 
@@ -337,32 +344,15 @@ def test_random_corpus_runs_no_clique_search(monkeypatch, n_max, count):
     assert rows == expected and max(n for _, n, *_ in rows) == n_max
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**96 + 5],
-                         ids=["0", "1", "2^32-1", "2^32", "2^64+1", "2^96+5"])
-def test_corpus_generators_are_in_the_state_of_default_rng(seed):
-    # 1, 2, 3 and 4 seed words: the index word then pads, fills or overflows
-    # the four-word pool; 1000..2100 crosses a chunk boundary from inside one
-    assert mishit.hajnal.SEED_CHUNK == 1024
-    for start, stop in [(1000, 2100), (2**32 - 1, 2**32)]:
-        states = [rng.bit_generator.state for rng in mishit.hajnal._corpus_generators(seed, start, stop)]
-        assert states == [np.random.default_rng([seed, i]).bit_generator.state for i in range(start, stop)]
-
-
-@pytest.mark.parametrize("seed, start, stop", [(-1, 0, 5), (3, -1, 5), (3, 2**32 - 1, 2**32 + 1)])
-def test_corpus_generators_refuse_a_seed_or_index_beyond_one_word_per_index(seed, start, stop):
-    with pytest.raises(ValueError, match="2\\^32"):
-        next(mishit.hajnal._corpus_generators(seed, start, stop))
-
-
-def test_random_corpus_makes_no_default_rng_call(monkeypatch):
-    expected = _per_graph_corpus_rows(60, seed=3, n_max=16)
-    monkeypatch.setattr(np.random, "default_rng", None)
-    assert random_corpus_check(60, seed=3, n_max=16)[1] == expected
-
-
 def test_random_corpus_rows_match_the_per_graph_search_at_a_seed_past_2_to_the_64():
     rows = random_corpus_check(400, seed=2**70 + 3, n_max=16)[1]
     assert rows == _per_graph_corpus_rows(400, seed=2**70 + 3, n_max=16)
+
+
+def test_random_corpus_rows_depend_only_on_seed_n_max_and_index():
+    # a chunk is drawn whole even when the corpus ends inside it, so a short
+    # corpus is a prefix of a long one
+    assert random_corpus_check(100, seed=7, n_max=14)[1] == random_corpus_check(3000, seed=7, n_max=14)[1][:100]
 
 
 def _capped_table_passes(monkeypatch):
@@ -395,8 +385,8 @@ def test_random_corpus_rows_match_the_per_graph_search(monkeypatch, table_cells_
     # vertices takes one of its own, and the 2-vertex graphs go 16 to a pass
     monkeypatch.setattr(mishit.hajnal, "EXACT_MAX_N", table_cells_log2)
     passes = _capped_table_passes(monkeypatch)
-    check, rows = random_corpus_check(400, seed=5, n_max=16)
-    assert rows == _per_graph_corpus_rows(400, seed=5, n_max=16)
+    check, rows = random_corpus_check(500, seed=5, n_max=16)
+    assert rows == _per_graph_corpus_rows(500, seed=5, n_max=16)
     assert check.ok
     sizes = {n for _, n, *_ in rows}
     assert max(sizes) == 16 and set(passes) == sizes  # every vertex count takes a table pass
@@ -431,13 +421,13 @@ def _rows_digest(rows):
 
 def test_random_corpus_rows_are_pinned_past_one_full_table_pass(monkeypatch):
     # a 13-vertex graph fills a table over its low 9 vertices, so a 2^16-cell
-    # pass holds 2^16 >> 9 = 128 of them, and this corpus has 227
+    # pass holds 2^16 >> 9 = 128 of them, and this corpus has 222
     monkeypatch.setattr(mishit.hajnal, "EXACT_MAX_N", 16)
     passes = _capped_table_passes(monkeypatch)
     check, rows = random_corpus_check(3000, seed=7, n_max=14)
-    assert check.ok and passes[13] == [128, 99]
-    # sha256 as the per-vertex-count groups flushed while the block was drawn wrote them
-    assert _rows_digest(rows) == "95cf3283f9b6d56a01786247a0d17ab7440a747a01ffa56104c11eab69770144"
+    assert check.ok and passes[13] == [128, 94]
+    # sha256 of the rows as the per-graph clique search answers the chunked draw
+    assert _rows_digest(rows) == "5ea667111bdf01c79d69b647c4ab09048da6742682c6bdb6e147a1fc3241e16d"
 
 
 def test_random_corpus_rows_past_one_full_table_pass_are_the_same_for_two_workers():

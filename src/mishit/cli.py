@@ -288,7 +288,7 @@ def cmd_process(args) -> int:
     g = load_graph(args.graph)
     if g.n < 1:
         raise ValueError("the deletion process is undefined on the empty graph")
-    a = alpha(g)  # for eps; run_deletion_traces solves each component once more, for all its traces
+    a = alpha(g)  # for eps; run_deletion_traces answers each component once more, for all its traces
     if epsilon is None:
         epsilon = Fraction(a, g.n) - Fraction(1, 4)
     params = process.ProcessParams.for_graph(g.n, epsilon, target_size=args.target_size)

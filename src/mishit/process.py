@@ -28,14 +28,21 @@ whose finite-n surrogate ``alpha_prime_bound`` evaluates.  The observed
 successes on those steps are tested against that rate by the exact lower
 binomial tail.
 
-A trace keeps the live connected components of the current graph, each with
-its alpha, a maximum independent set W (its witness) and, once asked for,
-its kernel size.  Removing v touches only the component C that holds it.
-If v is outside W, nothing is solved: W lies in C - v, so alpha(C - v) =
-|W|, and each piece P of C - v inherits W & P, maximum in P because the
-piece alphas sum to |W|.  Only when v is in W are the pieces solved afresh.
-The kernel of the current graph is the union of the component kernels, so a
-monitored step solves the kernel only of components that have none yet.
+The deletion process splits the graph as the Monte Carlo estimator does:
+each component within the 2^20-cell budget gets its subset table T, built
+once for all traces, and a trace keeps only the local mask of that
+component's surviving vertices.  Its alpha is T[mask], a removal clears one
+bit, and its kernel, the vertices in every maximum independent set, is the
+set of v with T[mask - v] < T[mask]; no clique search runs per step.  The
+other components are searched.  A trace keeps them as live connected
+components of the current graph, each with its alpha, a maximum
+independent set W (its witness) and, once asked for, its kernel size.
+Removing v touches only the component C that holds it.  If v is outside W,
+nothing is solved: W lies in C - v, so alpha(C - v) = |W|, and each piece P
+of C - v inherits W & P, maximum in P because the piece alphas sum to |W|.
+Only when v is in W are the pieces solved afresh.  The kernel of the current graph is the union of the
+component kernels, so a monitored step finds the kernel only of components
+that changed since it was last found.
 """
 
 from __future__ import annotations
@@ -108,7 +115,8 @@ def _subset_alpha_table(g: Graph, within: int) -> tuple[tuple[int, ...], np.ndar
 
 
 def _mc_tables(g: Graph) -> tuple[list[tuple[tuple[int, ...], np.ndarray]], int]:
-    """Split ``g`` into tabled components and the mask of the rest.
+    """Split ``g`` into tabled components and the mask of the rest, for the
+    Monte Carlo estimator and the deletion process alike.
 
     Components are taken smallest first, each with its vertex list and subset
     table, while the tables hold at most 2^EXACT_MAX_N cells together, the
@@ -257,65 +265,106 @@ class ProcessTrace:
         return prev
 
 
-def _starting_components(g: Graph) -> tuple[tuple[int, int, int], ...]:
-    """(component mask, alpha, witness mask) for each connected component of ``g``."""
-    return tuple((comp, *_solve_witness(g, comp)) for comp in _components(g, (1 << g.n) - 1))
+def _table_kernel_size(table: bytes, mask: int) -> int:
+    """Kernel size of the tabled component's survivors ``mask``: the v in mask
+    with alpha(mask - v) < alpha(mask), since they and only they lie in every
+    maximum independent set."""
+    top = table[mask]
+    return sum(table[mask & ~(1 << v)] < top for v in _iter_bits(mask))
+
+
+def _starting_components(g: Graph) -> tuple[tuple, tuple]:
+    """What every trace of ``g`` starts from: (vertex list, subset table) for
+    each component that ``_mc_tables`` tables, the table as bytes so that a
+    lookup is a Python int, and (component mask, alpha, witness mask) for
+    each component it leaves in ``rest``."""
+    tables, rest = _mc_tables(g)
+    return (
+        tuple((verts, table.tobytes()) for verts, table in tables),
+        tuple((comp, *_solve_witness(g, comp)) for comp in _components(g, rest)),
+    )
 
 
 def run_deletion_process(
-    g: Graph, params: ProcessParams, seed, components: tuple[tuple[int, int, int], ...]
+    g: Graph, params: ProcessParams, seed, components: tuple[tuple, tuple]
 ) -> ProcessTrace:
     """Remove uniform random vertices down to the target size, tracking alpha.
 
-    ``components`` holds (mask, alpha, witness) for every connected
-    component of ``g``, solved once by the caller for all traces.  The trace
-    keeps the live components of the current graph by mask, and removing v
-    splits only the component C that held it.  If v lies outside C's
-    witness W, each piece P of C - v inherits W & P: W survives the removal,
-    so the piece alphas, each at least |W & P|, sum to at most alpha(C) = |W|
-    and each is exactly |W & P|.  Otherwise each piece is solved.  For every
-    monitored step whose predecessor graph still has alpha >= threshold, the
-    kernel size of that predecessor, the sum over its components, is
-    recorded so the Hajnal-based fraction argument can be checked on the
-    trace; a component's kernel is solved the first time a step needs it.
-    Pieces are strict subsets of their component, so no mask recurs within a
-    trace, and nothing is kept past it.
+    ``components`` is the pair ``_starting_components(g)``, built once by the
+    caller for all traces.  A tabled component keeps the local mask of its
+    surviving vertices: its alpha is its table at that mask, and removing v
+    clears v's bit.  The other components are kept live by mask, and
+    removing v splits only the component C that held it.  If v lies outside
+    C's witness W, each piece P of C - v inherits W & P: W survives the
+    removal, so the piece alphas, each at least |W & P|, sum to at most
+    alpha(C) = |W| and each is exactly |W & P|.  Otherwise each piece is
+    solved.  For every monitored step whose predecessor graph still has
+    alpha >= threshold, the kernel size of that predecessor, the sum over
+    its components, is recorded so the Hajnal-based fraction argument can be
+    checked on the trace; a component's kernel is found the first time a
+    step needs it after the component last changed, from its table if it
+    has one and by ``_solve_kernel_corona`` if not.  Pieces are strict
+    subsets of their component, so no mask recurs within a trace, and
+    nothing is kept past it.
     """
     if params.n != g.n:
         raise ValueError(f"params built for n={params.n}, graph has n={g.n}")
     rng = np.random.default_rng(seed)
+    tables, searched = components
+    tabled = []  # per tabled component: [subset table, local mask of its survivors, kernel size or None]
+    place = {}  # vertex of a tabled component -> (its entry, its local bit)
+    for verts, table in tables:
+        entry = [table, (1 << len(verts)) - 1, None]
+        tabled.append(entry)
+        for j, v in enumerate(verts):
+            place[v] = (entry, 1 << j)
     live = {}  # component mask -> [alpha, witness mask, kernel size or None]
-    owner = [0] * g.n  # vertex -> mask of the live component holding it
-    for comp, comp_alpha, witness in components:
+    owner = [0] * g.n  # vertex of a searched component -> mask of the live component holding it
+    for comp, comp_alpha, witness in searched:
         live[comp] = [comp_alpha, witness, None]
         for v in _iter_bits(comp):
             owner[v] = comp
-    initial_alpha = cur_alpha = sum(entry[0] for entry in live.values())
+    initial_alpha = cur_alpha = (
+        sum(table[mask] for table, mask, _ in tabled) + sum(entry[0] for entry in live.values())
+    )
     vertices = list(range(g.n))  # the vertices of the current graph, ascending
+    high = math.ceil(params.threshold)  # the least integer alpha at or above the threshold
     steps = []
     for i in range(1, g.n - params.target_size + 1):
         victim = vertices.pop(int(rng.integers(0, len(vertices))))
         kernel_size = None
-        if i > params.i0 and cur_alpha >= params.threshold:
+        if i > params.i0 and cur_alpha >= high:
             kernel_size = 0
+            for entry in tabled:
+                if entry[2] is None:
+                    entry[2] = _table_kernel_size(entry[0], entry[1])
+                kernel_size += entry[2]
             for comp, entry in live.items():
                 if entry[2] is None:
                     entry[2] = _solve_kernel_corona(g, comp)[1].bit_count()
                 kernel_size += entry[2]
-        comp = owner[victim]
-        comp_alpha, witness, _ = live.pop(comp)
-        new_alpha = cur_alpha - comp_alpha
-        for piece in _components(g, comp & ~(1 << victim)):
-            if witness >> victim & 1:
-                piece_alpha, piece_witness = _solve_witness(g, piece)
-            else:
-                piece_witness = witness & piece
-                piece_alpha = piece_witness.bit_count()
-            live[piece] = [piece_alpha, piece_witness, None]
-            new_alpha += piece_alpha
-            for v in _iter_bits(piece):
-                owner[v] = piece
-        successful = cur_alpha < params.threshold or new_alpha < cur_alpha
+        hit = place.get(victim)
+        if hit is not None:
+            entry, bit = hit
+            table, mask, _ = entry
+            new_alpha = cur_alpha - table[mask] + table[mask ^ bit]
+            entry[1] = mask ^ bit
+            entry[2] = None
+        else:
+            comp = owner[victim]
+            comp_alpha, witness, _ = live.pop(comp)
+            new_alpha = cur_alpha - comp_alpha
+            for piece in _components(g, comp & ~(1 << victim)):
+                if witness >> victim & 1:
+                    piece_alpha, piece_witness = _solve_witness(g, piece)
+                else:
+                    piece_witness = witness & piece
+                    piece_alpha = piece_witness.bit_count()
+                live[piece] = [piece_alpha, piece_witness, None]
+                new_alpha += piece_alpha
+                for v in _iter_bits(piece):
+                    owner[v] = piece
+        successful = cur_alpha < high or new_alpha < cur_alpha
         steps.append(
             ProcessStep(
                 i=i,
@@ -339,9 +388,10 @@ def run_deletion_traces(
 ) -> list[ProcessTrace]:
     """``count`` independent traces; trace j is seeded (seed, j).
 
-    Every trace starts from the same graph, so each of its connected
-    components is solved once here, for alpha and a witness, and the
-    solutions travel with each work unit; no trace re-solves the start.
+    Every trace starts from the same graph, so ``_starting_components``
+    builds each tabled component's subset table and solves each other
+    component, for alpha and a witness, once here; they travel with each
+    work unit, and no trace re-solves the start.
     """
     components = _starting_components(g)
     units = [(g, params, seed, j, components) for j in range(count)]

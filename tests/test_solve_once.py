@@ -11,7 +11,7 @@ import mishit.hitting
 import mishit.process
 from mishit.cli import main
 from mishit.families import build_shift_graph
-from conftest import cycle_graph, disjoint_union
+from conftest import cycle_graph, disjoint_union, hub_graph
 from mishit.graph import _components, alpha, enumerate_mis, save_graph
 from mishit.hajnal import kernel_corona
 
@@ -132,25 +132,54 @@ def test_hajnal_corpus_sweeps_each_n_once(counted, tmp_path):
     assert calls["all_graphs_kernel_stats"] == 10  # and nothing is cached across commands
 
 
+def _record(monkeypatch, name):
+    """Masks handed to ``mishit.process.<name>`` in this process, in call order."""
+    seen = []
+    original = getattr(mishit.process, name)
+
+    def recording(g, within_bits):
+        seen.append(within_bits)
+        return original(g, within_bits)
+
+    monkeypatch.setattr(mishit.process, name, recording)
+    return seen
+
+
+def _run_process(tmp_path, g, workers):
+    path = tmp_path / "g.json"
+    save_graph(g, path)
+    argv = ["process", "--graph", str(path), "--traces", "7", "--seed", "3", "--workers", workers]
+    assert main(argv) == 0
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_process_solves_the_full_graph_once_for_all_traces(counted, monkeypatch, tmp_path, workers):
     calls, count = counted
     count(mishit.cli, "alpha")
     g2 = build_shift_graph(2)[0]
     double = disjoint_union(g2, g2)
-    path = tmp_path / "g2x2.json"
-    save_graph(double, path)
-    solved = []  # masks handed to the process's witness solve in this process
-    original = mishit.process._solve_witness
-
-    def recording(g, within_bits):
-        solved.append(within_bits)
-        return original(g, within_bits)
-
-    monkeypatch.setattr(mishit.process, "_solve_witness", recording)
-    argv = ["process", "--graph", str(path), "--traces", "7", "--seed", "3", "--workers", workers]
-    assert main(argv) == 0
-    # each starting component is solved once, in this process, for every trace;
-    # a trace solves only strict parts of a component
-    assert [solved.count(comp) for comp in _components(double, (1 << 24) - 1)] == [1, 1]
+    tabled = _record(monkeypatch, "_subset_alpha_table")
+    solved = _record(monkeypatch, "_solve_witness")
+    _run_process(tmp_path, double, workers)
+    # each starting component's subset table is built once, in this process, for every
+    # trace, and the traces answer from the tables without a witness solve
+    assert [tabled.count(comp) for comp in _components(double, (1 << 24) - 1)] == [1, 1]
+    assert solved == []
     assert calls == {"alpha": 1}  # and alpha(G) once more for eps in the CLI
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_process_solves_each_untabled_component_once_for_all_traces(counted, monkeypatch, tmp_path, workers):
+    calls, count = counted
+    count(mishit.cli, "alpha")
+    g = disjoint_union(build_shift_graph(2)[0], hub_graph(7))  # 12 + 22 vertices: the hub is past the table budget
+    g2_part, hub_part = _components(g, (1 << g.n) - 1)
+    tabled = _record(monkeypatch, "_subset_alpha_table")
+    solved = _record(monkeypatch, "_solve_witness")
+    _run_process(tmp_path, g, workers)
+    assert tabled == [g2_part]
+    # the untabled component is solved once, in this process, for every trace;
+    # a trace solves only strict parts of it
+    assert solved.count(hub_part) == 1
+    assert all(mask & ~hub_part == 0 for mask in solved)
+    assert calls == {"alpha": 1}

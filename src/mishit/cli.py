@@ -91,11 +91,12 @@ def cmd_shift(args) -> int:
             f"largest feasible: --k {SHIFT_EXACT_MAX_K}"
         )
     g, spec = families.build_shift_graph(args.k)
-    family = enumerate_mis(g)
+    family = enumerate_mis(g, families.shift_generators(spec))
     a = family.alpha
     structural = families.shift_mis_family(spec)
     same_family = {s.bits for s in family.sets} == {s.bits for s in structural.sets}
-    # permutations of the ground set and the reversal (i, j) -> (j, i) move arc (1, 2) to every arc
+    # enumerate_mis verified the generators as automorphisms that move arc (1, 2) to every
+    # arc, so they map the family onto itself and some minimum transversal holds vertex 0
     hit = hitting.min_hitting_set(structural, transitive=True)
     h = len(hit)
     cycle = families.shift_cycle_hitting_set(spec)
@@ -150,13 +151,14 @@ def cmd_hamming(args) -> int:
     }
     checks: list[tuple[str, bool]] = []
     if exact:
-        family = enumerate_mis(g)
+        family = enumerate_mis(g, families.hamming_generators(spec))
         report["alpha_exact"] = family.alpha
         checks.append(("exact alpha equals the Kleitman sum", family.alpha == kle))
         balls_match = {s.bits for s in family.sets} == {s.bits for s in balls.sets}
         report["mis_count"] = len(family)
         checks.append(("MIS family is exactly the 2^m balls", balls_match))
-        # the translations w -> w ^ x are automorphisms of the graph, so of its family too
+        # enumerate_mis verified the unit translations as automorphisms that move word 0
+        # to every word, so they map the family onto itself and some minimum transversal holds 0
         h = len(hitting.min_hitting_set(family, transitive=True))
         report["h_exact"] = h
         if spec.ball_radius == 0:
@@ -295,6 +297,7 @@ def cmd_process(args) -> int:
     print(f"running {args.traces} traces...", file=sys.stderr)
     traces = process.run_deletion_traces(g, params, args.traces, seed=args.seed, workers=args.workers)
     stats = process.success_statistics(traces, params)
+    high = math.ceil(params.threshold)  # an integer alpha is below the threshold iff it is below this
     step_ok = True
     kernel_ok = True
     flag_ok = True
@@ -303,7 +306,7 @@ def cmd_process(args) -> int:
         for step, prev in zip(trace.steps, before):
             if not 0 <= prev - step.alpha <= 1:
                 step_ok = False
-            expected = prev < params.threshold or step.alpha < prev
+            expected = prev < high or step.alpha < prev
             if step.successful != expected:
                 flag_ok = False
             if step.kernel_size is not None:
@@ -337,7 +340,7 @@ def cmd_process(args) -> int:
     csv_spec = (
         ["trace", "window_successes", "final_alpha", "final_below_threshold"],
         [
-            [i, successes, t.final_alpha, t.final_alpha < params.threshold]
+            [i, successes, t.final_alpha, t.final_alpha < high]
             for i, (t, successes) in enumerate(zip(traces, stats.success_counts))
         ],
     )

@@ -88,6 +88,23 @@ def build_shift_graph(k: int) -> tuple[Graph, ShiftSpec]:
     return Graph(spec.n, rows), spec
 
 
+def shift_generators(spec: ShiftSpec) -> list[tuple[int, ...]]:
+    """Vertex permutations that generate a group moving every arc to every
+    arc: the transposition (1 2) and the cycle x -> x + 1 (mod 2k) of the
+    ground set, which together generate its symmetric group, and the
+    reversal (i, j) -> (j, i).  Each maps directed 2-paths to directed
+    2-paths, so each is an automorphism of the shift graph."""
+    K = spec.ground_size
+    pairs = [spec.index_to_pair(v) for v in range(spec.n)]
+    transpose = {1: 2, 2: 1}
+    arc_maps = (
+        lambda i, j: (transpose.get(i, i), transpose.get(j, j)),
+        lambda i, j: (i % K + 1, j % K + 1),
+        lambda i, j: (j, i),
+    )
+    return [tuple(spec.pair_to_index(*arc_map(i, j)) for i, j in pairs) for arc_map in arc_maps]
+
+
 def shift_mis_from_partition(spec: ShiftSpec, s) -> VertexSet:
     """The independent set {(x, y): x in s, y not in s} for a k-subset s."""
     s = frozenset(s)
@@ -183,6 +200,16 @@ def build_hamming_graph(spec: HammingSpec) -> Graph:
         packed = np.packbits(far, bitorder="little").tobytes()
         rows.append(int.from_bytes(packed, "little"))
     return Graph(n, rows)
+
+
+def hamming_generators(spec: HammingSpec) -> list[tuple[int, ...]]:
+    """The translations w -> w ^ e_i by the m unit words: automorphisms of
+    the Cayley graph, since they keep every distance, and together they
+    move word 0 to every word."""
+    if spec.m > EXPLICIT_MAX_M:
+        raise ValueError(f"explicit permutations need m <= {EXPLICIT_MAX_M}, got m={spec.m}")
+    words = range(spec.n)
+    return [tuple(w ^ 1 << i for w in words) for i in range(spec.m)]
 
 
 def kleitman_alpha(spec: HammingSpec) -> int:

@@ -29,7 +29,9 @@ union) are unions of the component kernels and coronas, each found by at
 most one further decision search per vertex, never by enumeration.  The MIS
 family of a union is the product of the component families, so enumeration
 lists each component's sets once and ORs one from each; a family of more
-than ``DEFAULT_MIS_CAP`` sets is refused before the product is built.
+than ``DEFAULT_MIS_CAP`` sets is refused before the product is built.  Given
+automorphisms that move vertex 0 to every vertex, enumeration lists only the
+sets through vertex 0 and closes them under the automorphisms.
 
 Small graphs also have a subset table, alpha of every induced subgraph,
 filled by doubling once per vertex and run over a batch of graphs on the
@@ -41,7 +43,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations, compress
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -425,7 +427,55 @@ def alpha_induced(g: Graph, within: VertexSet | int) -> int:
     return size
 
 
-def enumerate_mis(g: Graph) -> MisFamily:
+def _image(mask: int, bits: list[int]) -> int:
+    """The image of ``mask`` under the permutation whose image bits are ``bits``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= bits[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _verified_automorphisms(g: Graph, generators) -> list[list[int]]:
+    """Each generator as the image bits ``1 << perm[v]`` of its vertices,
+    after checking that it is a permutation of 0..n-1 that maps every
+    adjacency row onto the row of its image, and that together they move
+    vertex 0 to every vertex.  A row over half full is checked by its
+    non-neighbours instead, the fewer bits to map.  Raises ValueError."""
+    n = g.n
+    full = (1 << n) - 1
+    images = []
+    for i, perm in enumerate(generators):
+        if sorted(perm) != list(range(n)):
+            raise ValueError(f"generator {i} is not a permutation of the {n} vertices")
+        bits = [1 << p for p in perm]
+        for v, row in enumerate(g.adj):
+            target = g.adj[perm[v]]
+            if 2 * row.bit_count() > n:
+                row, target = full ^ row, full ^ target
+            if _image(row, bits) != target:
+                raise ValueError(
+                    f"generator {i} is not an automorphism: vertex {v}'s row maps off vertex {perm[v]}'s"
+                )
+        images.append(bits)
+    orbit = frontier = 1 & full
+    while frontier:
+        reach = 0
+        for bits in images:
+            reach |= _image(frontier, bits)
+        frontier = reach & ~orbit
+        orbit |= frontier
+    if orbit != full:
+        raise ValueError("the generators do not move vertex 0 to every vertex")
+    return images
+
+
+def _too_large() -> FamilyTooLargeError:
+    return FamilyTooLargeError(f"more than {DEFAULT_MIS_CAP} maximum independent sets; use a structural family")
+
+
+def enumerate_mis(g: Graph, generators: Sequence[Sequence[int]] = ()) -> MisFamily:
     """Every maximum independent set of ``g``, sorted by member tuple so equal
     families compare equal.
 
@@ -436,15 +486,37 @@ def enumerate_mis(g: Graph) -> MisFamily:
     component lists: one set from each, ORed, since the parts are disjoint.
     Raises FamilyTooLargeError once the product of the component counts
     exceeds ``DEFAULT_MIS_CAP``, before the product is built.
+
+    ``generators`` are vertex permutations, checked first to be
+    automorphisms of ``g`` that together move vertex 0 to every vertex
+    (ValueError otherwise).  With them, vertex 0's component is searched
+    from vertex 0's non-neighbours alone, so the product holds just the
+    sets through vertex 0, and the family is their closure under the
+    generators, grown breadth-first and refused as soon as it passes
+    ``DEFAULT_MIS_CAP``.  That closure is every maximum independent set:
+    each one, S, holds some vertex v = s(0) for an s in the group the
+    generators make; the inverse of s maps S to a maximum independent set
+    through vertex 0, which the search listed, and an automorphism maps
+    maximum independent sets to maximum independent sets, so S is an image
+    of a listed set.  Applied to any one maximum set, the same argument
+    puts vertex 0 in some maximum set, so vertex 0's component has alpha
+    one more than the part of it off vertex 0's closed neighbourhood.
     """
+    images = _verified_automorphisms(g, generators) if generators else None
     size = 0
     masks = [0]
     for rows, verts in _component_rows(g, (1 << g.n) - 1):
+        start = (1 << len(verts)) - 1
+        lead = 0
+        if images and 0 in verts:
+            i = verts.index(0)
+            lead = 1 << i
+            start &= ~(rows[i] | lead)
         headroom = DEFAULT_MIS_CAP // len(masks)
-        floor = [1]
+        floor = [0]  # at 0 an empty start still yields the empty set
         best = 0
         found = []
-        for mask in _cliques(rows, (1 << len(verts)) - 1, floor):
+        for mask in _cliques(rows, start, floor):
             if mask.bit_count() > best:
                 best = floor[0] = mask.bit_count()
                 found = []
@@ -452,12 +524,20 @@ def enumerate_mis(g: Graph) -> MisFamily:
             if len(found) > headroom:
                 floor[0] = best + 1  # too many of this size: only a larger set can save the family
         if len(found) > headroom:
-            raise FamilyTooLargeError(
-                f"more than {DEFAULT_MIS_CAP} maximum independent sets; use a structural family"
-            )
-        found = [_map_back(c, verts) for c in found]
+            raise _too_large()
+        found = [_map_back(c | lead, verts) for c in found]
         masks = [m | c for m in masks for c in found]
-        size += best
+        size += best + (lead != 0)
+    if images:
+        seen = set(masks)
+        for mask in masks:  # the list grows behind this loop: a breadth-first closure
+            for bits in images:
+                image = _image(mask, bits)
+                if image not in seen:
+                    if len(seen) == DEFAULT_MIS_CAP:
+                        raise _too_large()
+                    seen.add(image)
+                    masks.append(image)
     sets = sorted((VertexSet(g.n, m) for m in masks), key=VertexSet.members)
     return MisFamily(alpha=size, sets=tuple(sets))
 

@@ -456,18 +456,22 @@ def success_statistics(traces, params: ProcessParams) -> ProcessStats:
     counts = tuple(sum(s.successful for s in t.steps if s.i > params.i0) for t in traces)
     req = params.required_successes
     alpha_ceiling = (Fraction(1, 4) + params.epsilon) * params.n
+    # for an integer alpha a: a >= theta iff a >= ceil(theta), a < theta iff a < ceil(theta),
+    # and a > theta iff a > floor(theta)
+    high = math.ceil(params.threshold)
+    low = math.floor(params.threshold)
     qual_steps = 0
     qual_succ = 0
     violations = 0
     for t, count in zip(traces, counts):
         for step, prev_alpha in zip(t.steps, t.alphas_before()):
-            if step.i > params.i0 and prev_alpha >= params.threshold:
+            if step.i > params.i0 and prev_alpha >= high:
                 qual_steps += 1
                 qual_succ += step.successful
         if (
             t.initial_alpha <= alpha_ceiling
             and count >= req
-            and t.final_alpha > params.threshold
+            and t.final_alpha > low
         ):
             violations += 1
     if qual_steps:
@@ -485,7 +489,7 @@ def success_statistics(traces, params: ProcessParams) -> ProcessStats:
         mean_successes=sum(counts) / len(counts),
         binomial_tail=float(_binomial_tail_at_least(params.window, params.epsilon, req)),
         fraction_reaching_required=sum(c >= req for c in counts) / len(counts),
-        fraction_final_below=sum(t.final_alpha < params.threshold for t in traces) / len(traces),
+        fraction_final_below=sum(t.final_alpha < high for t in traces) / len(traces),
         qualifying_steps=qual_steps,
         qualifying_successes=qual_succ,
         success_frequency=freq,

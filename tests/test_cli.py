@@ -476,6 +476,23 @@ def test_process_epsilon_override(g2_file, tmp_path):
     assert json.loads(out.read_text())["report"]["epsilon"] == "1/6"
 
 
+def test_process_flags_at_an_integral_threshold(tmp_path):
+    # eps = 1/6 on 72 vertices puts the threshold at (1/4 + 1/6 - 1/72) * 72 = 29 exactly;
+    # a perfect matching's alpha 36 drops by one per pair deleted whole, down through 29
+    graph = tmp_path / "m.json"
+    save_graph(Graph.from_edges(72, [(2 * i, 2 * i + 1) for i in range(36)]), graph)
+    out, rows = tmp_path / "r.json", tmp_path / "r.csv"
+    assert main(["process", "--graph", str(graph), "--epsilon", "1/6", "--traces", "40", "--seed", "3",
+                 "--json", str(out), "--csv", str(rows)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["report"]["threshold"] == "29"
+    assert all(payload["checks"].values())
+    _, *lines = rows.read_text().splitlines()
+    finals = [(int(line.split(",")[2]), line.split(",")[3]) for line in lines]
+    assert all(below == str(alpha < 29) for alpha, below in finals)
+    assert {alpha for alpha, _ in finals} >= {28, 29, 30}  # the threshold and both sides of it
+
+
 def test_covering_code_hadamard(tmp_path):
     out = tmp_path / "code.txt"
     assert main(["covering-code", "--m", "10", "--t", "1", "--method", "hadamard", "--out", str(out)]) == 0

@@ -6,7 +6,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import oracle_mis_masks, vertex_set
+import mishit.graph
+from conftest import cycle_graph, disjoint_union, oracle_mis_masks, vertex_set
 from mishit.families import (
     HAMMING_MAX_M,
     HammingSpec,
@@ -14,14 +15,16 @@ from mishit.families import (
     build_hamming_graph,
     build_shift_graph,
     hamming_ball,
+    hamming_generators,
     hamming_mis_family,
     kleitman_alpha,
     shift_avoiding_partition,
     shift_cycle_hitting_set,
+    shift_generators,
     shift_mis_family,
     shift_mis_from_partition,
 )
-from mishit.graph import VertexSet, alpha, enumerate_mis, is_independent
+from mishit.graph import FamilyTooLargeError, Graph, VertexSet, alpha, enumerate_mis, is_independent
 
 
 # --- shift graph ------------------------------------------------------------
@@ -196,6 +199,8 @@ def test_kleitman_16_2_vs_pascal_oracle():
 def test_explicit_rejects_large_m():
     with pytest.raises(ValueError):
         build_hamming_graph(HammingSpec(14, 1))
+    with pytest.raises(ValueError, match="explicit permutations need m <= 12"):
+        hamming_generators(HammingSpec(14, 1))
 
 
 def _far(spec, u, v):
@@ -282,3 +287,68 @@ def test_ball_family_small_oracle():
     spec = HammingSpec(4, 1)
     g = build_hamming_graph(spec)
     assert sorted(s.bits for s in hamming_mis_family(spec).sets) == oracle_mis_masks(g)
+
+
+# --- enumeration from the sets through vertex 0 -------------------------------
+
+
+def _shift(k):
+    g, spec = build_shift_graph(k)
+    return g, shift_generators(spec)
+
+
+def _hamming(m, t):
+    spec = HammingSpec(m, t)
+    return build_hamming_graph(spec), hamming_generators(spec)
+
+
+ROTATE_FIRST_C5 = (1, 2, 3, 4, 0, 5, 6, 7, 8, 9)
+SWAP_C5_COPIES = (5, 6, 7, 8, 9, 0, 1, 2, 3, 4)
+
+GENERATED = {
+    **{f"shift-{k}": lambda k=k: _shift(k) for k in range(1, 6)},
+    # (6, 3) is complete: vertex 0 has no non-neighbours
+    **{f"hamming-{m}-{t}": lambda m=m, t=t: _hamming(m, t)
+       for m, t in [(2, 1), (4, 1), (4, 2), (6, 1), (6, 2), (6, 3)]},
+    # two components; in either order, skipping one generator in the closure misses sets
+    "c5+c5": lambda: (disjoint_union(cycle_graph(5), cycle_graph(5)), [ROTATE_FIRST_C5, SWAP_C5_COPIES]),
+    "c5+c5-swap-first": lambda: (disjoint_union(cycle_graph(5), cycle_graph(5)), [SWAP_C5_COPIES, ROTATE_FIRST_C5]),
+    "k1": lambda: (Graph.empty(1), [(0,)]),
+    "empty": lambda: (Graph.empty(0), [()]),
+}
+
+
+@pytest.mark.parametrize("name", GENERATED)
+def test_closure_of_the_sets_through_vertex_0_is_the_whole_family(name):
+    g, generators = GENERATED[name]()
+    assert enumerate_mis(g, generators) == enumerate_mis(g)
+
+
+def test_generators_that_are_not_automorphisms_are_refused():
+    g, spec = build_shift_graph(3)
+    swap_01 = (1, 0, *range(2, spec.n))  # arcs (1, 2) and (1, 3) trade places, their neighbours do not
+    with pytest.raises(ValueError, match="generator 3 is not an automorphism"):
+        enumerate_mis(g, [*shift_generators(spec), swap_01])
+
+
+def test_generators_that_do_not_move_vertex_0_everywhere_are_refused():
+    g, spec = build_shift_graph(3)
+    reversal = shift_generators(spec)[2]
+    with pytest.raises(ValueError, match="do not move vertex 0 to every vertex"):
+        enumerate_mis(g, [reversal])
+
+
+@pytest.mark.parametrize("perm", [(0,) * 30, tuple(range(29)), tuple(range(1, 31))],
+                         ids=["repeats", "short", "out-of-range"])
+def test_generators_that_are_not_permutations_are_refused(perm):
+    g, spec = build_shift_graph(3)
+    with pytest.raises(ValueError, match="generator 0 is not a permutation of the 30 vertices"):
+        enumerate_mis(g, [perm, *shift_generators(spec)])
+
+
+def test_closure_past_the_cap_is_refused(monkeypatch):
+    # 22 balls hold word 0, under the cap, so the search lists them; the closure reaches all 64
+    monkeypatch.setattr(mishit.graph, "DEFAULT_MIS_CAP", 63)
+    g, generators = _hamming(6, 1)
+    with pytest.raises(FamilyTooLargeError, match="more than 63 maximum independent sets"):
+        enumerate_mis(g, generators)

@@ -412,6 +412,41 @@ def test_success_statistics_g2():
     assert 0.0 <= stats.fraction_final_below <= 1.0
 
 
+def _fraction_statistics(traces, params):
+    """The figures of ``success_statistics`` that compare an alpha with the
+    threshold, each compared with the Fraction itself."""
+    ceiling = (Fraction(1, 4) + params.epsilon) * params.n
+    qualifying = [step for t in traces for step, prev in zip(t.steps, t.alphas_before())
+                  if step.i > params.i0 and prev >= params.threshold]
+    counts = [sum(s.successful for s in t.steps if s.i > params.i0) for t in traces]
+    violations = sum(
+        t.initial_alpha <= ceiling and count >= params.required_successes and t.final_alpha > params.threshold
+        for t, count in zip(traces, counts)
+    )
+    below = sum(t.final_alpha < params.threshold for t in traces) / len(traces)
+    return len(qualifying), sum(s.successful for s in qualifying), violations, below
+
+
+@pytest.mark.parametrize("threshold", [Fraction(3), Fraction(5, 2)], ids=["integral", "non-integral"])
+def test_statistics_compare_integer_alphas_as_with_the_fraction_threshold(threshold):
+    # four triangles: alpha falls from 4 through 3, and at 5/2 a trace that ends at 3 after a success is a violation
+    k3 = Graph.complete(3)
+    g = disjoint_union(k3, k3, k3, k3)
+    params = ProcessParams(epsilon=Fraction(1, 5), n=12, i0=2, target_size=4, threshold=threshold)
+    traces = run_deletion_traces(g, params, 40, seed=6)
+    for trace in traces:
+        trace_invariants(trace, params)
+    stats = success_statistics(traces, params)
+    figures = (stats.qualifying_steps, stats.qualifying_successes, stats.implication_violations,
+               stats.fraction_final_below)
+    assert figures == _fraction_statistics(traces, params)
+    # both sides of the threshold are met: alpha at 3 qualifies, and some final alpha lies on either side
+    assert any(prev == 3 for t in traces for prev in t.alphas_before())
+    assert 0 < stats.fraction_final_below < 1
+    if threshold == Fraction(5, 2):
+        assert stats.implication_violations > 0
+
+
 def _stalled_trace(steps: int) -> tuple[ProcessTrace, ProcessParams]:
     """One trace whose ``steps`` monitored steps all qualify and none succeeds."""
     params = ProcessParams(

@@ -10,7 +10,7 @@ import mishit.hajnal
 import mishit.hitting
 import mishit.process
 from mishit.cli import main
-from mishit.families import build_shift_graph
+from mishit.families import HammingSpec, build_hamming_graph, build_shift_graph
 from conftest import cycle_graph, disjoint_union, hub_graph
 from mishit.graph import _components, alpha, enumerate_mis, save_graph
 from mishit.hajnal import kernel_corona
@@ -48,6 +48,24 @@ def test_enumerate_mis_runs_one_clique_search(counted):
     family = enumerate_mis(build_shift_graph(3)[0])
     assert len(family) == 20
     assert calls == {"_max_clique": 0, "_cliques": 1}  # the listing search finds alpha itself
+
+
+@pytest.mark.parametrize("argv, g", [
+    (["shift", "--k", "4"], build_shift_graph(4)[0]),
+    (["hamming", "--m", "6", "--t", "1"], build_hamming_graph(HammingSpec(6, 1))),
+], ids=["shift-4", "hamming-6-1"])
+def test_symmetric_commands_search_only_vertex_0s_non_neighbours(monkeypatch, argv, g):
+    starts = []
+    search = mishit.graph._cliques
+
+    def recording(rows, start, floor):
+        starts.append(start)
+        return search(rows, start, floor)
+
+    monkeypatch.setattr(mishit.graph, "_cliques", recording)
+    assert main(argv) == 0
+    # one listing search, rooted at the n - deg(0) - 1 vertices off vertex 0's closed neighbourhood
+    assert [start.bit_count() for start in starts] == [g.n - g.adj[0].bit_count() - 1]
 
 
 # alpha solves each copy by one max-clique search, and the kernel and corona

@@ -4,7 +4,8 @@ The generators here are written out independently of ``mishit.families``:
 each is checked to map its graph and its family onto itself, and together
 they move vertex 0 to every vertex.  So some minimum transversal of the
 family holds vertex 0, which is what ``min_hitting_set(..., transitive=True)``
-assumes.
+assumes.  The package's own generators, which ``shift`` and ``hamming`` hand
+to ``enumerate_mis``, are checked against the same conditions and these.
 """
 
 import pytest
@@ -15,7 +16,9 @@ from mishit.families import (
     ShiftSpec,
     build_hamming_graph,
     build_shift_graph,
+    hamming_generators as package_hamming_generators,
     hamming_mis_family,
+    shift_generators as package_shift_generators,
     shift_mis_family,
 )
 from mishit.graph import Graph, enumerate_mis
@@ -102,6 +105,26 @@ def test_each_generator_is_an_automorphism_of_the_graph(name):
     rows = build_graph(spec).adj
     for perm in generators(spec):
         assert all(_image(perm, rows[v]) == rows[perm[v]] for v in range(spec.n))
+
+
+PACKAGE_GENERATORS = {ShiftSpec: package_shift_generators, HammingSpec: package_hamming_generators}
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_package_generators_map_graph_and_family_onto_themselves_with_the_same_orbit(name):
+    spec, build, generators, build_graph = FAMILIES[name]
+    perms = PACKAGE_GENERATORS[type(spec)](spec)
+    rows = build_graph(spec).adj
+    family = {s.bits for s in build(spec).sets}
+    for perm in perms:
+        assert sorted(perm) == list(range(spec.n))
+        assert all(_image(perm, rows[v]) == rows[perm[v]] for v in range(spec.n))
+        assert {_image(perm, bits) for bits in family} == family
+
+    def orbit_of_0(gens):
+        return next(orbit for orbit in _orbits(gens, range(spec.n)) if 0 in orbit)
+
+    assert orbit_of_0(perms) == orbit_of_0(generators(spec))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

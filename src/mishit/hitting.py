@@ -4,13 +4,16 @@ The exact solver is one depth-first search over vertex tuples in increasing
 order: ``_least_transversal`` returns the lexicographically least transversal
 within a budget, pruning with a greedy disjoint packing of the unhit sets as
 the lower bound.  It does not branch on the last vertex: that is the least
-member of the AND of the sets still unhit.  Run at the optimum h, the set
-it finds is the least optimal one, so results are reproducible across runs
-and platforms.  ``min_hitting_set`` runs it at budgets 1, 2, ... until it
-finds a set.  On a family whose automorphisms move vertex 0 to every
-vertex, such as the shift and Hamming families, some minimum transversal
-holds vertex 0, and then so does the least one: the search takes vertex 0
-and runs on the sets it misses alone, from budget 0.
+member of the AND of the sets still unhit.  Nor does a frame with two
+vertices left push its children: it tries each vertex v it could take next
+itself, in ascending order, by one AND of the sets that miss v, masked to
+the vertices above v and stopped as soon as it is empty.  Run at the
+optimum h, the set it finds is the least optimal one, so results are
+reproducible across runs and platforms.  ``min_hitting_set`` runs it at
+budgets 1, 2, ... until it finds a set.  On a family whose automorphisms
+move vertex 0 to every vertex, such as the shift and Hamming families, some
+minimum transversal holds vertex 0, and then so does the least one: the
+search takes vertex 0 and runs on the sets it misses alone, from budget 0.
 
 For the Hamming family, hitting all radius-(m/2 - t) balls is the same as
 being a covering code of radius m/2 - t in Z_2^m.  Every code the CLI scans
@@ -92,6 +95,15 @@ def _least_transversal(masks: list[int], budget: int) -> int | None:
     branching would have returned first: a vertex in every unhit set is at
     most each set's largest member, so it is among the children, and they
     pop in ascending order.
+
+    A frame with two vertices left pushes no children: it runs them itself,
+    lowest bit b first, the order in which they would have popped.  Child b
+    returns ``chosen | b`` if no unhit set misses b.  Otherwise its answer
+    is the AND of the sets that miss b, masked to the vertices above b (the
+    child's own cut), with its least member added, and a zero AND moves on
+    to the next b.  The AND starts from the mask, -(b << 1), which is
+    negative until a set is ANDed in, and stops at the first set that
+    empties it.  Each child run in place is one frame of the search.
     """
     stack = [(0, 0, masks, 0, budget)]
     while stack:
@@ -113,6 +125,8 @@ def _least_transversal(masks: list[int], budget: int) -> int | None:
             if not s & used:
                 used |= s
                 count += 1
+                if count > left:
+                    break
         if count > left:
             continue
         # the next vertex hits some unhit set and is at most every set's largest member
@@ -120,6 +134,19 @@ def _least_transversal(masks: list[int], budget: int) -> int | None:
         for s in unhit:
             cand |= s
         cand &= (1 << min(s.bit_length() for s in unhit)) - 1
+        if left == 2:  # run the last-vertex children here, in the order they would pop
+            while cand:
+                b = cand & -cand
+                cand ^= b
+                inter = -(b << 1)  # the vertices above b
+                for s in unhit:
+                    if not s & b:
+                        inter &= s
+                        if not inter:
+                            break
+                else:  # inter is still negative if no set misses b
+                    return chosen | b if inter < 0 else chosen | b | inter & -inter
+            continue
         while cand:
             v = cand.bit_length() - 1
             cand ^= 1 << v

@@ -51,6 +51,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -240,8 +241,7 @@ class ProcessParams:
         return math.ceil(self.epsilon * self.epsilon * self.n / 2)
 
 
-@dataclass(frozen=True)
-class ProcessStep:
+class ProcessStep(NamedTuple):
     i: int
     removed: int
     alpha: int
@@ -365,15 +365,7 @@ def run_deletion_process(
                 for v in _iter_bits(piece):
                     owner[v] = piece
         successful = cur_alpha < high or new_alpha < cur_alpha
-        steps.append(
-            ProcessStep(
-                i=i,
-                removed=victim,
-                alpha=new_alpha,
-                successful=successful,
-                kernel_size=kernel_size,
-            )
-        )
+        steps.append(ProcessStep(i, victim, new_alpha, successful, kernel_size))
         cur_alpha = new_alpha
     return ProcessTrace(initial_alpha=initial_alpha, steps=tuple(steps))
 

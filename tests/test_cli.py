@@ -82,18 +82,19 @@ def test_shift_k4_passes_every_check(capsys):
     assert "[FAIL]" not in capsys.readouterr().out
 
 
-def test_shift_k5_passes_every_check(tmp_path):
-    out = tmp_path / "r.json"
-    assert main(["shift", "--k", "5", "--json", str(out)]) == 0
-    payload = json.loads(out.read_text())
+def test_shift_k5_passes_every_check(cli_json):
+    code, raw, _ = cli_json("shift", "--k", "5")
+    assert code == 0
+    payload = json.loads(raw)
     assert all(payload["checks"].values())
     assert (payload["report"]["h"], payload["report"]["mis_count"]) == (6, 252)
 
 
 @pytest.mark.parametrize("argv, digest", [
     (["shift", "--k", "4"], "da30c5ad91823829a5f360dd0ec24d82aebf3bffffe901aca0e67ec2c44ef7e8"),
+    (["shift", "--k", "5"], "a03cc4771684b9360e3a78606cd987d9373cc48b4ab432975844fc879e725a53"),
     (["hamming", "--m", "6", "--t", "2"], "76ec5481250ef5455377eafb533fcb6303005a4088152314bd64eb8e3ef3e5e2"),
-], ids=["shift-4", "hamming-6-2"])
+], ids=["shift-4", "shift-5", "hamming-6-2"])
 def test_exact_h_json_bytes(cli_json, argv, digest):
     # sha256 as the lexicographic search run at every budget from 1 to h wrote them
     code, raw, _ = cli_json(*argv)

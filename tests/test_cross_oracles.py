@@ -70,12 +70,27 @@ def least_irredundant_transversal(masks, n, budget):
     return None
 
 
+def families_needing_three(seed, count):
+    """``count`` seeded families (n, masks) of optimum at least 3: n from 6 to
+    10, 4 to 9 sets of 2 or 3 members."""
+    rng = np.random.default_rng(seed)
+    while count:
+        n = int(rng.integers(6, 11))
+        masks = [sum(1 << int(v) for v in rng.choice(n, size=int(rng.integers(2, 4)), replace=False))
+                 for _ in range(int(rng.integers(4, 10)))]
+        if brute_min_hitting_sets(masks, n)[0] >= 3:
+            count -= 1
+            yield n, masks
+
+
 def test_least_transversal_at_every_budget_against_tuple_scan():
-    # the search closes its last vertex by one AND instead of branching on
-    # it; below, at and above the optimum it must return what branching over
-    # every tuple in increasing order finds first; a search led by vertex 0
-    # starts at budget 0, on a family that may be empty
-    for n, masks in [(4, []), *random_families(4242, 60)]:
+    # the search settles its last two vertices in place, each last one by
+    # one AND instead of branching on it; below, at and above the optimum it
+    # must return what branching over every tuple in increasing order finds
+    # first; a search led by vertex 0 starts at budget 0, on a family that
+    # may be empty; from optimum 3 on, the in-place level runs below pushed
+    # frames
+    for n, masks in [(4, []), *random_families(4242, 60), *families_needing_three(4343, 40)]:
         opt, _ = brute_min_hitting_sets(masks, n)
         for budget in (0, *range(max(opt - 1, 1), opt + 2)):
             found = mishit.hitting._least_transversal(masks, budget)

@@ -8,11 +8,12 @@ import pytest
 import mishit.graph
 from conftest import run_fresh_python, vertex_set
 from mishit.families import HammingSpec, build_hamming_graph, build_shift_graph, hamming_mis_family, shift_mis_family
-from mishit.graph import FamilyTooLargeError, Graph
+from mishit.graph import FamilyTooLargeError, Graph, VertexSet
 from mishit.hitting import (
     CoveringCode,
     InfeasibleFamilyError,
     RandomCodeOutcome,
+    _least_transversal,
     build_hadamard_covering_code,
     build_random_covering_code,
     covering_radius,
@@ -72,6 +73,31 @@ def test_last_vertex_is_the_least_in_every_unhit_set(family, least):
     r = min_hitting_set(sets)
     assert r.members() == least
     _no_transversal_below(len(r), sets, 8)
+
+
+@pytest.mark.parametrize(
+    "family, budget, least",
+    [
+        # v lies in every unhit set, so the search returns fewer vertices than the budget
+        ([[1, 2], [1, 3]], 2, (1,)),
+        ([[0], [1, 2], [1, 3]], 3, (0, 1)),
+        # 0 fails; the sets that miss 1 share 2 and 3, and 1 takes the least,
+        # though 0 lies in one of them and 3 would pop first in descending order
+        ([[0, 2, 3], [1, 4], [2, 3]], 2, (1, 2)),
+        ([[0], [1, 3, 4], [2, 5], [3, 4]], 3, (0, 2, 3)),
+        # no pair works at budget 2, and budget 3 finds the set: after 0, only
+        # the singleton {4} is left to AND once 2 is taken
+        ([[0, 1], [2, 3], [4]], 2, None),
+        ([[0, 1], [2, 3], [4]], 3, (0, 2, 4)),
+    ],
+    ids=["in-all-at-root", "in-all-after-0", "least-above-at-root", "least-above-after-0",
+         "no-pair-at-2", "three-at-3"],
+)
+def test_last_two_vertices_are_settled_in_place(family, budget, least):
+    # a frame with two vertices left runs its last-vertex children itself, in
+    # ascending order, each by one AND of the sets that miss its vertex
+    found = _least_transversal([vertex_set(8, s).bits for s in family], budget)
+    assert (None if found is None else VertexSet(8, found).members()) == least
 
 
 def test_per_set_witnesses():

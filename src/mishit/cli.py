@@ -252,7 +252,8 @@ def cmd_alpha_prime(args) -> int:
         "mode": args.mode,
         "estimate": estimate.to_json_dict(),
     }
-    checks = [("alpha' at most alpha/n", float(estimate.mean) <= a / g.n + 1e-12)]
+    # a Monte Carlo mean averages integers of at most a, and float rounding is monotone
+    checks = [("alpha' at most alpha/n", estimate.mean <= (Fraction(a, g.n) if estimate.exact else a / g.n))]
     if ceiling_applies:
         # the ceiling is proved as n grows, so a verdict at this n neither refutes nor proves it;
         # an exact estimate is compared as a rational, a Monte Carlo one by its 95% interval's upper end

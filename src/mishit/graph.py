@@ -562,8 +562,7 @@ def random_graph(n: int, p: float, seed) -> Graph:
 
     One coin per pair (u, v), u < v, in ascending order: the doubles and the
     generator state after them are those of n(n-1)/2 scalar draws."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    coins = (rng.random(n * (n - 1) // 2) < p).tolist()
+    coins = (np.random.default_rng(seed).random(n * (n - 1) // 2) < p).tolist()
     rows = [0] * n
     for u, v in compress(combinations(range(n), 2), coins):
         rows[u] |= 1 << v

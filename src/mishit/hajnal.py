@@ -47,6 +47,7 @@ of formatting one line per graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -273,9 +274,9 @@ def _table_kernel_corona(n: int, coins: np.ndarray) -> np.ndarray:
 DRAW_CHUNK = 1024  # graphs per generator of the random corpus; part of its stream
 
 
-def _random_corpus_block(args: tuple[int, int, int, int]) -> list[tuple[str, int, int, int, int]]:
+def _random_corpus_block(seed: int, n_max: int, span: tuple[int, int]) -> list[tuple[str, int, int, int, int]]:
     """The CSV rows (graph id, n, alpha, |kernel|, |corona|) of the random
-    graphs ``start`` <= index < ``stop``, in index order.
+    graphs start <= index < stop of ``span``, in index order.
 
     Graph i is G(n, p) with n uniform in 1..n_max and p uniform in
     [0.05, 0.95), drawn as graph k = i mod ``DRAW_CHUNK`` of chunk
@@ -288,7 +289,7 @@ def _random_corpus_block(args: tuple[int, int, int, int]) -> list[tuple[str, int
     overlaps.  Then the graphs on each vertex count drawn are answered by
     one ``_table_kernel_corona`` call, which sizes its own passes.
     """
-    seed, start, stop, n_max = args
+    start, stop = span
     sizes = np.zeros((4, stop - start), dtype=np.int32)  # n, alpha, |kernel|, |corona| by position
     coins = np.empty((stop - start, n_max * (n_max - 1) // 2), dtype=bool)
     for c in range(start // DRAW_CHUNK, -(-stop // DRAW_CHUNK)):
@@ -322,7 +323,7 @@ def random_corpus_check(
     """
     parts = max(1, min(workers, count))
     bounds = [count * i // parts for i in range(parts + 1)]
-    blocks = [(seed, lo, hi, n_max) for lo, hi in zip(bounds, bounds[1:])]
-    rows = [row for block in parallel_map(_random_corpus_block, blocks, workers) for row in block]
+    blocks = parallel_map(partial(_random_corpus_block, seed, n_max), list(zip(bounds, bounds[1:])), workers)
+    rows = [row for block in blocks for row in block]
     violations = sum(ker + cor < 2 * a for _, _, a, ker, cor in rows)
     return CorpusCheck(checked=count, violations=violations), rows

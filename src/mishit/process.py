@@ -51,6 +51,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -135,18 +136,19 @@ def _mc_tables(g: Graph) -> tuple[list[tuple[tuple[int, ...], np.ndarray]], int]
     return tables, rest
 
 
-def _mc_block(args) -> list[int]:
-    """alpha(G[W]) for the ``count`` samples W of one block.
+def _mc_block(g: Graph, tables, rest: int, seed, samples: int, block_index: int) -> np.ndarray:
+    """alpha(G[W]), as int64, for the samples W of block ``block_index``: those
+    numbered from 512 * block_index, at most 512 of them and below ``samples``.
 
-    A sample is defined as ``rng.bytes(ceil(n/8))``, read little-endian and
-    cut to n bits, drawn once per sample.  ``Generator.bytes(b)`` draws
-    ceil(b/4) uint32 words and keeps their first b little-endian bytes, so
-    one draw of ``count`` rows of ceil(n/32) words yields the same bits in
-    the same order.  A sample's alpha is the sum over components: a table
-    lookup at its local index for each tabled component, and one search of
-    W & rest.
+    A sample is ``rng.bytes(ceil(n/8))`` of ``default_rng([seed, block_index])``,
+    read little-endian and cut to n bits, drawn once per sample.
+    ``Generator.bytes(b)`` draws ceil(b/4) uint32 words and keeps their first b
+    little-endian bytes, so one draw of a row of ceil(n/32) words per sample
+    yields the same bits in the same order.  A sample's alpha is the sum over
+    components: a table lookup at its local index for each tabled component,
+    and one search of W & rest.
     """
-    g, tables, rest, seed, block_index, count = args
+    count = min(MC_BLOCK, samples - MC_BLOCK * block_index)
     rng = np.random.default_rng([seed, block_index])
     words = rng.integers(0, 1 << 32, size=(count, (g.n + 31) // 32), dtype=np.uint32)
     raw = words.astype("<u4").view(np.uint8)
@@ -158,32 +160,25 @@ def _mc_block(args) -> list[int]:
     if rest:
         for j, row in enumerate(raw):
             values[j] += alpha_induced(g, int.from_bytes(row.tobytes(), "little") & rest)
-    return values.tolist()
+    return values
 
 
 def alpha_prime_mc(g: Graph, samples: int, seed, workers: int = 1) -> AlphaPrimeEstimate:
     """Monte Carlo alpha'(G): independent fair coin per vertex, seeded.
 
-    Sample j lives in block j // 512 whose generator is seeded (seed, block),
-    so results are identical for any worker count.  The components are split
-    once per call: those within the exact DP's table budget answer every
-    sample by lookup, and only the rest, if any, is searched per sample.
+    Sample j lives in block j // 512, seeded (seed, block), and the blocks are
+    joined in order, so results are identical for any worker count.  The
+    components are split once per call: those within the exact DP's table
+    budget answer every sample by lookup, and only the rest is searched.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     if g.n < 1:
         raise ValueError("alpha' is undefined on the empty graph")
     tables, rest = _mc_tables(g)
-    blocks = []
-    remaining = samples
-    index = 0
-    while remaining > 0:
-        take = min(MC_BLOCK, remaining)
-        blocks.append((g, tables, rest, seed, index, take))
-        remaining -= take
-        index += 1
-    values = [v for block in parallel_map(_mc_block, blocks, workers) for v in block]
-    arr = np.array(values, dtype=np.float64)
+    block = partial(_mc_block, g, tables, rest, seed, samples)
+    blocks = parallel_map(block, range(-(-samples // MC_BLOCK)), workers)
+    arr = np.concatenate(blocks).astype(np.float64)
     mean = float(arr.mean()) / g.n
     if samples == 1:
         return AlphaPrimeEstimate(mean=mean, exact=False, samples=1, stderr=None, ci95=None)
@@ -370,36 +365,38 @@ def run_deletion_process(
     return ProcessTrace(initial_alpha=initial_alpha, steps=tuple(steps))
 
 
-def _trace_unit(args) -> ProcessTrace:
-    g, params, seed, index, components = args
-    return run_deletion_process(g, params, [seed, index], components)
-
-
 def run_deletion_traces(
     g: Graph, params: ProcessParams, count: int, seed: int, workers: int = 1
 ) -> list[ProcessTrace]:
-    """``count`` independent traces; trace j is seeded (seed, j).
+    """``count`` traces; trace j is ``run_deletion_process`` seeded (seed, j).
 
     Every trace starts from the same graph, so ``_starting_components``
     builds each tabled component's subset table and solves each other
-    component, for alpha and a witness, once here; they travel with each
-    work unit, and no trace re-solves the start.
+    component, for alpha and a witness, once here, bound into the mapped
+    function; no trace re-solves the start.
     """
-    components = _starting_components(g)
-    units = [(g, params, seed, j, components) for j in range(count)]
-    return parallel_map(_trace_unit, units, workers)
+    trace = partial(run_deletion_process, g, params, components=_starting_components(g))
+    return parallel_map(trace, [[seed, j] for j in range(count)], workers)
 
 
 def _binomial_tail_at_least(n_trials: int, p: Fraction, k: int) -> Fraction:
+    """P[Bin(n, p) >= k] for p = a/d, b = d - a: the sum of the integers C(n, j) a^j b^(n-j)
+    over j >= k, over d^n.  Each term is the one before times (n - j) a / ((j + 1) b),
+    an exact integer division, so no fraction is reduced until the end."""
     if k <= 0:
         return Fraction(1)
     if k > n_trials:
         return Fraction(0)
-    q = 1 - p
-    return sum(
-        Fraction(math.comb(n_trials, j)) * p**j * q ** (n_trials - j)
-        for j in range(k, n_trials + 1)
-    )
+    a, d = p.numerator, p.denominator
+    b = d - a
+    if b == 0:
+        return Fraction(1)
+    term = math.comb(n_trials, k) * a**k * b ** (n_trials - k)
+    total = term
+    for j in range(k, n_trials):
+        term = term * (n_trials - j) * a // ((j + 1) * b)
+        total += term
+    return Fraction(total, d**n_trials)
 
 
 @dataclass(frozen=True)

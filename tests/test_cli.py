@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -448,6 +449,26 @@ def test_alpha_prime_mc_verdict_reads_the_upper_end_of_the_interval(tmp_path, ca
     _, payload = _alpha_prime_run(tmp_path, capsys, G2_GRAPH, "--mode", "mc", "--samples", "2", "--seed", "1")
     assert payload["report"]["bound"]["holds"] is holds
     assert payload["report"]["bound_holds_at_this_n"] is holds
+
+
+@pytest.mark.parametrize("mode, mean, ok", [
+    ("mc", 1 / 3, True), ("mc", 1 / 3 + 1e-13, False),
+    ("exact", Fraction(1, 3), True), ("exact", Fraction(1, 3) + Fraction(1, 10**13), False),
+], ids=["mc-at", "mc-above", "exact-at", "exact-above"])
+def test_alpha_prime_at_most_alpha_over_n_has_no_slack(tmp_path, capsys, monkeypatch, mode, mean, ok):
+    # G_2 has alpha/n = 4/12: an estimate of exactly 1/3 passes, one 10^-13 above it fails
+    if mode == "exact":
+        estimator, estimate = "alpha_prime_exact", mishit.process.AlphaPrimeEstimate(mean=mean, exact=True)
+    else:
+        estimator = "alpha_prime_mc"
+        estimate = mishit.process.AlphaPrimeEstimate(mean=mean, exact=False, samples=2, stderr=0.005,
+                                                     ci95=(mean - 0.01, mean + 0.01))
+    monkeypatch.setattr(mishit.process, estimator, lambda *args, **kwargs: estimate)
+    path, out = tmp_path / "graph.json", tmp_path / "r.json"
+    save_graph(G2_GRAPH, path)
+    argv = ["alpha-prime", "--graph", str(path), "--mode", mode, "--samples", "2", "--seed", "1", "--json", str(out)]
+    assert main(argv) == (0 if ok else 1)
+    assert json.loads(out.read_text())["checks"]["alpha' at most alpha/n"] is ok
 
 
 @pytest.mark.parametrize("graph", [Graph.empty(6), Graph.complete(5)], ids=["edgeless", "k5"])

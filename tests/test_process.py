@@ -23,6 +23,7 @@ from mishit.process import (
     ProcessParams,
     ProcessStep,
     ProcessTrace,
+    _binomial_tail_at_least,
     _mc_tables,
     _starting_components,
     _subset_alpha_table,
@@ -464,6 +465,35 @@ def test_frequency_check_is_the_exact_binomial_tail(steps, ok):
     stats = success_statistics([trace], params)
     assert (stats.qualifying_steps, stats.qualifying_successes) == (steps, 0)
     assert stats.frequency_ok is ok
+
+
+def fraction_sum_binomial_tail(n_trials, p, k):
+    """P[Bin(n_trials, p) >= k] as a sum of one Fraction per term."""
+    if k <= 0:
+        return Fraction(1)
+    return sum((Fraction(math.comb(n_trials, j)) * p**j * (1 - p) ** (n_trials - j)
+                for j in range(k, n_trials + 1)), Fraction(0))
+
+
+def test_binomial_tail_matches_the_fraction_sum():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for _ in range(300):
+        n_trials = int(rng.integers(0, 61))
+        cases.append((n_trials, Fraction(int(rng.integers(0, 25)), 24), int(rng.integers(-2, n_trials + 3))))
+    assert any(k <= 0 for _, _, k in cases) and any(k > n for n, _, k in cases)
+    assert {p for _, p, _ in cases} >= {Fraction(0), Fraction(1)}
+    for n_trials, p, k in cases:
+        assert _binomial_tail_at_least(n_trials, p, k) == fraction_sum_binomial_tail(n_trials, p, k)
+
+
+def test_binomial_tail_at_a_thousand_edge_scale():
+    # q = 16,700 qualifying steps, 7,554 successes: the frequency check's own call, and the
+    # complementary tail, P[Bin(n, p) >= k] + P[Bin(n, 1 - p) >= n - k + 1] = 1 exactly
+    n_trials, p, k = 16_700, Fraction(11, 12), 16_700 - 7_554
+    tail = _binomial_tail_at_least(n_trials, p, k)
+    assert 0 < tail < 1
+    assert tail + _binomial_tail_at_least(n_trials, 1 - p, n_trials - k + 1) == 1
 
 
 def test_success_statistics_edgeless_window_always_full():
